@@ -117,19 +117,13 @@ def save_manifest(vault_root: Path, manifest: BackupManifest, io: FileIO | None 
     io.write_atomic(Path(vault_root) / MANIFEST_NAME, ("\n".join(lines) + "\n").encode())
 
 
-def backup_due(
-    config: BackupConfig,
-    manifest: BackupManifest,
-    today: dt.date,
-    launch_no_today: int | None = None,
-) -> bool:
+def backup_due(config: BackupConfig, manifest: BackupManifest, today: dt.date) -> bool:
     """True when today is a designated weekday and no backup ran today yet.
 
-    ``launch_no_today`` is accepted for interface completeness but does not
-    influence the answer: suppression keys off the recorded date, which is
-    equivalent to first-launch semantics and survives counter resets.
+    Suppression keys off the recorded date rather than a launch counter:
+    that is equivalent to first-launch semantics and survives counter
+    resets.
     """
-    del launch_no_today
     return today.weekday() in config.weekdays and manifest.last_backup_date != today
 
 

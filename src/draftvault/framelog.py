@@ -1,0 +1,213 @@
+"""The CRC-framed container shared by the journal, the blob log and the
+signature envelope, and the append-only log built on it.
+
+Container layout (little-endian):
+
+    magic (4 bytes) | u16 version
+    per frame: head | payload | u32 crc32(head + payload)
+
+Each format supplies its own ``head``: a ``struct.Struct`` whose last
+field is the payload length.  Recovery rule: a reader keeps the longest
+prefix of frames that are complete and whose CRC matches, and stops at
+the first frame that is not.  A format may stop earlier on rules of its
+own (the journal does, on step structure); nothing after the stop point
+is ever interpreted.
+"""
+from __future__ import annotations
+
+import struct
+import zlib
+from collections.abc import Iterator
+from itertools import accumulate
+from pathlib import Path
+
+from .errors import BadHeader, IoFailure
+from .fileio import FileIO
+from .locks import SessionLock
+
+FORMAT_VERSION = 1
+HEADER_LEN = 6  # magic + u16 version
+CRC_LEN = 4
+
+_VERSION = struct.Struct("<H")
+_CRC = struct.Struct("<I")
+# The CRC-32 of a frame taken over its own stored CRC as well equals this
+# constant exactly when the stored CRC is right: one crc32 call per frame
+# checks it without unpacking the stored value.
+_CRC_RESIDUE = 0x2144DF1C
+
+
+def header(magic: bytes) -> bytes:
+    return magic + _VERSION.pack(FORMAT_VERSION)
+
+
+def encode_frame(head: struct.Struct, payload: bytes, *fields: int) -> bytes:
+    """One frame: ``head`` packed from ``fields`` plus the payload length,
+    the payload, and the CRC-32 of both."""
+    body = head.pack(*fields, len(payload)) + payload
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+def scan_frames(
+    data: bytes, magic: bytes, head: struct.Struct, end: int | None = None
+) -> Iterator[tuple[tuple, int, int]]:
+    """Check the header, then iterate the intact frames of ``data[:end]``.
+
+    Yields ``(fields, payload_start, frame_end)`` per frame, where
+    ``fields`` is the unpacked head and the payload is
+    ``data[payload_start:frame_end - CRC_LEN]``.  The header is checked
+    before this returns, so the call itself raises BadHeader when the
+    magic or version is wrong or the header is torn.
+    """
+    n = len(data) if end is None else min(end, len(data))
+    if n < HEADER_LEN or data[:4] != magic:
+        raise BadHeader(f"not a {magic.decode()} file: bad magic")
+    (version,) = _VERSION.unpack_from(data, 4)
+    if version != FORMAT_VERSION:
+        raise BadHeader(f"unsupported {magic.decode()} format version {version}")
+    return _frames(data, head, n)
+
+
+def _frames(data: bytes, head: struct.Struct, n: int) -> Iterator[tuple[tuple, int, int]]:
+    view = memoryview(data)
+    unpack_head, head_len = head.unpack_from, head.size
+    crc32 = zlib.crc32
+    pos = HEADER_LEN
+    while pos + head_len <= n:
+        fields = unpack_head(data, pos)
+        start = pos + head_len
+        end = start + fields[-1] + CRC_LEN
+        if end > n or crc32(view[pos:end]) != _CRC_RESIDUE:
+            return
+        yield fields, start, end
+        pos = end
+
+
+def read_frames(data: bytes, magic: bytes, head: struct.Struct) -> tuple[list[tuple[tuple, bytes]], int]:
+    """Every intact frame as ``(fields, payload)``, and the offset where
+    the intact prefix ends."""
+    frames = []
+    valid_end = HEADER_LEN
+    for fields, start, frame_end in scan_frames(data, magic, head):
+        frames.append((fields, data[start : frame_end - CRC_LEN]))
+        valid_end = frame_end
+    return frames, valid_end
+
+
+class FramedLog:
+    """An append-only file of entries, each stored as one or more frames,
+    with an in-memory cursor.
+
+    ``_entries[0:cursor]`` lead to the current state; ``_entries[cursor:]``
+    is the redo tail, which the next append drops from the file first
+    (history is linear).  Mutating calls assume the single-session
+    ownership enforced by the lock file at ``<path>.lock``.
+
+    A subclass sets ``MAGIC`` and provides ``_parse`` (data to entries
+    and the end of their valid prefix) and ``_encoded_size`` (bytes one
+    entry occupies on disk).
+    """
+
+    MAGIC: bytes
+
+    def __init__(self, path: Path, io: FileIO, lock: SessionLock | None):
+        self.path = Path(path)
+        self._io = io
+        self._lock = lock
+        self._entries: list = []
+        self._ends: list[int] = []  # file offset just past each entry
+        self.cursor = 0
+
+    @classmethod
+    def _parse(cls, data: bytes) -> tuple[list, int]:
+        raise NotImplementedError
+
+    @classmethod
+    def _encoded_size(cls, entry) -> int:
+        raise NotImplementedError
+
+    # -- lifecycle -------------------------------------------------------
+
+    @classmethod
+    def _create(cls, path: Path, io: FileIO):
+        """Take the session lock and start an empty file, replacing any
+        previous one."""
+        lock = SessionLock(path).acquire()
+        try:
+            io.write_file(path, header(cls.MAGIC))
+        except OSError as exc:
+            lock.release()
+            raise IoFailure(f"cannot initialize {path}: {exc}") from exc
+        except BaseException:
+            lock.release()
+            raise
+        return cls(path, io, lock)
+
+    @classmethod
+    def _open(cls, path: Path, io: FileIO, cursor: int | None = None):
+        """Take the session lock and load the file, repairing a torn tail.
+        The cursor defaults to the newest entry and is clamped to the
+        entries that survived (a stale cursor from an earlier process may
+        point anywhere)."""
+        lock = SessionLock(path).acquire()
+        try:
+            log, _ = cls._load(path, io, repair=True)
+        except BaseException:
+            lock.release()
+            raise
+        log._lock = lock
+        count = len(log._entries)
+        log.cursor = count if cursor is None else max(0, min(cursor, count))
+        return log
+
+    @classmethod
+    def _load(cls, path: Path, io: FileIO, repair: bool):
+        """Parse the longest valid prefix; with ``repair`` the file is
+        truncated to it.  Returns the log (cursor 0, no lock) and whether
+        trailing bytes were dropped."""
+        data = io.read_bytes(path)
+        try:
+            entries, valid_end = cls._parse(data)
+        except BadHeader as exc:
+            raise BadHeader(f"{path}: {exc}") from exc
+        truncated = valid_end < len(data)
+        if truncated and repair:
+            io.truncate(path, valid_end)
+        log = cls(path, io, lock=None)
+        log._entries = entries
+        log._ends = list(accumulate(map(cls._encoded_size, entries), initial=HEADER_LEN))[1:]
+        return log, truncated
+
+    def close(self) -> None:
+        if self._lock is not None:
+            self._lock.release()
+            self._lock = None
+
+    # -- appends ---------------------------------------------------------
+
+    def _prefix_end(self, count: int) -> int:
+        return self._ends[count - 1] if count else HEADER_LEN
+
+    def _append(self, buf: bytes, entry) -> None:
+        """Drop the redo tail, then append ``buf`` (the encoded ``entry``)
+        and move the cursor onto it.  On an append failure the file is cut
+        back to the previous end and IoFailure is raised."""
+        if self.cursor < len(self._entries):
+            try:
+                self._io.truncate(self.path, self._prefix_end(self.cursor))
+            except OSError as exc:
+                raise IoFailure(f"cannot drop redo tail: {exc}") from exc
+            del self._entries[self.cursor :]
+            del self._ends[self.cursor :]
+        file_end = self._prefix_end(len(self._entries))
+        try:
+            self._io.append(self.path, buf)
+        except OSError as exc:
+            try:
+                self._io.truncate(self.path, file_end)
+            except OSError:
+                pass
+            raise IoFailure(f"append to {self.path} failed: {exc}") from exc
+        self._entries.append(entry)
+        self._ends.append(file_end + len(buf))
+        self.cursor = len(self._entries)

@@ -6,16 +6,17 @@ An attribute modification is modelled as delete-old + add-new.  The work
 file holds the records of the current session only; a fresh session
 truncates it.
 
-Work file layout (little-endian):
+Work file layout: the ``framelog`` container (magic "TCGJ", u16 version,
+CRC-32 per frame) with one frame per record, little-endian:
 
-    magic "TCGJ" | u16 version
-    per record: u32 step_no | u8 flag | u16 kind | u32 payload_len |
-                payload | u32 crc32(preceding record bytes)
+    u32 step_no | u8 flag | u16 kind | u32 payload_len | payload | u32 crc
 
 Flags: 0x00 element deleted, 0x01 element added, 0x02 step commit (kind
-and payload_len forced to zero).  A step is durable once its commit record
-is on disk; crash recovery keeps the longest prefix of committed steps and
-drops everything after it.
+and payload_len forced to zero).  Step numbers run 1, 2, 3 ... without
+gaps, and each step is one or more element records followed by its
+commit record.  A step is durable once its commit record is on disk;
+crash recovery keeps the longest prefix of committed steps and drops
+everything after it.
 
 Undo replays a step's records in strictly reverse order, inverting each:
 an added element is removed again, a deleted element is reinserted at the
@@ -31,25 +32,21 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import _kernels
-from .errors import IoFailure, Locked, NotFound, NothingToRedo, NothingToUndo, BadHeader
-from .fileio import FileIO, crc32_of
-from .locks import SessionLock
+from . import framelog
+from .errors import Locked, NotFound, NothingToRedo, NothingToUndo
+from .fileio import FileIO
+from .framelog import CRC_LEN, HEADER_LEN, FramedLog
 from .model import Drawing, ElementPayload
 
 MAGIC = b"TCGJ"
-FORMAT_VERSION = 1
-HEADER = MAGIC + struct.pack("<H", FORMAT_VERSION)
-HEADER_LEN = len(HEADER)
+HEADER = framelog.header(MAGIC)
 
 FLAG_DELETED = 0x00
 FLAG_ADDED = 0x01
 FLAG_COMMIT = 0x02
 
-RECORD_OVERHEAD = 15  # fixed header (11) + crc (4)
-
 _REC_HEAD = struct.Struct("<IBHI")
-_U32 = struct.Struct("<I")
+RECORD_OVERHEAD = _REC_HEAD.size + CRC_LEN
 
 Change = tuple[int, ElementPayload]
 
@@ -77,8 +74,7 @@ def make_modify(old: ElementPayload, new: ElementPayload) -> list[Change]:
 
 
 def encode_record(step_no: int, flag: int, kind: int, payload: bytes) -> bytes:
-    body = _REC_HEAD.pack(step_no, flag, kind, len(payload)) + payload
-    return body + _U32.pack(crc32_of(body))
+    return framelog.encode_frame(_REC_HEAD, payload, step_no, flag, kind)
 
 
 def encode_step(step_no: int, changes: list[Change]) -> bytes:
@@ -145,7 +141,7 @@ def _apply_reverse(
     return work
 
 
-class Journal:
+class Journal(FramedLog):
     """The undo/redo machine for one editing session.
 
     steps[0:cursor] are applied to the drawing; steps[cursor:] is the redo
@@ -153,13 +149,15 @@ class Journal:
     by the lock file at ``<path>.lock``.
     """
 
-    def __init__(self, path: Path, io: FileIO, lock: SessionLock | None):
-        self.path = Path(path)
-        self._io = io
-        self._lock = lock
-        self.steps: list[ChangeStep] = []
-        self.cursor = 0
-        self._step_ends: list[int] = []  # file offset just past each step
+    MAGIC = MAGIC
+
+    @classmethod
+    def _parse(cls, data: bytes) -> tuple[list[ChangeStep], int]:
+        return parse_journal_bytes(data)
+
+    @classmethod
+    def _encoded_size(cls, step: ChangeStep) -> int:
+        return sum(RECORD_OVERHEAD + len(p.data) for _, p in step.changes) + RECORD_OVERHEAD
 
     # -- session lifecycle ------------------------------------------------
 
@@ -167,18 +165,7 @@ class Journal:
     def begin_session(cls, drawing: Drawing, path: Path, io: FileIO | None = None) -> "Journal":
         """Start a fresh session: truncate any previous work file and take
         the session lock.  Raises Locked if a live session owns the file."""
-        io = io or FileIO()
-        path = Path(path)
-        lock = SessionLock(path).acquire()
-        try:
-            io.write_file(path, HEADER)
-        except OSError as exc:
-            lock.release()
-            raise IoFailure(f"cannot initialize journal {path}: {exc}") from exc
-        except BaseException:
-            lock.release()
-            raise
-        return cls(path, io, lock)
+        return cls._create(Path(path), io or FileIO())
 
     @classmethod
     def resume(
@@ -191,29 +178,15 @@ class Journal:
         """Reopen an existing work file as a continuation of its session.
 
         Parses the valid prefix (repairing a torn tail), re-applies session
-        memory (cursor, per-step positions) captured by the previous
-        process, and takes the session lock."""
-        io = io or FileIO()
-        path = Path(path)
-        lock = SessionLock(path).acquire()
-        try:
-            journal, _ = _load(path, io, repair=True)
-        except BaseException:
-            lock.release()
-            raise
-        journal._lock = lock
-        journal.cursor = len(journal.steps) if cursor is None else min(cursor, len(journal.steps))
+        memory (cursor, clamped to 0..step_count, and per-step positions)
+        captured by the previous process, and takes the session lock."""
+        journal = cls._open(Path(path), io or FileIO(), cursor)
         if positions:
             for step in journal.steps:
                 pos = positions.get(step.step_no)
                 if pos is not None and len(pos) == len(step.changes):
                     step.positions = pos
         return journal
-
-    def close(self) -> None:
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
 
     def _require_session(self) -> None:
         if self._lock is None or not self._lock.held:
@@ -222,11 +195,12 @@ class Journal:
     # -- queries -----------------------------------------------------------
 
     @property
-    def step_count(self) -> int:
-        return len(self.steps)
+    def steps(self) -> list[ChangeStep]:
+        return self._entries
 
-    def _prefix_end(self, step_count: int) -> int:
-        return self._step_ends[step_count - 1] if step_count else HEADER_LEN
+    @property
+    def step_count(self) -> int:
+        return len(self._entries)
 
     # -- mutations -----------------------------------------------------------
 
@@ -241,31 +215,8 @@ class Journal:
         if not changes:
             raise ValueError("a change step must contain at least one change")
         new_elements, positions = _apply_forward(drawing.elements, changes)
-
-        if self.cursor < len(self.steps):
-            keep_end = self._prefix_end(self.cursor)
-            try:
-                self._io.truncate(self.path, keep_end)
-            except OSError as exc:
-                raise IoFailure(f"cannot drop redo tail: {exc}") from exc
-            del self.steps[self.cursor :]
-            del self._step_ends[self.cursor :]
-
         step_no = self.cursor + 1
-        buf = encode_step(step_no, changes)
-        file_end = self._prefix_end(len(self.steps))
-        try:
-            self._io.append(self.path, buf)
-        except OSError as exc:
-            try:
-                self._io.truncate(self.path, file_end)
-            except OSError:
-                pass
-            raise IoFailure(f"journal append failed: {exc}") from exc
-
-        self.steps.append(ChangeStep(step_no, list(changes), positions))
-        self._step_ends.append(file_end + len(buf))
-        self.cursor = step_no
+        self._append(encode_step(step_no, changes), ChangeStep(step_no, list(changes), positions))
         drawing.replace_elements(new_elements)
         return step_no
 
@@ -289,37 +240,43 @@ class Journal:
         drawing.replace_elements(new_elements)
 
 
+def validate_journal(data: bytes, end: int | None = None) -> tuple[int, int]:
+    """The recovery brain: the number of complete steps in the longest
+    valid prefix of ``data[:end]`` and the offset where that prefix ends.
+
+    On top of the frame CRCs, a step must carry the next step number,
+    consist of element records and end in a commit record with zero kind
+    and length.  Raises BadHeader when the magic or version is wrong
+    (including a header torn mid-write)."""
+    count = pending = 0
+    valid_end = HEADER_LEN
+    for (step_no, flag, kind, length), _, frame_end in framelog.scan_frames(data, MAGIC, _REC_HEAD, end):
+        if step_no != count + 1 or flag > FLAG_COMMIT:
+            break
+        if flag == FLAG_COMMIT:
+            if kind or length or not pending:
+                break
+            count += 1
+            pending = 0
+            valid_end = frame_end
+        else:
+            pending += 1
+    return count, valid_end
+
+
 def parse_journal_bytes(data: bytes) -> tuple[list[ChangeStep], int]:
-    """The recovery brain: longest prefix of complete steps in ``data`` and
-    the offset where it ends.  Raises BadHeader when the magic or version
-    is wrong (including a header torn mid-write)."""
-    try:
-        raw_steps, valid_end = _kernels.scan_journal(data)
-    except ValueError as exc:
-        raise BadHeader(str(exc)) from exc
-    steps = [
-        ChangeStep(step_no, [(flag, ElementPayload(kind, payload)) for flag, kind, payload in records])
-        for step_no, records in raw_steps
-    ]
+    """The complete steps of the longest valid prefix of ``data`` (see
+    validate_journal) and the offset where it ends."""
+    _, valid_end = validate_journal(data)
+    steps = []
+    changes: list[Change] = []
+    for (step_no, flag, kind, _), start, frame_end in framelog.scan_frames(data, MAGIC, _REC_HEAD, valid_end):
+        if flag == FLAG_COMMIT:
+            steps.append(ChangeStep(step_no, changes))
+            changes = []
+        else:
+            changes.append((flag, ElementPayload(kind, data[start : frame_end - CRC_LEN])))
     return steps, valid_end
-
-
-def _load(path: Path, io: FileIO, repair: bool) -> tuple[Journal, bool]:
-    data = io.read_bytes(path)
-    try:
-        steps, valid_end = parse_journal_bytes(data)
-    except BadHeader as exc:
-        raise BadHeader(f"{path}: {exc}") from exc
-    truncated = valid_end < len(data)
-    if truncated and repair:
-        io.truncate(path, valid_end)
-    journal = Journal(path, io, lock=None)
-    journal.steps = steps
-    pos = HEADER_LEN
-    for step in journal.steps:
-        pos += sum(RECORD_OVERHEAD + len(p.data) for _, p in step.changes) + RECORD_OVERHEAD
-        journal._step_ends.append(pos)
-    return journal, truncated
 
 
 def recover_journal(path: Path, io: FileIO | None = None) -> tuple[Journal, bool]:
@@ -331,12 +288,10 @@ def recover_journal(path: Path, io: FileIO | None = None) -> tuple[Journal, bool
     replays the recovered work) and whether trailing bytes were dropped.
     Must not run while a session owns the file.
     """
-    io = io or FileIO()
-    return _load(Path(path), io, repair=True)
+    return Journal._load(Path(path), io or FileIO(), repair=True)
 
 
 def inspect_journal(path: Path, io: FileIO | None = None) -> tuple[Journal, bool]:
     """Read-only variant of recover_journal: a torn tail is skipped but the
     file is left untouched."""
-    io = io or FileIO()
-    return _load(Path(path), io, repair=False)
+    return Journal._load(Path(path), io or FileIO(), repair=False)

@@ -91,15 +91,6 @@ class SessionLock:
         self.release()
 
 
-def is_locked(target: Path) -> bool:
-    """True if a live session currently holds the lock for ``target``."""
-    lp = lock_path_for(target)
-    if not lp.exists():
-        return False
-    lock = SessionLock(target)
-    return not lock._steal_if_stale()
-
-
 def force_release(target: Path) -> None:
     """Remove a lock regardless of owner liveness.
 

@@ -6,10 +6,10 @@ whole blob, so no step ordering constraints exist and any version can be
 reached directly.  No deltas are stored; every version on disk is
 self-sufficient, at the cost of space linear in blob size times versions.
 
-Log file layout (little-endian):
+Log file layout: the ``framelog`` container (magic "TCGP", u16 version,
+CRC-32 per frame) with one frame per stored blob, little-endian:
 
-    magic "TCGP" | u16 version
-    per stored blob: u32 len | blob bytes | u32 crc32(len header + bytes)
+    u32 len | blob bytes | u32 crc
 
 The file stores blob bytes only; ``task_tag`` identifies the producing
 extension in memory and is supplied when a log is opened.
@@ -20,17 +20,16 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import _kernels
-from .errors import BadHeader, IoFailure, NothingToRedo, NothingToUndo, OutOfRange
-from .fileio import FileIO, crc32_of
+from . import framelog
+from .errors import NothingToRedo, NothingToUndo, OutOfRange
+from .fileio import FileIO
+from .framelog import CRC_LEN, FramedLog
 from .locks import SessionLock
 
 MAGIC = b"TCGP"
-FORMAT_VERSION = 1
-HEADER = MAGIC + struct.pack("<H", FORMAT_VERSION)
-HEADER_LEN = len(HEADER)
+HEADER = framelog.header(MAGIC)
 
-_U32 = struct.Struct("<I")
+_BLOCK_HEAD = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,7 @@ class PPBlob:
     task_tag: str = ""
 
 
-def encode_block(data: bytes) -> bytes:
-    body = _U32.pack(len(data)) + data
-    return body + _U32.pack(crc32_of(body))
-
-
-class PPVersionLog:
+class PPVersionLog(FramedLog):
     """Append-only version store with an in-memory cursor.
 
     versions[0:cursor] lead to the current blob ``versions[cursor-1]``;
@@ -54,106 +48,60 @@ class PPVersionLog:
     file by the next commit.
     """
 
+    MAGIC = MAGIC
+
     def __init__(self, path: Path, io: FileIO, lock: SessionLock | None, task_tag: str = ""):
-        self.path = Path(path)
+        super().__init__(path, io, lock)
         self.task_tag = task_tag
-        self._io = io
-        self._lock = lock
-        self.versions: list[bytes] = []
-        self.cursor = 0
-        self._ends: list[int] = []
+
+    @classmethod
+    def _parse(cls, data: bytes) -> tuple[list[bytes], int]:
+        frames, valid_end = framelog.read_frames(data, MAGIC, _BLOCK_HEAD)
+        return [blob for _, blob in frames], valid_end
+
+    @classmethod
+    def _encoded_size(cls, blob: bytes) -> int:
+        return _BLOCK_HEAD.size + len(blob) + CRC_LEN
 
     # -- lifecycle -------------------------------------------------------
 
     @classmethod
     def create(cls, path: Path, task_tag: str = "", io: FileIO | None = None) -> "PPVersionLog":
-        io = io or FileIO()
-        path = Path(path)
-        lock = SessionLock(path).acquire()
-        try:
-            io.write_file(path, HEADER)
-        except OSError as exc:
-            lock.release()
-            raise IoFailure(f"cannot initialize version log {path}: {exc}") from exc
-        except BaseException:
-            lock.release()
-            raise
-        return cls(path, io, lock, task_tag)
+        log = cls._create(Path(path), io or FileIO())
+        log.task_tag = task_tag
+        return log
 
     @classmethod
-    def open(
-        cls,
-        path: Path,
-        task_tag: str = "",
-        io: FileIO | None = None,
-        cursor: int | None = None,
-    ) -> "PPVersionLog":
+    def open(cls, path: Path, task_tag: str = "", io: FileIO | None = None) -> "PPVersionLog":
         """Reopen an existing log, repairing a torn tail; missing file is
-        created fresh.  The cursor defaults to the newest version."""
+        created fresh.  The cursor is at the newest version."""
         io = io or FileIO()
         path = Path(path)
         if not io.exists(path):
-            log = cls.create(path, task_tag, io)
-            if cursor:
-                raise OutOfRange("empty log has no versions")
-            return log
-        lock = SessionLock(path).acquire()
-        try:
-            log, _ = _load(path, io, repair=True)
-        except BaseException:
-            lock.release()
-            raise
-        log._lock = lock
+            return cls.create(path, task_tag, io)
+        log = cls._open(path, io)
         log.task_tag = task_tag
-        log.cursor = len(log.versions) if cursor is None else cursor
-        if not 0 <= log.cursor <= len(log.versions):
-            lock.release()
-            raise OutOfRange(f"cursor {cursor} outside 0..{len(log.versions)}")
         return log
-
-    def close(self) -> None:
-        if self._lock is not None:
-            self._lock.release()
-            self._lock = None
 
     # -- operations --------------------------------------------------------
 
     @property
+    def versions(self) -> list[bytes]:
+        return self._entries
+
+    @property
     def version_count(self) -> int:
-        return len(self.versions)
+        return len(self._entries)
 
     def current(self) -> PPBlob:
         if self.cursor < 1:
             raise OutOfRange("no version committed yet")
         return PPBlob(self.versions[self.cursor - 1], self.task_tag)
 
-    def _prefix_end(self, count: int) -> int:
-        return self._ends[count - 1] if count else HEADER_LEN
-
     def commit_pp(self, blob: PPBlob | bytes) -> int:
         """Store a new version, dropping any redo tail; returns its index."""
         data = blob.data if isinstance(blob, PPBlob) else bytes(blob)
-        if self.cursor < len(self.versions):
-            keep = self._prefix_end(self.cursor)
-            try:
-                self._io.truncate(self.path, keep)
-            except OSError as exc:
-                raise IoFailure(f"cannot drop redo tail: {exc}") from exc
-            del self.versions[self.cursor :]
-            del self._ends[self.cursor :]
-        buf = encode_block(data)
-        file_end = self._prefix_end(len(self.versions))
-        try:
-            self._io.append(self.path, buf)
-        except OSError as exc:
-            try:
-                self._io.truncate(self.path, file_end)
-            except OSError:
-                pass
-            raise IoFailure(f"version append failed: {exc}") from exc
-        self.versions.append(data)
-        self._ends.append(file_end + len(buf))
-        self.cursor = len(self.versions)
+        self._append(framelog.encode_frame(_BLOCK_HEAD, data), data)
         return self.cursor
 
     def undo_pp(self) -> PPBlob:
@@ -177,27 +125,10 @@ class PPVersionLog:
         return self.current()
 
 
-def _load(path: Path, io: FileIO, repair: bool) -> tuple[PPVersionLog, bool]:
-    data = io.read_bytes(path)
-    try:
-        blobs, valid_end = _kernels.scan_blocks(data)
-    except ValueError as exc:
-        raise BadHeader(f"{path}: {exc}") from exc
-    truncated = valid_end < len(data)
-    if truncated and repair:
-        io.truncate(path, valid_end)
-    log = PPVersionLog(path, io, lock=None)
-    pos = HEADER_LEN
-    for blob in blobs:
-        log.versions.append(blob)
-        pos += 8 + len(blob)
-        log._ends.append(pos)
-    log.cursor = len(log.versions)
-    return log, truncated
-
-
 def recover_pp_log(path: Path, io: FileIO | None = None) -> tuple[PPVersionLog, bool]:
     """Keep the longest prefix of intact versions, truncating the rest;
-    same recovery discipline as the change journal."""
-    io = io or FileIO()
-    return _load(Path(path), io, repair=True)
+    same recovery discipline as the change journal.  The cursor is at the
+    newest surviving version."""
+    log, truncated = PPVersionLog._load(Path(path), io or FileIO(), repair=True)
+    log.cursor = log.version_count
+    return log, truncated

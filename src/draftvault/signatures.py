@@ -12,10 +12,10 @@ Construction: doc_digest = SHA-256 of the document bytes; auth_tag =
 HMAC-SHA-256 over doc_digest || signer_id || signed_at, keyed by
 PBKDF2-HMAC-SHA256(password, per-record 16-byte salt, 100000 iterations).
 
-Envelope file layout (little-endian):
+Envelope file layout: the ``framelog`` container (magic "TCGE", u16
+version, CRC-32 per frame) with one frame per section, little-endian:
 
-    magic "TCGE" | u16 version
-    per section: u8 type | u32 len | value | u32 crc32(type+len+value)
+    u8 type | u32 len | value | u32 crc
 
 Section 0x01 (exactly one, first) carries the document bytes; each 0x02
 section is one signature record:
@@ -44,13 +44,12 @@ from .errors import (
     NoSuchSigner,
     WeakPassword,
 )
-from . import _kernels
+from . import framelog
 from . import model
-from .fileio import FileIO, crc32_of
+from .fileio import FileIO
 
 MAGIC = b"TCGE"
-FORMAT_VERSION = 1
-HEADER = MAGIC + struct.pack("<H", FORMAT_VERSION)
+HEADER = framelog.header(MAGIC)
 
 SECTION_DOCUMENT = 0x01
 SECTION_SIGNATURE = 0x02
@@ -60,8 +59,7 @@ SALT_LEN = 16
 DIGEST_LEN = 32
 TAG_LEN = 32
 
-_TLV_HEAD = struct.Struct("<BI")
-_U32 = struct.Struct("<I")
+_SECTION_HEAD = struct.Struct("<BI")
 _SIG_FIXED = struct.Struct("<Q16s32s32s")
 
 SALT_ENV = "DRAFTVAULT_SALT"  # test hook: hex-encoded fixed salt
@@ -200,11 +198,6 @@ def remove_signature(env: SignedEnvelope, signer_id: str) -> SignedEnvelope:
 # -- envelope serialization -------------------------------------------------
 
 
-def _encode_section(stype: int, value: bytes) -> bytes:
-    body = _TLV_HEAD.pack(stype, len(value)) + value
-    return body + _U32.pack(crc32_of(body))
-
-
 def _encode_signature(record: SignatureRecord) -> bytes:
     signer = record.signer_id.encode()
     return (
@@ -221,29 +214,31 @@ def _decode_signature(value: bytes) -> SignatureRecord:
     fixed_at = 2 + signer_len
     if len(value) != fixed_at + _SIG_FIXED.size:
         raise Corrupt("signature section has wrong length")
-    signer = value[2:fixed_at].decode()
+    try:
+        signer = value[2:fixed_at].decode()
+    except UnicodeDecodeError as exc:
+        raise Corrupt(f"signer id is not valid UTF-8: {exc}") from exc
     signed_at, salt, digest, tag = _SIG_FIXED.unpack_from(value, fixed_at)
     return SignatureRecord(signer, signed_at, salt, digest, tag)
 
 
 def encode_envelope(env: SignedEnvelope) -> bytes:
-    parts = [HEADER, _encode_section(SECTION_DOCUMENT, env.document)]
-    parts.extend(_encode_section(SECTION_SIGNATURE, _encode_signature(r)) for r in env.signatures)
+    parts = [HEADER, framelog.encode_frame(_SECTION_HEAD, env.document, SECTION_DOCUMENT)]
+    parts.extend(
+        framelog.encode_frame(_SECTION_HEAD, _encode_signature(r), SECTION_SIGNATURE) for r in env.signatures
+    )
     return b"".join(parts)
 
 
 def parse_envelope(data: bytes) -> SignedEnvelope:
-    try:
-        sections, valid_end = _kernels.scan_tlv(data)
-    except ValueError as exc:
-        raise BadHeader(f"not an envelope: {exc}") from exc
+    sections, valid_end = framelog.read_frames(data, MAGIC, _SECTION_HEAD)
     if valid_end != len(data):
         raise Corrupt(f"{len(data) - valid_end} invalid trailing bytes in envelope")
-    if not sections or sections[0][0] != SECTION_DOCUMENT:
+    if not sections or sections[0][0][0] != SECTION_DOCUMENT:
         raise Corrupt("envelope must start with a document section")
     document = sections[0][1]
     signatures = []
-    for stype, value in sections[1:]:
+    for (stype, _), value in sections[1:]:
         if stype != SECTION_SIGNATURE:
             raise Corrupt(f"unexpected envelope section type 0x{stype:02x}")
         signatures.append(_decode_signature(value))

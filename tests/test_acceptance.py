@@ -29,6 +29,7 @@ from draftvault.journal import (
     Journal,
     parse_journal_bytes,
     recover_journal,
+    validate_journal,
 )
 from draftvault.model import Drawing, ElementPayload
 from draftvault.ppversions import PPVersionLog
@@ -142,8 +143,6 @@ def test_crash_sweep_journal(tmp_path):
         assert boundaries[-1] == len(data)
 
         # every byte offset through the validating brain of the recovery path
-        from draftvault import _kernels
-
         expected_step_count = 0
         next_boundary = 1
         for cut in range(len(data) + 1):
@@ -154,7 +153,7 @@ def test_crash_sweep_journal(tmp_path):
                 with pytest.raises(BadHeader):
                     parse_journal_bytes(data[:cut])
                 continue
-            count, valid_end = _kernels.scan_journal_valid(data, cut)
+            count, valid_end = validate_journal(data, cut)
             assert count == expected_step_count
             assert valid_end == boundaries[expected_step_count]
 

@@ -63,8 +63,8 @@ def test_due_on_designated_day_first_launch(setup):
 def test_not_due_second_launch_same_day(setup):
     _, _, config = setup
     manifest = BackupManifest(last_backup_date=MON)
-    assert not backup_due(config, manifest, MON, launch_no_today=2)
-    assert not backup_due(config, manifest, MON, launch_no_today=1)
+    assert not backup_due(config, manifest, MON)
+    assert not backup_due(config, manifest, MON)
 
 
 def test_never_due_with_empty_weekdays(setup):

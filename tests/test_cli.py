@@ -6,6 +6,8 @@ import pytest
 from draftvault.cli import main
 from draftvault.model import Drawing
 
+from test_signatures import envelope_with_raw_signer
+
 SCRIPT = """\
 ADD 1 aa
 ADD 2 bb
@@ -103,6 +105,12 @@ def test_sign_verify_unsign_flow(doc, capsys, monkeypatch):
     assert code == 0 and "no signatures" in out
     code, _, _ = run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
     assert code == 0  # remove-then-edit succeeds
+
+
+def test_verify_reports_undecodable_signer_as_corrupt(doc, capsys):
+    doc.write_bytes(envelope_with_raw_signer(b"\xc3\x28"))
+    code, _, err = run(["verify", doc], capsys)
+    assert code == 3 and "UTF-8" in err
 
 
 def test_verify_detects_tamper(doc, capsys, monkeypatch):

@@ -1,0 +1,117 @@
+"""Properties of the shared frame scanner over all three container formats.
+
+The byte streams are built here with plain struct + zlib, independent of
+the engine's encoders.
+"""
+import random
+import struct
+import zlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from draftvault.errors import BadHeader
+from draftvault.framelog import HEADER_LEN, read_frames, scan_frames
+from draftvault.journal import parse_journal_bytes, validate_journal
+from draftvault.ppversions import recover_pp_log
+from draftvault.signatures import parse_envelope
+
+HEADS = {b"TCGJ": struct.Struct("<IBHI"), b"TCGP": struct.Struct("<I"), b"TCGE": struct.Struct("<BI")}
+
+
+def _frame(fmt: str, *fields_then_payload) -> bytes:
+    *fields, payload = fields_then_payload
+    body = struct.pack(fmt, *fields, len(payload)) + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _journal_bytes(rng: random.Random) -> bytes:
+    out = [b"TCGJ\x01\x00"]
+    for step_no in range(1, rng.randint(1, 8)):
+        for _ in range(rng.randint(1, 4)):
+            out.append(_frame("<IBHI", step_no, rng.randint(0, 1), rng.randrange(16), rng.randbytes(rng.randrange(20))))
+        out.append(_frame("<IBHI", step_no, 2, 0, b""))
+    return b"".join(out)
+
+
+def _blocks_bytes(rng: random.Random) -> bytes:
+    return b"TCGP\x01\x00" + b"".join(_frame("<I", rng.randbytes(rng.randrange(30))) for _ in range(rng.randint(0, 6)))
+
+
+def _sections_bytes(rng: random.Random) -> bytes:
+    return b"TCGE\x01\x00" + b"".join(
+        _frame("<BI", rng.randint(1, 2), rng.randbytes(rng.randrange(30))) for _ in range(rng.randint(0, 6))
+    )
+
+
+STREAMS = {b"TCGJ": _journal_bytes, b"TCGP": _blocks_bytes, b"TCGE": _sections_bytes}
+FORMATS = pytest.mark.parametrize("magic", list(STREAMS), ids=["journal", "blocks", "sections"])
+
+
+@FORMATS
+@given(seed=st.integers(0, 2**32 - 1), cut=st.integers(0, 400))
+@settings(max_examples=100, deadline=None)
+def test_scan_of_a_cut_is_a_prefix_of_the_full_scan(magic, seed, cut):
+    data = STREAMS[magic](random.Random(seed))
+    cut = HEADER_LEN + cut % (len(data) - HEADER_LEN + 1)
+    full, full_end = read_frames(data, magic, HEADS[magic])
+    part, part_end = read_frames(data[:cut], magic, HEADS[magic])
+    assert part == full[: len(part)]
+    assert part_end <= cut and part_end <= full_end
+    assert list(scan_frames(data, magic, HEADS[magic], cut)) == list(scan_frames(data[:cut], magic, HEADS[magic]))
+    if cut == len(data):
+        assert part_end == len(data)
+
+
+@FORMATS
+@given(seed=st.integers(0, 2**32 - 1), flip=st.integers(HEADER_LEN, 400))
+@settings(max_examples=100, deadline=None)
+def test_a_flipped_byte_yields_no_frame_past_it(magic, seed, flip):
+    data = STREAMS[magic](random.Random(seed))
+    if flip >= len(data):
+        return
+    mutated = bytearray(data)
+    mutated[flip] ^= 0xFF
+    frames, valid_end = read_frames(bytes(mutated), magic, HEADS[magic])
+    assert valid_end <= flip
+    assert frames == read_frames(data, magic, HEADS[magic])[0][: len(frames)]
+
+
+@FORMATS
+def test_bad_magic_wrong_version_and_short_header_raise_bad_header(magic):
+    for bad in (b"WRNG\x01\x00", magic + b"\x02\x00", magic + b"\x01", magic[:3], b""):
+        with pytest.raises(BadHeader):
+            scan_frames(bad, magic, HEADS[magic])
+    good = STREAMS[magic](random.Random(3))
+    for cut in range(HEADER_LEN):  # a cut inside the header is a torn header
+        with pytest.raises(BadHeader):
+            scan_frames(good, magic, HEADS[magic], cut)
+
+
+def test_format_parsers_reject_bad_headers(tmp_path):
+    for bad in (b"WRNG\x01\x00", b"TCGJ\x02\x00", b"TCG"):
+        with pytest.raises(BadHeader):
+            parse_journal_bytes(bad)
+        with pytest.raises(BadHeader):
+            validate_journal(bad)
+    for bad in (b"WRNG\x01\x00", b"TCGE\x02\x00", b"TCGE\x01"):
+        with pytest.raises(BadHeader):
+            parse_envelope(bad)
+    for bad in (b"WRNG\x01\x00", b"TCGP\x02\x00", b"TCGP"):
+        (tmp_path / "p").write_bytes(bad)
+        with pytest.raises(BadHeader):
+            recover_pp_log(tmp_path / "p")
+
+
+@given(seed=st.integers(0, 2**32 - 1), flip=st.integers(-1, 400))
+@settings(max_examples=100, deadline=None)
+def test_journal_validator_agrees_with_parse_at_strided_cuts(seed, flip):
+    data = _journal_bytes(random.Random(seed))
+    if HEADER_LEN <= flip < len(data):
+        mutated = bytearray(data)
+        mutated[flip] ^= 0xFF
+        data = bytes(mutated)
+    for cut in list(range(HEADER_LEN, len(data), 7)) + [len(data)]:
+        steps, valid_end = parse_journal_bytes(data[:cut])
+        assert validate_journal(data, cut) == (len(steps), valid_end)
+        assert validate_journal(data[:cut]) == (len(steps), valid_end)

@@ -172,6 +172,20 @@ def test_undo_divergence_aborts_without_touching_drawing(tmp_path, session):
     resumed.close()
 
 
+def test_resume_clamps_a_negative_cursor(tmp_path):
+    drawing = Drawing()
+    journal = Journal.begin_session(drawing, tmp_path / "j")
+    journal.commit_step(drawing, [(FLAG_ADDED, A)])
+    journal.commit_step(drawing, [(FLAG_ADDED, B)])
+    journal.close()
+    resumed = Journal.resume(tmp_path / "j", cursor=-1)
+    assert resumed.cursor == 0
+    replay = Drawing()
+    resumed.redo_step(replay)  # the first step, not the last one again
+    assert replay.elements == [A] and resumed.cursor == 1
+    resumed.close()
+
+
 def test_undo_redo_bounds(session):
     journal, drawing = session
     with pytest.raises(NothingToUndo):

@@ -1,6 +1,7 @@
 import hashlib
 import hmac as hmac_mod
 import struct
+import zlib
 
 import pytest
 
@@ -171,6 +172,23 @@ def test_envelope_rejects_trailing_garbage():
         parse_envelope(data + b"\x00")
     with pytest.raises(Corrupt):
         parse_envelope(data[:-1])
+
+
+def _section(stype: int, value: bytes) -> bytes:
+    body = struct.pack("<BI", stype, len(value)) + value
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def envelope_with_raw_signer(signer: bytes) -> bytes:
+    """An envelope whose sections all pass their CRC but whose signature
+    carries ``signer`` as raw bytes."""
+    record = struct.pack("<H", len(signer)) + signer + struct.pack("<Q16s32s32s", 1000, SALT, bytes(32), bytes(32))
+    return b"TCGE\x01\x00" + _section(0x01, DOC) + _section(0x02, record)
+
+
+def test_envelope_rejects_signer_that_is_not_utf8():
+    with pytest.raises(Corrupt):
+        parse_envelope(envelope_with_raw_signer(b"iv\xffnov"))
 
 
 # -- documents on disk --------------------------------------------------------
