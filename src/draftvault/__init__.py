@@ -38,6 +38,7 @@ from .signatures import (
     authenticate_signature,
     guard_edit,
     load_document,
+    load_editable,
     remove_signature,
     save_document,
     sign,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import Corrupt, IoFailure
-from .fileio import FileIO, crc32_of
+from .fileio import FileIO, decode_checked_text, encode_checked_text
 from .model import Drawing
 from .ppversions import PPBlob
 
@@ -88,32 +88,17 @@ def _sha(data: bytes) -> str:
 
 
 def _encode_marker(aset: AutosaveSet) -> bytes:
-    lines = [
-        MARKER_BANNER,
+    return encode_checked_text(MARKER_BANNER, [
         f"doc={aset.doc_name}",
         f"session={aset.session_id}",
         f"created={aset.created_at!r}",
         f"drawing={aset.drawing_sha} {aset.drawing_size}",
         f"pp={aset.pp_sha} {aset.pp_size}" if aset.pp_sha else "pp=none",
-    ]
-    body = ("\n".join(lines) + "\n").encode()
-    return body + f"crc={crc32_of(body):08x}\n".encode()
+    ])
 
 
 def _parse_marker(data: bytes, autosave_dir: Path) -> AutosaveSet:
-    text = data.decode("utf-8", errors="replace")
-    head, _, tail = text.rpartition("crc=")
-    if not head or not tail:
-        raise Corrupt("marker has no checksum line")
-    if crc32_of(head.encode()) != int(tail.strip(), 16):
-        raise Corrupt("marker checksum mismatch")
-    fields = {}
-    lines = head.splitlines()
-    if not lines or lines[0] != MARKER_BANNER:
-        raise Corrupt("not an autosave marker")
-    for line in lines[1:]:
-        key, _, value = line.partition("=")
-        fields[key] = value
+    fields = dict(decode_checked_text(data, MARKER_BANNER))
     doc_name = fields["doc"]
     drawing_sha, _, drawing_size = fields["drawing"].partition(" ")
     pp_sha = pp_size = None

@@ -40,20 +40,19 @@ from .errors import (
 )
 from .faultsim import FaultPlan, TARGETS, crash_sim
 from .fileio import FileIO
+from .framelog import clamp_cursor
 from .journal import Journal, inspect_journal
 from .locks import SessionLock
-from .model import Drawing
 from .paths import for_doc
 from .ppversions import PPVersionLog
 from .script import ScriptRunner, parse_script
 from .sidecar import read_sidecar, write_sidecar
 from .signatures import (
-    EditGuard,
     IntegrityStatus,
     SignedEnvelope,
     append_audit,
-    guard_edit,
     load_document,
+    load_editable,
     remove_signature,
     save_document,
     sign,
@@ -83,18 +82,6 @@ def _parse_now(text: str | None) -> float:
 
 def _iso(now: float) -> str:
     return dt.datetime.fromtimestamp(now, dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _load_drawing(paths, io: FileIO) -> Drawing:
-    env = load_document(paths.doc, io)
-    return Drawing.from_canonical_bytes(env.document, name=paths.doc.stem)
-
-
-def _require_editable(paths, io: FileIO) -> None:
-    if io.exists(paths.doc):
-        env = load_document(paths.doc, io)
-        if guard_edit(env) is EditGuard.LOCKED:
-            raise DocumentFrozen(f"{paths.doc} is signed; remove signatures first")
 
 
 # -- commands -----------------------------------------------------------------
@@ -134,8 +121,7 @@ def _move_cursor(args, direction: str) -> int:
         print(f"nothing to {direction}")
         return 0
     with SessionLock(paths.doc):
-        _require_editable(paths, io)
-        drawing = _load_drawing(paths, io) if io.exists(paths.doc) else Drawing(name=paths.doc.stem)
+        drawing = load_editable(paths.doc, io)
         state = read_sidecar(paths.sidecar, io)
         journal = Journal.resume(paths.journal, io, state.journal_cursor, state.positions)
         try:
@@ -152,9 +138,7 @@ def _move_cursor(args, direction: str) -> int:
             if moved:
                 save_document(paths.doc, SignedEnvelope(document=drawing.canonical_bytes()), io)
                 state.journal_cursor = journal.cursor
-                state.positions = {
-                    s.step_no: s.positions for s in journal.steps if s.positions is not None
-                }
+                state.positions = journal.session_positions()
                 write_sidecar(paths.sidecar, state, io)
         finally:
             journal.close()
@@ -181,8 +165,7 @@ def cmd_history(args) -> int:
         return 0
     journal, truncated = inspect_journal(paths.journal, io)
     state = read_sidecar(paths.sidecar, io)
-    cursor = min(state.journal_cursor if state.journal_cursor is not None else journal.step_count,
-                 journal.step_count)
+    cursor = clamp_cursor(state.journal_cursor, journal.step_count)
     for step in journal.steps:
         size = sum(len(p.data) for _, p in step.changes)
         marker = "  <- cursor" if step.step_no == cursor else ""
@@ -199,9 +182,7 @@ def cmd_pp(args) -> int:
     with SessionLock(paths.doc):
         state = read_sidecar(paths.sidecar, io)
         log = PPVersionLog.open(paths.pp_log, io=io)
-        if state.pp_cursor is not None:
-            # stale sidecars (for example after crash repair) only clamp
-            log.cursor = max(0, min(state.pp_cursor, log.version_count))
+        log.cursor = clamp_cursor(state.pp_cursor, log.version_count)
         try:
             if args.pp_op == "commit":
                 version = log.commit_pp(bytes.fromhex(args.data))
@@ -247,7 +228,7 @@ def cmd_recover(args) -> int:
         return 0
     if args.apply:
         with SessionLock(paths.doc):
-            _require_editable(paths, io)
+            load_editable(paths.doc, io)  # refuses a signed or damaged document
             drawing, pp = restore(aset, io)
             save_document(paths.doc, SignedEnvelope(document=drawing.canonical_bytes()), io)
             if pp is not None:

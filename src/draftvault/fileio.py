@@ -5,7 +5,8 @@ that the crash-fault harness can interpose on writes.  The default
 implementation talks to the real filesystem and follows the usual
 durability discipline: whole-file replacements go through a temp file in
 the same directory, fsync, then an atomic rename, so a crash can never
-expose a torn file under its final name.
+expose a torn file under its final name.  The checked text codec of the
+small key=value files (session sidecar, autosave marker) lives here too.
 """
 from __future__ import annotations
 
@@ -13,9 +14,27 @@ import os
 import zlib
 from pathlib import Path
 
+from .errors import Corrupt
 
-def crc32_of(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
+
+def encode_checked_text(banner: str, lines: list[str]) -> bytes:
+    """A small checked text file: the banner line, the ``key=value`` lines,
+    then ``crc=%08x`` over everything before it."""
+    body = ("\n".join([banner, *lines]) + "\n").encode()
+    return body + f"crc={zlib.crc32(body):08x}\n".encode()
+
+
+def decode_checked_text(data: bytes, banner: str) -> list[tuple[str, str]]:
+    """The ``(key, value)`` fields of a file written by encode_checked_text,
+    in file order.  Raises Corrupt when the checksum does not match or the
+    banner is not ``banner``, and ValueError when the checksum is not hex."""
+    head, _, tail = data.decode("utf-8", errors="replace").rpartition("crc=")
+    if not head or zlib.crc32(head.encode()) != int(tail.strip(), 16):
+        raise Corrupt(f"{banner}: checksum mismatch")
+    first, *lines = head.splitlines()
+    if first != banner:
+        raise Corrupt(f"not a {banner} file")
+    return [(key, value) for key, _, value in (line.partition("=") for line in lines)]
 
 
 class FileIO:

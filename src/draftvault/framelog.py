@@ -41,6 +41,12 @@ def header(magic: bytes) -> bytes:
     return magic + _VERSION.pack(FORMAT_VERSION)
 
 
+def clamp_cursor(cursor: int | None, count: int) -> int:
+    """A cursor remembered by an earlier process, fitted to a log of ``count``
+    entries: None means the newest entry, a stale value is clamped."""
+    return count if cursor is None else max(0, min(cursor, count))
+
+
 def encode_frame(head: struct.Struct, payload: bytes, *fields: int) -> bytes:
     """One frame: ``head`` packed from ``fields`` plus the payload length,
     the payload, and the CRC-32 of both."""
@@ -145,10 +151,8 @@ class FramedLog:
 
     @classmethod
     def _open(cls, path: Path, io: FileIO, cursor: int | None = None):
-        """Take the session lock and load the file, repairing a torn tail.
-        The cursor defaults to the newest entry and is clamped to the
-        entries that survived (a stale cursor from an earlier process may
-        point anywhere)."""
+        """Take the session lock and load the file, repairing a torn tail;
+        the cursor is fitted to the surviving entries by clamp_cursor."""
         lock = SessionLock(path).acquire()
         try:
             log, _ = cls._load(path, io, repair=True)
@@ -156,8 +160,7 @@ class FramedLog:
             lock.release()
             raise
         log._lock = lock
-        count = len(log._entries)
-        log.cursor = count if cursor is None else max(0, min(cursor, count))
+        log.cursor = clamp_cursor(cursor, len(log._entries))
         return log
 
     @classmethod

@@ -179,14 +179,19 @@ class Journal(FramedLog):
 
         Parses the valid prefix (repairing a torn tail), re-applies session
         memory (cursor, clamped to 0..step_count, and per-step positions)
-        captured by the previous process, and takes the session lock."""
+        captured by the previous process, and takes the session lock.  A
+        step whose positions are miscounted or negative gets none."""
         journal = cls._open(Path(path), io or FileIO(), cursor)
         if positions:
             for step in journal.steps:
                 pos = positions.get(step.step_no)
-                if pos is not None and len(pos) == len(step.changes):
+                if pos is not None and len(pos) == len(step.changes) and min(pos) >= 0:
                     step.positions = pos
         return journal
+
+    def session_positions(self) -> dict[int, list[int]]:
+        """Per-step positions by step number, as ``resume`` takes them back."""
+        return {s.step_no: s.positions for s in self.steps if s.positions is not None}
 
     def _require_session(self) -> None:
         if self._lock is None or not self._lock.held:

@@ -28,19 +28,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .autosave import AutosaveConfig, AutosaveSession, _sha
-from .errors import (
-    DocumentFrozen,
-    NothingToRedo,
-    NothingToUndo,
-    ScriptError,
-)
+from .errors import NothingToRedo, NothingToUndo, ScriptError
 from .fileio import FileIO
 from .journal import FLAG_ADDED, FLAG_DELETED, Change, Journal, make_modify
-from .model import Drawing, ElementPayload
+from .model import ElementPayload
 from .paths import DocPaths, for_doc
 from .ppversions import PPVersionLog
 from .sidecar import SidecarState, write_sidecar
-from .signatures import guard_edit, load_document, EditGuard, SignedEnvelope, save_document
+from .signatures import SignedEnvelope, load_editable, save_document
 
 
 @dataclass(frozen=True)
@@ -138,14 +133,7 @@ class ScriptRunner:
     ) -> RunResult:
         io = self.io
         paths = self.paths
-        if io.exists(paths.doc):
-            env = load_document(paths.doc, io)
-            if guard_edit(env) is EditGuard.LOCKED:
-                raise DocumentFrozen(f"{paths.doc} is signed; editing is rejected")
-            drawing = Drawing.from_canonical_bytes(env.document, name=paths.doc.stem)
-        else:
-            drawing = Drawing(name=paths.doc.stem)
-
+        drawing = load_editable(paths.doc, io)
         result = RunResult()
         journal = Journal.begin_session(drawing, paths.journal, io)
         pp_log: PPVersionLog | None = None
@@ -249,9 +237,7 @@ class ScriptRunner:
             state = SidecarState(
                 journal_cursor=journal.cursor,
                 pp_cursor=pp_log.cursor if pp_log is not None else None,
-                positions={
-                    s.step_no: s.positions for s in journal.steps if s.positions is not None
-                },
+                positions=journal.session_positions(),
             )
             write_sidecar(paths.sidecar, state, io)
             if saver is not None:

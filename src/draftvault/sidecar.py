@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fileio import FileIO, crc32_of
+from .errors import Corrupt
+from .fileio import FileIO, decode_checked_text, encode_checked_text
 
 BANNER = "draftvault-session v1"
 
@@ -27,7 +28,7 @@ class SidecarState:
 
 def write_sidecar(path: Path, state: SidecarState, io: FileIO | None = None) -> None:
     io = io or FileIO()
-    lines = [BANNER]
+    lines = []
     if state.journal_cursor is not None:
         lines.append(f"journal_cursor={state.journal_cursor}")
     if state.pp_cursor is not None:
@@ -35,26 +36,14 @@ def write_sidecar(path: Path, state: SidecarState, io: FileIO | None = None) -> 
     for step_no in sorted(state.positions):
         joined = ",".join(str(p) for p in state.positions[step_no])
         lines.append(f"step={step_no}:{joined}")
-    body = ("\n".join(lines) + "\n").encode()
-    io.write_atomic(path, body + f"crc={crc32_of(body):08x}\n".encode())
+    io.write_atomic(path, encode_checked_text(BANNER, lines))
 
 
 def read_sidecar(path: Path, io: FileIO | None = None) -> SidecarState:
     io = io or FileIO()
     state = SidecarState()
     try:
-        text = io.read_bytes(path).decode("utf-8", errors="replace")
-    except OSError:
-        return state
-    head, _, tail = text.rpartition("crc=")
-    try:
-        if not head or crc32_of(head.encode()) != int(tail.strip(), 16):
-            return SidecarState()
-        lines = head.splitlines()
-        if not lines or lines[0] != BANNER:
-            return SidecarState()
-        for line in lines[1:]:
-            key, _, value = line.partition("=")
+        for key, value in decode_checked_text(io.read_bytes(path), BANNER):
             if key == "journal_cursor":
                 state.journal_cursor = int(value)
             elif key == "pp_cursor":
@@ -62,6 +51,6 @@ def read_sidecar(path: Path, io: FileIO | None = None) -> SidecarState:
             elif key == "step":
                 step_no, _, rest = value.partition(":")
                 state.positions[int(step_no)] = [int(p) for p in rest.split(",") if p]
-    except ValueError:
+    except (OSError, Corrupt, ValueError):
         return SidecarState()
     return state

@@ -248,17 +248,39 @@ def parse_envelope(data: bytes) -> SignedEnvelope:
 # -- documents on disk --------------------------------------------------------
 
 
+def _read_document(path: Path, io: FileIO) -> tuple[SignedEnvelope, bool]:
+    """Read a document file once: its envelope, and whether the file is a
+    bare drawing whose structure is still unchecked.  BadHeader for any
+    other magic."""
+    data = io.read_bytes(path)
+    if data[:4] == MAGIC:
+        return parse_envelope(data), False
+    if data[:4] == model.MAGIC:
+        return SignedEnvelope(document=data), True
+    raise BadHeader(f"{path} is neither a drawing nor an envelope")
+
+
 def load_document(path: Path, io: FileIO | None = None) -> SignedEnvelope:
     """Read a document file: a bare drawing is an unsigned envelope, an
     envelope file carries its signatures along."""
-    io = io or FileIO()
-    data = io.read_bytes(path)
-    if data[:4] == MAGIC:
-        return parse_envelope(data)
-    if data[:4] == model.MAGIC:
-        model.Drawing.from_canonical_bytes(data)  # validate structure
-        return SignedEnvelope(document=data)
-    raise BadHeader(f"{path} is neither a drawing nor an envelope")
+    env, bare = _read_document(path, io or FileIO())
+    if bare:
+        model.Drawing.from_canonical_bytes(env.document)  # validate structure
+    return env
+
+
+def load_editable(path: Path, io: FileIO | None = None) -> model.Drawing:
+    """Open a document for editing: its drawing, named after the file, or
+    an empty one if the file does not exist yet.  Raises DocumentFrozen
+    while the document is signed, Corrupt or BadHeader when it is damaged."""
+    path = Path(path)
+    try:
+        env, _ = _read_document(path, io or FileIO())
+    except FileNotFoundError:
+        return model.Drawing(name=path.stem)
+    if guard_edit(env) is EditGuard.LOCKED:
+        raise DocumentFrozen(f"{path} is signed; remove all signatures to edit it")
+    return model.Drawing.from_canonical_bytes(env.document, name=path.stem)
 
 
 def save_document(path: Path, env: SignedEnvelope, io: FileIO | None = None) -> None:
@@ -268,6 +290,12 @@ def save_document(path: Path, env: SignedEnvelope, io: FileIO | None = None) -> 
     disk: if the file currently holds a signed envelope, the incoming
     document bytes must be identical (signature records may still be
     added or removed).  Unsigned envelopes are stored as bare drawings.
+
+    The file being replaced is read and fully validated again here, even
+    when the caller opened it with load_editable moments before: a
+    single flipped bit turns the ``TCGE`` magic into ``TCGD``, and only
+    parsing the result as a drawing (which fails) keeps a damaged signed
+    envelope from being overwritten as if it were unsigned.
     """
     io = io or FileIO()
     path = Path(path)

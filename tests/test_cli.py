@@ -5,6 +5,7 @@ import pytest
 
 from draftvault.cli import main
 from draftvault.model import Drawing
+from draftvault.sidecar import SidecarState, write_sidecar
 
 from test_signatures import envelope_with_raw_signer
 
@@ -141,12 +142,61 @@ def test_verify_detects_tamper(doc, capsys, monkeypatch):
 
 def test_signed_doc_rejects_undo(doc, capsys, monkeypatch):
     monkeypatch.setenv("DRAFTVAULT_PASSWORD", "pw")
+    # an aborted session leaves an autosave set for recover --apply to offer
+    run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
+         "--step-seconds", "2", "--abort-after-step", "1"], capsys)
     run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+    run(["undo", doc], capsys)  # leaves a step to redo
     run(["sign", doc, "--signer", "ivanov"], capsys)
     before = doc.read_bytes()
+    assert before[:4] == b"TCGE"
+    for argv in (["undo", doc], ["redo", doc], ["recover", doc, "--apply"]):
+        code, _, err = run(argv, capsys)
+        assert code == 3 and "signed" in err, argv
+        assert doc.read_bytes() == before
+
+
+def test_torn_envelope_is_not_edited_as_unsigned(doc, capsys, monkeypatch):
+    monkeypatch.setenv("DRAFTVAULT_PASSWORD", "pw")
+    run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+    run(["undo", doc], capsys)
+    run(["sign", doc, "--signer", "ivanov"], capsys)
+    torn = doc.read_bytes()[:-3]
+    doc.write_bytes(torn)
     code, _, err = run(["undo", doc], capsys)
-    assert code == 3 and "signed" in err
-    assert doc.read_bytes() == before
+    assert code == 3 and "invalid trailing bytes" in err
+    assert doc.read_bytes() == torn
+
+
+@pytest.mark.parametrize("command", ["undo", "redo", "edit"])
+def test_open_parses_the_document_twice(doc, capsys, monkeypatch, command):
+    """Once to open it for the edit, once when save_document validates the
+    file it replaces."""
+    run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+    run(["undo", doc], capsys)
+    parse = Drawing.from_canonical_bytes.__func__
+    calls = []
+
+    def counting(cls, data, name=""):
+        calls.append(len(data))
+        return parse(cls, data, name)
+
+    monkeypatch.setattr(Drawing, "from_canonical_bytes", classmethod(counting))
+    argv = [command, doc] + (["--script", doc.parent / "edit.txt"] if command == "edit" else [])
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and "nothing" not in out
+    assert len(calls) == 2
+
+
+def test_history_clamps_a_negative_sidecar_cursor(doc, capsys):
+    (doc.parent / "two.txt").write_text("ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n")
+    run(["edit", doc, "--script", doc.parent / "two.txt"], capsys)
+    write_sidecar(doc.with_name("d.tcgd.session"), SidecarState(journal_cursor=-1))
+    code, out, _ = run(["history", doc], capsys)
+    assert code == 0
+    assert "<- cursor" not in out and "cursor at session start" in out
+    code, out, _ = run(["redo", doc], capsys)  # undo and redo read it as cursor 0 too
+    assert code == 0 and "cursor at 1 of 2" in out
 
 
 def test_autosave_run_and_recover_cycle(doc, capsys):

@@ -1,4 +1,5 @@
-"""Golden-file pinning of the three container layouts plus the drawing form.
+"""Golden-file pinning of the three container layouts, the drawing form and
+the two checked text files (session sidecar and autosave marker).
 
 The expected bytes are frozen hex literals, originally produced by an
 independent inline constructor (plain struct + zlib, no engine code); the
@@ -8,10 +9,12 @@ layout regression has to break two independent encoders to slip through.
 import struct
 import zlib
 
+from draftvault.autosave import AutosaveConfig, AutosaveSession, probe_recovery
 from draftvault.fileio import FileIO
 from draftvault.journal import FLAG_ADDED, FLAG_DELETED, Journal, inspect_journal, recover_journal
 from draftvault.model import Drawing, ElementPayload
 from draftvault.ppversions import PPVersionLog, recover_pp_log
+from draftvault.sidecar import SidecarState, read_sidecar, write_sidecar
 from draftvault.signatures import SignedEnvelope, encode_envelope, parse_envelope, sign
 
 GOLD_TCGD = (
@@ -28,6 +31,23 @@ GOLD_TCGE = (
     "c76b92fd026000000006006976616e6f7600f1536500000000000102030405060708090a0b0c0d"
     "0e0fa2d32223d06cbbd62f0f17449e75438dca8602b600f32998586168da235c726316feeefb52"
     "d0ac83b24df99c3f053037fd5eb1811bf54882704c7458e2ae55c70e3e022f"
+)
+GOLD_SIDECAR = (
+    b"draftvault-session v1\n"
+    b"journal_cursor=2\n"
+    b"pp_cursor=1\n"
+    b"step=1:0,1\n"
+    b"step=2:0\n"
+    b"crc=1a6e35eb\n"
+)
+GOLD_MARKER = (
+    b"draftvault-autosave v1\n"
+    b"doc=plant7.tcgd\n"
+    b"session=5e55\n"
+    b"created=2.5\n"
+    b"drawing=a2d32223d06cbbd62f0f17449e75438dca8602b600f32998586168da235c7263 28\n"
+    b"pp=5a8814ae66ff07179d2c22381da6221f6fe754e6175c47d7d87846080f0a9715 2\n"
+    b"crc=73540048\n"
 )
 
 ELEMENTS = [ElementPayload(1, b"pipe"), ElementPayload(2, b"\x00\x01")]
@@ -128,3 +148,34 @@ def test_inspect_journal_of_golden(tmp_path):
         (FLAG_ADDED, ElementPayload(2, b"\xbb")),
     ]
     assert journal.steps[1].changes == [(FLAG_DELETED, ElementPayload(1, b"\xaa"))]
+
+
+def _text_crc_line(body: bytes) -> bytes:
+    return b"crc=%08x\n" % (zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def test_sidecar_layout_pinned(tmp_path):
+    state = SidecarState(journal_cursor=2, pp_cursor=1, positions={2: [0], 1: [0, 1]})
+    write_sidecar(tmp_path / "s", state, FileIO(fsync_enabled=False))
+    assert (tmp_path / "s").read_bytes() == GOLD_SIDECAR
+    body = GOLD_SIDECAR[: GOLD_SIDECAR.rindex(b"crc=")]
+    assert body + _text_crc_line(body) == GOLD_SIDECAR
+
+    back = read_sidecar(tmp_path / "s")
+    assert (back.journal_cursor, back.pp_cursor, back.positions) == (2, 1, {1: [0, 1], 2: [0]})
+
+
+def test_autosave_marker_layout_pinned(tmp_path):
+    drawing = Drawing(elements=ELEMENTS)
+    session = AutosaveSession("plant7.tcgd", drawing, AutosaveConfig(1.0, tmp_path),
+                              FileIO(fsync_enabled=False), session_id="5e55")
+    session.set_current_pp(b"\xcc\xdd")
+    assert session.autosave_tick(2.5) is not None
+    assert (tmp_path / "plant7.tcgd.autosave.marker").read_bytes() == GOLD_MARKER
+    body = GOLD_MARKER[: GOLD_MARKER.rindex(b"crc=")]
+    assert body + _text_crc_line(body) == GOLD_MARKER
+
+    aset = probe_recovery(tmp_path, "plant7.tcgd")
+    assert aset is not None
+    assert (aset.session_id, aset.created_at, aset.drawing_size, aset.pp_size) == ("5e55", 2.5, 28, 2)
+    assert aset.drawing_sha == "a2d32223d06cbbd62f0f17449e75438dca8602b600f32998586168da235c7263"

@@ -186,6 +186,18 @@ def test_resume_clamps_a_negative_cursor(tmp_path):
     resumed.close()
 
 
+def test_resume_drops_negative_positions(tmp_path):
+    drawing = Drawing(elements=[A, B, C])
+    journal = Journal.begin_session(drawing, tmp_path / "j")
+    journal.commit_step(drawing, [(FLAG_DELETED, A)])
+    journal.close()
+    resumed = Journal.resume(tmp_path / "j", cursor=1, positions={1: [-1]})
+    assert resumed.steps[0].positions is None
+    resumed.undo_step(drawing)  # multiset restore, not an insert at index -1
+    assert drawing.elements == [B, C, A]
+    resumed.close()
+
+
 def test_undo_redo_bounds(session):
     journal, drawing = session
     with pytest.raises(NothingToUndo):
