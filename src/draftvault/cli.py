@@ -13,15 +13,11 @@ non-interactively (meant for tests and scripting).
 from __future__ import annotations
 
 import argparse
-import datetime as dt
-import logging
 import os
 import sys
 import time
 from pathlib import Path
 
-from . import backup as backup_mod
-from .autosave import AutosaveConfig, probe_recovery, restore
 from .errors import (
     BadHeader,
     Corrupt,
@@ -38,26 +34,7 @@ from .errors import (
     ScriptError,
     WeakPassword,
 )
-from .faultsim import FaultPlan, TARGETS, crash_sim
-from .fileio import FileIO
-from .framelog import clamp_cursor
-from .journal import Journal, inspect_journal
-from .locks import SessionLock
-from .paths import for_doc
-from .ppversions import PPVersionLog
-from .script import ScriptRunner, parse_script
-from .sidecar import read_sidecar, write_sidecar
-from .signatures import (
-    IntegrityStatus,
-    SignedEnvelope,
-    append_audit,
-    load_document,
-    load_editable,
-    remove_signature,
-    save_document,
-    sign,
-    verify_integrity,
-)
+from .paths import STREAMS, for_doc
 
 PASSWORD_ENV = "DRAFTVAULT_PASSWORD"
 
@@ -74,6 +51,8 @@ class _Parser(argparse.ArgumentParser):
 def _parse_now(text: str | None) -> float:
     if text is None:
         return time.time()
+    import datetime as dt
+
     moment = dt.datetime.fromisoformat(text)
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=dt.timezone.utc)
@@ -81,13 +60,40 @@ def _parse_now(text: str | None) -> float:
 
 
 def _iso(now: float) -> str:
+    import datetime as dt
+
     return dt.datetime.fromtimestamp(now, dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 # -- commands -----------------------------------------------------------------
+#
+# Each command imports the modules it uses when it runs, so that a cold
+# call loads only those.
+
+
+def _log_warnings() -> None:
+    """Show the warnings of autosave and backup (discarded leftovers,
+    skipped files) on stderr; only the commands that run them call this."""
+    import logging
+
+    logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
+
+
+def _unlink_all(io, paths) -> None:
+    for path in paths:
+        try:
+            io.unlink(path)
+        except FileNotFoundError:
+            pass
 
 
 def cmd_edit(args) -> int:
+    from .autosave import AutosaveConfig
+    from .fileio import FileIO
+    from .locks import SessionLock
+    from .script import ScriptRunner, parse_script
+
+    _log_warnings()
     paths = for_doc(args.doc)
     io = FileIO()
     autosave_cfg = None
@@ -115,6 +121,12 @@ def cmd_edit(args) -> int:
 
 
 def _move_cursor(args, direction: str) -> int:
+    from .fileio import FileIO
+    from .journal import Journal
+    from .locks import SessionLock
+    from .sidecar import read_sidecar, write_sidecar
+    from .signatures import SignedEnvelope, load_editable, save_document
+
     paths = for_doc(args.doc)
     io = FileIO()
     if not io.exists(paths.journal):
@@ -158,6 +170,13 @@ def cmd_redo(args) -> int:
 
 
 def cmd_history(args) -> int:
+    """The steps' figures come from the journal's frame heads; no payload
+    is decoded."""
+    from .fileio import FileIO
+    from .framelog import clamp_cursor
+    from .journal import inspect_journal
+    from .sidecar import read_sidecar
+
     paths = for_doc(args.doc)
     io = FileIO()
     if not io.exists(paths.journal):
@@ -166,17 +185,26 @@ def cmd_history(args) -> int:
     journal, truncated = inspect_journal(paths.journal, io)
     state = read_sidecar(paths.sidecar, io)
     cursor = clamp_cursor(state.journal_cursor, journal.step_count)
+    lines = []
     for step in journal.steps:
-        size = sum(len(p.data) for _, p in step.changes)
+        records, added, size = step.figures
         marker = "  <- cursor" if step.step_no == cursor else ""
-        print(f"step {step.step_no}: +{step.added_count()} -{step.deleted_count()} ({size} payload bytes){marker}")
+        lines.append(f"step {step.step_no}: +{added} -{records - added} ({size} payload bytes){marker}")
     if cursor == 0:
-        print("cursor at session start")
-    print(f"{journal.step_count} step(s) in session journal" + (" (torn tail ignored)" if truncated else ""))
+        lines.append("cursor at session start")
+    torn = " (torn tail ignored)" if truncated else ""
+    lines.append(f"{journal.step_count} step(s) in session journal{torn}")
+    print("\n".join(lines))  # one write: on an unbuffered stdout each print is a syscall
     return 0
 
 
 def cmd_pp(args) -> int:
+    from .fileio import FileIO
+    from .framelog import clamp_cursor
+    from .locks import SessionLock
+    from .ppversions import PPVersionLog
+    from .sidecar import read_sidecar, write_sidecar
+
     paths = for_doc(args.doc)
     io = FileIO()
     with SessionLock(paths.doc):
@@ -210,24 +238,32 @@ def cmd_pp(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    """Probe, discard and restore all run under the document's session
+    lock: the autosave files of a live session are not leftovers."""
+    from .autosave import probe_recovery, restore
+    from .fileio import FileIO
+    from .locks import SessionLock
+    from .ppversions import PPVersionLog
+    from .sidecar import read_sidecar, write_sidecar
+    from .signatures import SignedEnvelope, load_editable, save_document
+
+    _log_warnings()
     paths = for_doc(args.doc)
     io = FileIO()
     autosave_dir = paths.autosave_dir(Path(args.autosave_dir) if args.autosave_dir else None)
-    aset = probe_recovery(autosave_dir, paths.name, io)
-    if aset is None:
-        print(f"no autosave found for {paths.name}")
-        return 0
-    print(f"autosave set found for {paths.name} (saved at t={aset.created_at}, "
-          f"drawing {aset.drawing_size} bytes"
-          + (f", pp {aset.pp_size} bytes)" if aset.pp_sha else ", no pp)"))
-    set_paths = [aset.marker, aset.drawing_copy] + ([aset.pp_copy] if aset.pp_copy else [])
-    if args.discard:
-        for path in set_paths:
-            Path(path).unlink(missing_ok=True)
-        print("autosave set discarded")
-        return 0
-    if args.apply:
-        with SessionLock(paths.doc):
+    with SessionLock(paths.doc):
+        aset = probe_recovery(autosave_dir, paths.name, io)
+        if aset is None:
+            print(f"no autosave found for {paths.name}")
+            return 0
+        print(f"autosave set found for {paths.name} (saved at t={aset.created_at}, "
+              f"drawing {aset.drawing_size} bytes"
+              + (f", pp {aset.pp_size} bytes)" if aset.pp_sha else ", no pp)"))
+        set_paths = [aset.marker, aset.drawing_copy] + ([aset.pp_copy] if aset.pp_copy else [])
+        if args.discard:
+            _unlink_all(io, set_paths)
+            print("autosave set discarded")
+        elif args.apply:
             load_editable(paths.doc, io)  # refuses a signed or damaged document
             drawing, pp = restore(aset, io)
             save_document(paths.doc, SignedEnvelope(document=drawing.canonical_bytes()), io)
@@ -239,15 +275,19 @@ def cmd_recover(args) -> int:
                 finally:
                     log.close()
                 write_sidecar(paths.sidecar, state, io)
-        for path in set_paths:
-            Path(path).unlink(missing_ok=True)
-        print(f"restored {paths.doc}" + (" and pp" if pp is not None else ""))
-    else:
-        print("run again with --apply to restore it, or --discard to drop it")
+            _unlink_all(io, set_paths)
+            print(f"restored {paths.doc}" + (" and pp" if pp is not None else ""))
+        else:
+            print("run again with --apply to restore it, or --discard to drop it")
     return 0
 
 
 def cmd_backup(args) -> int:
+    import datetime as dt
+
+    from . import backup as backup_mod
+
+    _log_warnings()
     config = backup_mod.parse_config(Path(args.config))
     manifest = backup_mod.load_manifest(config.vault_root)
     today = dt.date.fromisoformat(args.today) if args.today else dt.date.today()
@@ -272,6 +312,10 @@ def _password() -> str:
 
 
 def cmd_sign(args) -> int:
+    from .fileio import FileIO
+    from .locks import SessionLock
+    from .signatures import load_document, save_document, sign
+
     paths = for_doc(args.doc)
     io = FileIO()
     now = _parse_now(args.now)
@@ -284,6 +328,10 @@ def cmd_sign(args) -> int:
 
 
 def cmd_unsign(args) -> int:
+    from .fileio import FileIO
+    from .locks import SessionLock
+    from .signatures import append_audit, load_document, remove_signature, save_document
+
     paths = for_doc(args.doc)
     io = FileIO()
     now = _parse_now(args.now)
@@ -299,6 +347,9 @@ def cmd_unsign(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .fileio import FileIO
+    from .signatures import IntegrityStatus, load_document, verify_integrity
+
     paths = for_doc(args.doc)
     env = load_document(paths.doc, FileIO())
     results = verify_integrity(env)
@@ -313,6 +364,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crash_sim(args) -> int:
+    from .autosave import AutosaveConfig
+    from .faultsim import FaultPlan, crash_sim
+
+    _log_warnings()
     autosave_cfg = None
     if args.interval:
         paths = for_doc(args.doc)
@@ -410,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("doc")
     p.add_argument("--script", required=True)
     p.add_argument("--kill-at-byte", type=int, required=True)
-    p.add_argument("--target", choices=TARGETS, required=True)
+    p.add_argument("--target", choices=STREAMS, required=True)
     p.add_argument("--interval", type=float, default=None)
     p.add_argument("--step-seconds", type=float, default=1.0)
     add_now(p)
@@ -420,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

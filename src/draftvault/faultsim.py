@@ -28,12 +28,10 @@ from .fileio import FileIO
 from .journal import recover_journal
 from .locks import force_release
 from .model import Drawing
-from .paths import for_doc
+from .paths import STREAMS as TARGETS, for_doc
 from .ppversions import recover_pp_log
 from .script import Command, ScriptRunner, parse_script
 from .signatures import load_document
-
-TARGETS = ("journal", "autosave", "pp-log", "envelope")
 
 
 class CrashSimulated(BaseException):

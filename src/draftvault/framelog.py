@@ -18,7 +18,6 @@ from __future__ import annotations
 import struct
 import zlib
 from collections.abc import Iterator
-from itertools import accumulate
 from pathlib import Path
 
 from .errors import BadHeader, IoFailure
@@ -55,9 +54,10 @@ def encode_frame(head: struct.Struct, payload: bytes, *fields: int) -> bytes:
 
 
 def scan_frames(
-    data: bytes, magic: bytes, head: struct.Struct, end: int | None = None
+    data: bytes, magic: bytes, head: struct.Struct, end: int | None = None, start: int = HEADER_LEN
 ) -> Iterator[tuple[tuple, int, int]]:
-    """Check the header, then iterate the intact frames of ``data[:end]``.
+    """Check the header, then iterate the intact frames of ``data[:end]``
+    from offset ``start``, a frame boundary (the first frame by default).
 
     Yields ``(fields, payload_start, frame_end)`` per frame, where
     ``fields`` is the unpacked head and the payload is
@@ -71,14 +71,13 @@ def scan_frames(
     (version,) = _VERSION.unpack_from(data, 4)
     if version != FORMAT_VERSION:
         raise BadHeader(f"unsupported {magic.decode()} format version {version}")
-    return _frames(data, head, n)
+    return _frames(data, head, start, n)
 
 
-def _frames(data: bytes, head: struct.Struct, n: int) -> Iterator[tuple[tuple, int, int]]:
+def _frames(data: bytes, head: struct.Struct, pos: int, n: int) -> Iterator[tuple[tuple, int, int]]:
     view = memoryview(data)
     unpack_head, head_len = head.unpack_from, head.size
     crc32 = zlib.crc32
-    pos = HEADER_LEN
     while pos + head_len <= n:
         fields = unpack_head(data, pos)
         start = pos + head_len
@@ -109,9 +108,10 @@ class FramedLog:
     (history is linear).  Mutating calls assume the single-session
     ownership enforced by the lock file at ``<path>.lock``.
 
-    A subclass sets ``MAGIC`` and provides ``_parse`` (data to entries
-    and the end of their valid prefix) and ``_encoded_size`` (bytes one
-    entry occupies on disk).
+    A subclass sets ``MAGIC`` and provides ``_parse``: the entries of
+    the valid prefix of the file's bytes, the offset just past each one,
+    and the end of that prefix.  An entry may be decoded lazily, from the
+    bytes it was loaded from, when it is first used.
     """
 
     MAGIC: bytes
@@ -122,14 +122,11 @@ class FramedLog:
         self._lock = lock
         self._entries: list = []
         self._ends: list[int] = []  # file offset just past each entry
+        self._data = b""  # the bytes the entries were loaded from
         self.cursor = 0
 
     @classmethod
-    def _parse(cls, data: bytes) -> tuple[list, int]:
-        raise NotImplementedError
-
-    @classmethod
-    def _encoded_size(cls, entry) -> int:
+    def _parse(cls, data: bytes) -> tuple[list, list[int], int]:
         raise NotImplementedError
 
     # -- lifecycle -------------------------------------------------------
@@ -170,7 +167,7 @@ class FramedLog:
         trailing bytes were dropped."""
         data = io.read_bytes(path)
         try:
-            entries, valid_end = cls._parse(data)
+            entries, ends, valid_end = cls._parse(data)
         except BadHeader as exc:
             raise BadHeader(f"{path}: {exc}") from exc
         truncated = valid_end < len(data)
@@ -178,7 +175,8 @@ class FramedLog:
             io.truncate(path, valid_end)
         log = cls(path, io, lock=None)
         log._entries = entries
-        log._ends = list(accumulate(map(cls._encoded_size, entries), initial=HEADER_LEN))[1:]
+        log._ends = ends
+        log._data = data
         return log, truncated
 
     def close(self) -> None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import framelog
@@ -55,17 +56,46 @@ Change = tuple[int, ElementPayload]
 class ChangeStep:
     """One committed step: its records plus (when known) the list index each
     record touched, parallel to ``changes``.  Positions exist only in session
-    memory; a step parsed back from disk has ``positions = None``."""
+    memory; a step parsed back from disk has ``positions = None``.
+
+    ``figures`` is ``(records, added, payload_bytes)``: how many element
+    records the step has, how many of them are adds, and their payload
+    bytes."""
 
     step_no: int
     changes: list[Change]
     positions: list[int] | None = field(default=None, repr=False)
 
-    def added_count(self) -> int:
-        return sum(1 for flag, _ in self.changes if flag == FLAG_ADDED)
+    @cached_property
+    def figures(self) -> tuple[int, int, int]:
+        return (
+            len(self.changes),
+            sum(1 for flag, _ in self.changes if flag == FLAG_ADDED),
+            sum(len(p.data) for _, p in self.changes),
+        )
 
-    def deleted_count(self) -> int:
-        return sum(1 for flag, _ in self.changes if flag == FLAG_DELETED)
+
+class IndexedStep(ChangeStep):
+    """A step indexed from a file: its figures come from its frame heads,
+    and ``changes`` is decoded from its frame range ``data[start:end]`` on
+    first use, by the frame scanner (CRCs checked again).  A subclass, so
+    that the steps a session commits keep ``changes`` a plain attribute."""
+
+    def __init__(self, step_no: int, data: bytes, start: int, end: int, figures: tuple[int, int, int]):
+        self.step_no = step_no
+        self.positions = None
+        self.figures = figures
+        self._frames = (data, start, end)
+
+    @cached_property
+    def changes(self) -> list[Change]:
+        data, start, end = self._frames
+        frames = framelog.scan_frames(data, MAGIC, _REC_HEAD, end, start)
+        return [
+            (flag, ElementPayload(kind, data[s : e - CRC_LEN]))
+            for (_, flag, kind, _), s, e in frames
+            if flag != FLAG_COMMIT
+        ]
 
 
 def make_modify(old: ElementPayload, new: ElementPayload) -> list[Change]:
@@ -152,12 +182,8 @@ class Journal(FramedLog):
     MAGIC = MAGIC
 
     @classmethod
-    def _parse(cls, data: bytes) -> tuple[list[ChangeStep], int]:
-        return parse_journal_bytes(data)
-
-    @classmethod
-    def _encoded_size(cls, step: ChangeStep) -> int:
-        return sum(RECORD_OVERHEAD + len(p.data) for _, p in step.changes) + RECORD_OVERHEAD
+    def _parse(cls, data: bytes) -> tuple[list[ChangeStep], list[int], int]:
+        return index_journal(data)
 
     # -- session lifecycle ------------------------------------------------
 
@@ -185,7 +211,7 @@ class Journal(FramedLog):
         if positions:
             for step in journal.steps:
                 pos = positions.get(step.step_no)
-                if pos is not None and len(pos) == len(step.changes) and min(pos) >= 0:
+                if pos is not None and len(pos) == step.figures[0] and min(pos) >= 0:
                     step.positions = pos
         return journal
 
@@ -245,15 +271,17 @@ class Journal(FramedLog):
         drawing.replace_elements(new_elements)
 
 
-def validate_journal(data: bytes, end: int | None = None) -> tuple[int, int]:
-    """The recovery brain: the number of complete steps in the longest
-    valid prefix of ``data[:end]`` and the offset where that prefix ends.
+def _scan_steps(data: bytes, end: int | None) -> tuple[list[tuple[int, int, tuple[int, int, int]]], int]:
+    """The recovery brain: the complete steps of the longest valid prefix
+    of ``data[:end]``, each as its ``(start, end, figures)`` read from its
+    frame heads (see ChangeStep), and the offset where that prefix ends.
 
     On top of the frame CRCs, a step must carry the next step number,
     consist of element records and end in a commit record with zero kind
     and length.  Raises BadHeader when the magic or version is wrong
     (including a header torn mid-write)."""
-    count = pending = 0
+    steps = []
+    count = pending = added = payload = 0
     valid_end = HEADER_LEN
     for (step_no, flag, kind, length), _, frame_end in framelog.scan_frames(data, MAGIC, _REC_HEAD, end):
         if step_no != count + 1 or flag > FLAG_COMMIT:
@@ -261,26 +289,41 @@ def validate_journal(data: bytes, end: int | None = None) -> tuple[int, int]:
         if flag == FLAG_COMMIT:
             if kind or length or not pending:
                 break
+            steps.append((valid_end, frame_end, (pending, added, payload)))
             count += 1
-            pending = 0
+            pending = added = payload = 0
             valid_end = frame_end
         else:
             pending += 1
-    return count, valid_end
+            added += flag
+            payload += length
+    return steps, valid_end
+
+
+def validate_journal(data: bytes, end: int | None = None) -> tuple[int, int]:
+    """The number of complete steps in the longest valid prefix of
+    ``data[:end]`` and the offset where that prefix ends (see _scan_steps)."""
+    steps, valid_end = _scan_steps(data, end)
+    return len(steps), valid_end
+
+
+def index_journal(data: bytes) -> tuple[list[ChangeStep], list[int], int]:
+    """The complete steps of the longest valid prefix of ``data``, their
+    records not yet decoded, the offset just past each step, and the
+    offset where the prefix ends."""
+    steps, valid_end = _scan_steps(data, None)
+    indexed = [
+        IndexedStep(step_no, data, start, stop, figures) for step_no, (start, stop, figures) in enumerate(steps, 1)
+    ]
+    return indexed, [stop for _, stop, _ in steps], valid_end
 
 
 def parse_journal_bytes(data: bytes) -> tuple[list[ChangeStep], int]:
-    """The complete steps of the longest valid prefix of ``data`` (see
-    validate_journal) and the offset where it ends."""
-    _, valid_end = validate_journal(data)
-    steps = []
-    changes: list[Change] = []
-    for (step_no, flag, kind, _), start, frame_end in framelog.scan_frames(data, MAGIC, _REC_HEAD, valid_end):
-        if flag == FLAG_COMMIT:
-            steps.append(ChangeStep(step_no, changes))
-            changes = []
-        else:
-            changes.append((flag, ElementPayload(kind, data[start : frame_end - CRC_LEN])))
+    """The complete steps of the longest valid prefix of ``data``, every
+    step decoded, and the offset where the prefix ends."""
+    steps, _, valid_end = index_journal(data)
+    for step in steps:
+        step.changes  # decodes the step
     return steps, valid_end
 
 

@@ -117,24 +117,16 @@ class Drawing:
 
     @classmethod
     def from_canonical_bytes(cls, data: bytes, name: str = "") -> "Drawing":
-        if len(data) < HEADER_LEN or data[:4] != MAGIC:
-            raise BadHeader("not a drawing file")
-        magic, version, count = _HEADER.unpack_from(data, 0)
-        if version != FORMAT_VERSION:
-            raise BadHeader(f"unsupported drawing format version {version}")
+        """The drawing ``data`` encodes; raises as validate_drawing does."""
+        count = validate_drawing(data)
+        unpack_head, head_len = _ELEMENT_HEAD.unpack_from, _ELEMENT_HEAD.size
         elements = []
         pos = HEADER_LEN
         for _ in range(count):
-            if pos + 6 > len(data):
-                raise Corrupt("truncated element header")
-            kind, dlen = _ELEMENT_HEAD.unpack_from(data, pos)
-            pos += 6
-            if pos + dlen > len(data):
-                raise Corrupt("truncated element data")
+            kind, dlen = unpack_head(data, pos)
+            pos += head_len
             elements.append(ElementPayload(kind, data[pos : pos + dlen]))
             pos += dlen
-        if pos != len(data):
-            raise Corrupt(f"{len(data) - pos} trailing bytes after last element")
         return cls(name=name, elements=elements)
 
     def copy_elements(self) -> list[ElementPayload]:
@@ -142,3 +134,27 @@ class Drawing:
 
     def mark_saved(self) -> None:
         self.dirty = False
+
+
+def validate_drawing(data: bytes) -> int:
+    """Check that ``data`` is a complete drawing, without building its
+    elements; returns the element count.  BadHeader for a wrong magic or
+    version, Corrupt for a torn or overlong element list."""
+    if len(data) < HEADER_LEN or data[:4] != MAGIC:
+        raise BadHeader("not a drawing file")
+    _, version, count = _HEADER.unpack_from(data, 0)
+    if version != FORMAT_VERSION:
+        raise BadHeader(f"unsupported drawing format version {version}")
+    unpack_head, head_len = _ELEMENT_HEAD.unpack_from, _ELEMENT_HEAD.size
+    n = len(data)
+    pos = HEADER_LEN
+    for _ in range(count):
+        if pos + head_len > n:
+            raise Corrupt("truncated element header")
+        _, dlen = unpack_head(data, pos)
+        pos += head_len + dlen
+        if pos > n:
+            raise Corrupt("truncated element data")
+    if pos != n:
+        raise Corrupt(f"{n - pos} trailing bytes after last element")
+    return count

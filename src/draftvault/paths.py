@@ -2,15 +2,23 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 AUTOSAVE_DIR_ENV = "DRAFTVAULT_AUTOSAVE_DIR"
 
+# The file streams of a document that the crash harness can cut, by the
+# names ``crash-sim --target`` takes (see faultsim.FaultyIO.classify).
+STREAMS = ("journal", "autosave", "pp-log", "envelope")
 
-@dataclass(frozen=True)
+
 class DocPaths:
-    doc: Path
+    """The files that accompany the document at ``doc``.  A plain class, not
+    a dataclass: the CLI loads this module before it knows its command."""
+
+    __slots__ = ("doc",)
+
+    def __init__(self, doc: Path):
+        self.doc = doc
 
     @property
     def name(self) -> str:

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import framelog
 from .errors import NothingToRedo, NothingToUndo, OutOfRange
 from .fileio import FileIO
-from .framelog import CRC_LEN, FramedLog
+from .framelog import CRC_LEN, HEADER_LEN, FramedLog
 from .locks import SessionLock
 
 MAGIC = b"TCGP"
@@ -55,13 +55,22 @@ class PPVersionLog(FramedLog):
         self.task_tag = task_tag
 
     @classmethod
-    def _parse(cls, data: bytes) -> tuple[list[bytes], int]:
-        frames, valid_end = framelog.read_frames(data, MAGIC, _BLOCK_HEAD)
-        return [blob for _, blob in frames], valid_end
+    def _parse(cls, data: bytes) -> tuple[list[bytes | None], list[int], int]:
+        """Every intact frame's end; no blob is sliced out until ``_blob``
+        reaches it."""
+        ends = [frame_end for _, _, frame_end in framelog.scan_frames(data, MAGIC, _BLOCK_HEAD)]
+        return [None] * len(ends), ends, ends[-1] if ends else HEADER_LEN
 
-    @classmethod
-    def _encoded_size(cls, blob: bytes) -> int:
-        return _BLOCK_HEAD.size + len(blob) + CRC_LEN
+    def _blob(self, index: int) -> bytes:
+        """Version ``index + 1``, sliced out of the loaded bytes on first use."""
+        blob = self._entries[index]
+        if blob is None:
+            data = self._data
+            ((_, start, end),) = framelog.scan_frames(
+                data, MAGIC, _BLOCK_HEAD, self._ends[index], self._prefix_end(index)
+            )
+            blob = self._entries[index] = data[start : end - CRC_LEN]
+        return blob
 
     # -- lifecycle -------------------------------------------------------
 
@@ -87,6 +96,9 @@ class PPVersionLog(FramedLog):
 
     @property
     def versions(self) -> list[bytes]:
+        if None in self._entries:
+            for index in range(len(self._entries)):
+                self._blob(index)
         return self._entries
 
     @property
@@ -96,7 +108,7 @@ class PPVersionLog(FramedLog):
     def current(self) -> PPBlob:
         if self.cursor < 1:
             raise OutOfRange("no version committed yet")
-        return PPBlob(self.versions[self.cursor - 1], self.task_tag)
+        return PPBlob(self._blob(self.cursor - 1), self.task_tag)
 
     def commit_pp(self, blob: PPBlob | bytes) -> int:
         """Store a new version, dropping any redo tail; returns its index."""
@@ -112,15 +124,15 @@ class PPVersionLog(FramedLog):
         return self.current()
 
     def redo_pp(self) -> PPBlob:
-        if self.cursor >= len(self.versions):
+        if self.cursor >= self.version_count:
             raise NothingToRedo("already at the newest version")
         self.cursor += 1
         return self.current()
 
     def jump_pp(self, target: int) -> PPBlob:
         """Go directly to any stored version; order of steps plays no role."""
-        if not 1 <= target <= len(self.versions):
-            raise OutOfRange(f"version {target} outside 1..{len(self.versions)}")
+        if not 1 <= target <= self.version_count:
+            raise OutOfRange(f"version {target} outside 1..{self.version_count}")
         self.cursor = target
         return self.current()
 

@@ -4,9 +4,14 @@ The journal file format carries no cursor and no positions: both are
 session memory.  The CLI, however, spreads one logical editing session
 over several process invocations (edit, then undo, then redo ...), so it
 parks that session memory in a small text sidecar between commands.  A
-missing or damaged sidecar only costs precision, never correctness: the
-cursor falls back to the full step count and undo falls back to
-content-matched (multiset) restore.
+missing or damaged sidecar reads as an empty state: the cursor falls back
+to the full step count and undo falls back to content-matched (multiset)
+restore.  That fallback is not always correct.  When the document is not
+at the newest step, the next undo can exit 0 with a drawing the session
+never had, and a crash between the document write and the sidecar write
+leaves a cursor that no longer matches the document (see the ROADMAP
+item "Session memory that neither a crash nor a lost sidecar can turn
+into a wrong drawing").
 """
 from __future__ import annotations
 

@@ -265,7 +265,7 @@ def load_document(path: Path, io: FileIO | None = None) -> SignedEnvelope:
     envelope file carries its signatures along."""
     env, bare = _read_document(path, io or FileIO())
     if bare:
-        model.Drawing.from_canonical_bytes(env.document)  # validate structure
+        model.validate_drawing(env.document)
     return env
 
 
@@ -291,11 +291,11 @@ def save_document(path: Path, env: SignedEnvelope, io: FileIO | None = None) -> 
     document bytes must be identical (signature records may still be
     added or removed).  Unsigned envelopes are stored as bare drawings.
 
-    The file being replaced is read and fully validated again here, even
-    when the caller opened it with load_editable moments before: a
-    single flipped bit turns the ``TCGE`` magic into ``TCGD``, and only
-    parsing the result as a drawing (which fails) keeps a damaged signed
-    envelope from being overwritten as if it were unsigned.
+    The file being replaced is read and its structure validated again
+    here, even when the caller opened it with load_editable moments
+    before: a single flipped bit turns the ``TCGE`` magic into ``TCGD``,
+    and only validating the result as a drawing (which fails) keeps a
+    damaged signed envelope from being overwritten as if it were unsigned.
     """
     io = io or FileIO()
     path = Path(path)

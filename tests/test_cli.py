@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
+from draftvault import model
 from draftvault.cli import main
+from draftvault.locks import SessionLock
 from draftvault.model import Drawing
 from draftvault.sidecar import SidecarState, write_sidecar
 
@@ -170,22 +172,30 @@ def test_torn_envelope_is_not_edited_as_unsigned(doc, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["undo", "redo", "edit"])
 def test_open_parses_the_document_twice(doc, capsys, monkeypatch, command):
-    """Once to open it for the edit, once when save_document validates the
-    file it replaces."""
+    """The document is built once, to open it for the edit, and its
+    structure is checked twice: by that parse, and when save_document
+    validates the file it replaces (without building it)."""
     run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
     run(["undo", doc], capsys)
     parse = Drawing.from_canonical_bytes.__func__
-    calls = []
+    validate = model.validate_drawing
+    parses, validations = [], []
 
-    def counting(cls, data, name=""):
-        calls.append(len(data))
+    def counting_parse(cls, data, name=""):
+        parses.append(len(data))
         return parse(cls, data, name)
 
-    monkeypatch.setattr(Drawing, "from_canonical_bytes", classmethod(counting))
+    def counting_validate(data):
+        validations.append(len(data))
+        return validate(data)
+
+    monkeypatch.setattr(Drawing, "from_canonical_bytes", classmethod(counting_parse))
+    monkeypatch.setattr(model, "validate_drawing", counting_validate)
     argv = [command, doc] + (["--script", doc.parent / "edit.txt"] if command == "edit" else [])
     code, out, _ = run(argv, capsys)
     assert code == 0 and "nothing" not in out
-    assert len(calls) == 2
+    assert len(parses) == 1
+    assert len(validations) == 2
 
 
 def test_history_clamps_a_negative_sidecar_cursor(doc, capsys):
@@ -214,6 +224,24 @@ def test_autosave_run_and_recover_cycle(doc, capsys):
     assert [(e.kind, e.data) for e in drawing.elements] == [(2, b"\xbb"), (1, b"\xaa\xcc")]
     code, out, _ = run(["recover", doc], capsys)
     assert code == 0 and "no autosave found" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--discard"], ["--apply"]])
+def test_recover_leaves_a_live_session_alone(doc, capsys, flags):
+    """A live session's first autosave tick has written its drawing copy
+    but no marker yet; recover must not collect that copy as a leftover."""
+    run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+    before = doc.read_bytes()
+    live_copy = doc.parent / "autosaves" / "d.tcgd.autosave.drawing.tmp"
+    live_copy.write_bytes(before)
+    with SessionLock(doc):
+        code, _, err = run(["recover", doc, *flags], capsys)
+        assert code == 2 and "live session" in err
+        assert live_copy.read_bytes() == before
+    assert doc.read_bytes() == before
+    code, out, _ = run(["recover", doc], capsys)  # the session has ended: now it is a leftover
+    assert code == 0 and "no autosave found" in out
+    assert not live_copy.exists()
 
 
 def test_clean_run_offers_no_recovery(doc, capsys):

@@ -1,19 +1,26 @@
-"""Properties of the shared frame scanner over all three container formats.
+"""Properties of the shared frame scanner over all three container formats,
+and of the logs that decode their entries from it lazily.
 
 The byte streams are built here with plain struct + zlib, independent of
 the engine's encoders.
 """
+import contextlib
+import io
 import random
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from draftvault.cli import build_parser
 from draftvault.errors import BadHeader
 from draftvault.framelog import HEADER_LEN, read_frames, scan_frames
-from draftvault.journal import parse_journal_bytes, validate_journal
-from draftvault.ppversions import recover_pp_log
+from draftvault.journal import FLAG_ADDED, ChangeStep, inspect_journal, parse_journal_bytes, validate_journal
+from draftvault.ppversions import PPVersionLog, recover_pp_log
+from draftvault.sidecar import SidecarState, write_sidecar
 from draftvault.signatures import parse_envelope
 
 HEADS = {b"TCGJ": struct.Struct("<IBHI"), b"TCGP": struct.Struct("<I"), b"TCGE": struct.Struct("<BI")}
@@ -115,3 +122,78 @@ def test_journal_validator_agrees_with_parse_at_strided_cuts(seed, flip):
         steps, valid_end = parse_journal_bytes(data[:cut])
         assert validate_journal(data, cut) == (len(steps), valid_end)
         assert validate_journal(data[:cut]) == (len(steps), valid_end)
+
+
+def _flipped(data: bytes, flip: int) -> bytes:
+    if not HEADER_LEN <= flip < len(data):
+        return data
+    mutated = bytearray(data)
+    mutated[flip] ^= 0xFF
+    return bytes(mutated)
+
+
+def _history_from_decoded(steps, cursor, torn: bool) -> str:
+    """What ``history`` prints, computed from fully decoded steps."""
+    lines = []
+    for step in steps:
+        added = sum(1 for flag, _ in step.changes if flag == FLAG_ADDED)
+        deleted = len(step.changes) - added
+        size = sum(len(p.data) for _, p in step.changes)
+        marker = "  <- cursor" if step.step_no == cursor else ""
+        lines.append(f"step {step.step_no}: +{added} -{deleted} ({size} payload bytes){marker}")
+    if cursor == 0:
+        lines.append("cursor at session start")
+    lines.append(f"{len(steps)} step(s) in session journal" + (" (torn tail ignored)" if torn else ""))
+    return "\n".join(lines) + "\n"
+
+
+@given(seed=st.integers(0, 2**32 - 1), flip=st.integers(-1, 400), cursor=st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_lazy_journal_steps_agree_with_eager_decoding(seed, flip, cursor):
+    """At strided cuts, steps indexed from a file and decoded on first use
+    equal parse_journal_bytes, their frame-head figures equal the counts of
+    the decoded records, and ``history`` prints what the decoded steps say."""
+    data = _flipped(_journal_bytes(random.Random(seed)), flip)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "d.tcgd"
+        journal_path = Path(tmp) / "d.tcgd.journal"
+        write_sidecar(Path(tmp) / "d.tcgd.session", SidecarState(journal_cursor=cursor))
+        history = build_parser().parse_args(["history", str(doc)])
+        for cut in list(range(HEADER_LEN, len(data), 7)) + [len(data)]:
+            eager, valid_end = parse_journal_bytes(data[:cut])
+            journal_path.write_bytes(data[:cut])
+            lazy, torn = inspect_journal(journal_path)
+            assert torn == (valid_end < cut)
+            assert lazy._prefix_end(lazy.step_count) == valid_end
+            assert [s.step_no for s in lazy.steps] == [s.step_no for s in eager]
+            for mine, theirs in zip(lazy.steps, eager):
+                assert mine.figures == ChangeStep(theirs.step_no, theirs.changes).figures
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert history.func(history) == 0
+            assert out.getvalue() == _history_from_decoded(eager, min(cursor, len(eager)), torn)
+            for mine, theirs in zip(lazy.steps, eager):
+                assert mine.changes == theirs.changes
+
+
+@given(seed=st.integers(0, 2**32 - 1), flip=st.integers(-1, 400))
+@settings(max_examples=60, deadline=None)
+def test_lazy_blobs_agree_with_read_frames(seed, flip):
+    """At strided cuts, each blob a reopened log slices out on demand equals
+    the one read_frames gives, in any order of access."""
+    data = _flipped(_blocks_bytes(random.Random(seed)), flip)
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.tcgd.pp"
+        for cut in list(range(HEADER_LEN, len(data), 7)) + [len(data)]:
+            frames, _ = read_frames(data[:cut], b"TCGP", HEADS[b"TCGP"])
+            blobs = [blob for _, blob in frames]
+            path.write_bytes(data[:cut])
+            log = PPVersionLog.open(path)
+            try:
+                assert log.version_count == len(blobs)
+                for target in rng.sample(range(1, len(blobs) + 1), len(blobs)):
+                    assert log.jump_pp(target).data == blobs[target - 1]
+                assert log.versions == blobs
+            finally:
+                log.close()

@@ -1,0 +1,63 @@
+"""Import hygiene: a cold command loads only the modules it touches.
+
+Each check runs in a fresh ``python -S`` interpreter, so nothing this test
+process has imported already can hide a load.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import draftvault
+
+SRC = str(Path(draftvault.__file__).resolve().parent.parent)
+
+
+def _fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter; it prints one JSON value."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_draftvault_loads_no_submodule():
+    loaded = _fresh(
+        "import json, sys, draftvault\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('draftvault.'))))"
+    )
+    assert loaded == []
+
+
+def test_import_cli_skips_the_modules_of_other_commands():
+    heavy = ["draftvault.faultsim", "draftvault.backup", "draftvault.script", "draftvault.autosave",
+             "logging", "uuid"]
+    loaded = _fresh(
+        "import json, sys, draftvault.cli\n"
+        f"print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
+def test_every_public_name_resolves():
+    missing = _fresh(
+        "import json, draftvault\n"
+        "print(json.dumps([n for n in draftvault.__all__ if getattr(draftvault, n, None) is None]))"
+    )
+    assert missing == []
+    assert "Journal" in draftvault.__all__ and "load_editable" in draftvault.__all__
+    assert draftvault.Journal.__module__ == "draftvault.journal"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    outcome = _fresh(
+        "import json, draftvault\n"
+        "try:\n"
+        "    draftvault.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(json.dumps(str(exc)))\n"
+        "else:\n"
+        "    print(json.dumps(None))"
+    )
+    assert outcome is not None and "no_such_name" in outcome
