@@ -127,6 +127,12 @@ class AutosaveSession:
     passed in, never read from the wall clock, so behaviour under test is
     exact.  The first save becomes due one full interval after the session
     starts, and further saves one interval after the previous one.
+
+    ``events``, when a list is given, receives the progress a crash audit
+    needs (see ``faultsim``): ``("tick_attempt", drawing_sha, pp_sha)`` just
+    before a tick's first write and ``("tick_committed", drawing_sha,
+    pp_sha)`` once the set is in place.  A skipped tick records nothing.
+    Production passes no list, and nothing is recorded.
     """
 
     def __init__(
@@ -137,6 +143,7 @@ class AutosaveSession:
         io: FileIO | None = None,
         started_at: float = 0.0,
         session_id: str | None = None,
+        events: list | None = None,
     ):
         self.doc_name = doc_name
         self.drawing = drawing
@@ -146,6 +153,7 @@ class AutosaveSession:
         self.last_save = started_at
         self.current_pp: bytes | None = None
         self._saved_fingerprint: tuple | None = None
+        self.events = events
 
     def set_current_pp(self, data: bytes | None) -> None:
         self.current_pp = data
@@ -165,6 +173,7 @@ class AutosaveSession:
 
         drawing_bytes = self.drawing.canonical_bytes()
         pp_bytes = self.current_pp
+        pp_sha = fingerprint[1]
         drawing_path, pp_path, marker_path = _names(self.config.autosave_dir, self.doc_name)
         aset = AutosaveSet(
             doc_name=self.doc_name,
@@ -175,10 +184,13 @@ class AutosaveSession:
             session_id=self.session_id,
             drawing_sha=_sha(drawing_bytes),
             drawing_size=len(drawing_bytes),
-            pp_sha=_sha(pp_bytes) if pp_bytes is not None else None,
+            pp_sha=pp_sha,
             pp_size=len(pp_bytes) if pp_bytes is not None else None,
         )
         io = self.io
+        events = self.events
+        if events is not None:
+            events.append(("tick_attempt", aset.drawing_sha, pp_sha))
         try:
             io.write_file(_tmp(drawing_path), drawing_bytes)
             if pp_bytes is not None:
@@ -192,6 +204,8 @@ class AutosaveSession:
                 io.unlink(pp_path)
         except OSError as exc:
             raise IoFailure(f"autosave failed: {exc}") from exc
+        if events is not None:
+            events.append(("tick_committed", aset.drawing_sha, pp_sha))
 
         self.last_save = now
         self._saved_fingerprint = fingerprint

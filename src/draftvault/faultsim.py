@@ -16,6 +16,16 @@ the normal recovery paths, and checks the outcome against what the dead
 session provably achieved - its event log - reporting every invariant
 violation.  A fault sweep runs this once per byte offset of the write
 stream and demands zero violations everywhere.
+
+The event log is one list, shared by :class:`FaultyIO` (an ``io`` event
+per interposed operation), the script runner and its autosave session
+(see ``script`` and ``autosave``).  Each event is O(1) in session length:
+a journal event carries only the step just appended and a blob event only
+the version just stored, so the audit rebuilds the states the session
+reached from these deltas (:func:`journal_generations`,
+:func:`pp_generations`).  An autosave attempt is recorded only by a tick
+that writes.  Outside this harness no list is passed and nothing is
+recorded.
 """
 from __future__ import annotations
 
@@ -25,11 +35,11 @@ from pathlib import Path
 from .autosave import AutosaveConfig, probe_recovery, restore
 from .errors import BadHeader, Corrupt, DraftVaultError
 from .fileio import FileIO
-from .journal import recover_journal
+from .journal import ChangeStep, recover_journal
 from .locks import force_release
 from .model import Drawing
 from .paths import STREAMS as TARGETS, for_doc
-from .ppversions import recover_pp_log
+from .ppversions import PPVersionLog, recover_pp_log
 from .script import Command, ScriptRunner, parse_script
 from .signatures import load_document
 
@@ -175,6 +185,45 @@ def _is_prefix(candidate: tuple, generations: list[tuple]) -> bool:
     return any(candidate == gen[: len(candidate)] for gen in generations)
 
 
+def _step_key(step: ChangeStep) -> tuple:
+    return (step.step_no, tuple((flag, p.kind, p.data) for flag, p in step.changes))
+
+
+def journal_generations(events: list) -> list[tuple]:
+    """Every journal state the session reached, oldest first, each a tuple
+    of step keys.  A step numbered n is appended after the first n - 1
+    steps, so a commit after an undo cuts off the redo tail."""
+    gens = [()]
+    for ev in events:
+        if ev[0] == "journal_gen":
+            step = ev[1]
+            gens.append(gens[-1][: step.step_no - 1] + (_step_key(step),))
+    return gens
+
+
+def pp_generations(events: list, base: tuple = ()) -> list[tuple]:
+    """Every blob log state the session reached from ``base``, oldest
+    first, each a tuple of blobs; the same cut as the journal's."""
+    gens = [base]
+    for ev in events:
+        if ev[0] == "pp_gen":
+            _, version, blob = ev
+            gens.append(gens[-1][: version - 1] + (blob,))
+    return gens
+
+
+def _blobs_before(path: Path, io: FileIO) -> tuple:
+    """The blobs a log held before the run (read, not repaired): the state
+    the reached blob states grow from."""
+    if not io.exists(path):
+        return ()
+    try:
+        log, _ = PPVersionLog._load(path, io, repair=False)
+    except BadHeader:
+        return ()
+    return tuple(log.versions)
+
+
 def crash_sim(
     doc: Path,
     script_text: str | list[Command],
@@ -192,6 +241,7 @@ def crash_sim(
     paths = for_doc(doc)
     clean_io = FileIO()
     base_doc_bytes = clean_io.read_bytes(paths.doc) if paths.doc.exists() else None
+    base_pp = _blobs_before(paths.pp_log, clean_io)
 
     events: list = []
     fio = FaultyIO(plan, paths.doc, events)
@@ -214,15 +264,12 @@ def crash_sim(
 
     # Journal: recovered steps must be a prefix of a state the session
     # actually reached, and must replay cleanly over the base drawing.
-    journal_gens = [()] + [ev[1] for ev in events if ev[0] == "journal_gen"]
+    journal_gens = journal_generations(events)
     try:
         journal, truncated = recover_journal(paths.journal)
         report.steps_recovered = journal.step_count
         report.journal_truncated = truncated
-        recovered_key = tuple(
-            (s.step_no, tuple((flag, p.kind, p.data) for flag, p in s.changes))
-            for s in journal.steps
-        )
+        recovered_key = tuple(_step_key(s) for s in journal.steps)
         if not _is_prefix(recovered_key, journal_gens):
             report.violations.append("recovered journal is not a prefix of any reached state")
         journal2, truncated2 = recover_journal(paths.journal)
@@ -249,7 +296,7 @@ def crash_sim(
         report.violations.append(f"journal recovery failed: {exc}")
 
     # Parametric log: same prefix rule.
-    pp_gens = [()] + [ev[1] for ev in events if ev[0] == "pp_gen"]
+    pp_gens = pp_generations(events, base_pp)
     if paths.pp_log.exists():
         try:
             pp_log, _ = recover_pp_log(paths.pp_log)

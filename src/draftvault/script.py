@@ -17,10 +17,21 @@ step; a trailing group without a closing STEP commits at end of script.
 The runner drives a whole session: take the document lock, open the
 journal, execute commands, tick autosave on a synthetic clock that
 advances ``step_seconds`` per executed operation, then save the document,
-park the session memory in the sidecar and clean up.  A chronological
-``events`` list records engine progress; the crash harness shares that
-list with its write-interposition layer to reconstruct what the 'dead'
-process had achieved.
+park the session memory in the sidecar and clean up.  The blob log opens
+at the version the sidecar remembers, and a script that never touches it
+leaves that version remembered.
+
+A crash audit passes an ``events`` list, which it shares with its
+write-interposition layer and the autosave session (see ``faultsim``).
+The runner appends one event per thing the process reached, each O(1)
+in session length and drawing size:
+
+    ("journal_gen", step)             the ChangeStep the journal appended
+    ("pp_gen", version, blob)         the blob just stored as ``version``
+    ("doc_saved", sha)                digest of the drawing saved at the end
+    ("shutdown_started",) / ("clean_shutdown",)
+
+Production passes no list, and nothing is recorded.
 """
 from __future__ import annotations
 
@@ -30,11 +41,12 @@ from pathlib import Path
 from .autosave import AutosaveConfig, AutosaveSession, _sha
 from .errors import NothingToRedo, NothingToUndo, ScriptError
 from .fileio import FileIO
+from .framelog import clamp_cursor
 from .journal import FLAG_ADDED, FLAG_DELETED, Change, Journal, make_modify
 from .model import ElementPayload
 from .paths import DocPaths, for_doc
 from .ppversions import PPVersionLog
-from .sidecar import SidecarState, write_sidecar
+from .sidecar import SidecarState, read_sidecar, write_sidecar
 from .signatures import SignedEnvelope, load_editable, save_document
 
 
@@ -97,14 +109,12 @@ class RunResult:
     aborted: bool = False
 
 
-def _journal_key(journal: Journal) -> tuple:
-    return tuple(
-        (s.step_no, tuple((flag, p.kind, p.data) for flag, p in s.changes)) for s in journal.steps
-    )
-
-
 class _AbortRun(Exception):
     pass
+
+
+def _ignore(event: tuple) -> None:
+    """Where a run records events when no list was given."""
 
 
 class ScriptRunner:
@@ -124,7 +134,7 @@ class ScriptRunner:
         self.autosave_config = autosave
         self.clock = start_time
         self.step_seconds = step_seconds
-        self.events = events if events is not None else []
+        self.events = events
 
     def run(
         self,
@@ -133,29 +143,26 @@ class ScriptRunner:
     ) -> RunResult:
         io = self.io
         paths = self.paths
+        events = self.events
+        record = events.append if events is not None else _ignore
         drawing = load_editable(paths.doc, io)
+        remembered = read_sidecar(paths.sidecar, io)
         result = RunResult()
         journal = Journal.begin_session(drawing, paths.journal, io)
         pp_log: PPVersionLog | None = None
         saver: AutosaveSession | None = None
         if self.autosave_config is not None:
             saver = AutosaveSession(
-                paths.name, drawing, self.autosave_config, io, started_at=self.clock
+                paths.name, drawing, self.autosave_config, io, started_at=self.clock,
+                events=events,
             )
 
         pending: list[Change] = []
 
         def tick() -> None:
             self.clock += self.step_seconds
-            if saver is None:
-                return
-            pp = saver.current_pp
-            self.events.append(
-                ("tick_attempt", _sha(drawing.canonical_bytes()), _sha(pp) if pp is not None else None)
-            )
-            saved = saver.autosave_tick(self.clock)
-            if saved is not None:
-                self.events.append(("tick_committed", saved.drawing_sha, saved.pp_sha))
+            if saver is not None:
+                saver.autosave_tick(self.clock)
 
         def flush() -> None:
             if not pending:
@@ -163,7 +170,7 @@ class ScriptRunner:
             journal.commit_step(drawing, list(pending))
             pending.clear()
             result.steps_committed += 1
-            self.events.append(("journal_gen", _journal_key(journal)))
+            record(("journal_gen", journal.steps[-1]))
             tick()
             if abort_after_step is not None and result.steps_committed >= abort_after_step:
                 raise _AbortRun()
@@ -172,6 +179,7 @@ class ScriptRunner:
             nonlocal pp_log
             if pp_log is None:
                 pp_log = PPVersionLog.open(paths.pp_log, io=io)
+                pp_log.cursor = clamp_cursor(remembered.pp_cursor, pp_log.version_count)
             return pp_log
 
         try:
@@ -200,15 +208,14 @@ class ScriptRunner:
                             result.notices.append("nothing to redo")
                         tick()
                     elif command.op == "PPCOMMIT":
-                        log = open_pp()
-                        log.commit_pp(command.args[0])
-                        self.events.append(("pp_gen", tuple(log.versions)))
+                        blob = command.args[0]
+                        version = open_pp().commit_pp(blob)
+                        record(("pp_gen", version, blob))
                         if saver is not None:
-                            saver.set_current_pp(command.args[0])
+                            saver.set_current_pp(blob)
                         tick()
                     elif command.op == "PPJUMP":
-                        log = open_pp()
-                        blob = log.jump_pp(command.args[0])
+                        blob = open_pp().jump_pp(command.args[0])
                         if saver is not None:
                             saver.set_current_pp(blob.data)
                         tick()
@@ -231,19 +238,21 @@ class ScriptRunner:
                     pp_log.close()
                 return result
 
-            save_document(paths.doc, SignedEnvelope(document=drawing.canonical_bytes()), io)
+            document = drawing.canonical_bytes()
+            save_document(paths.doc, SignedEnvelope(document=document), io)
             drawing.mark_saved()
-            self.events.append(("doc_saved", _sha(drawing.canonical_bytes())))
+            if events is not None:  # the digest is only for an audit
+                events.append(("doc_saved", _sha(document)))
             state = SidecarState(
                 journal_cursor=journal.cursor,
-                pp_cursor=pp_log.cursor if pp_log is not None else None,
+                pp_cursor=pp_log.cursor if pp_log is not None else remembered.pp_cursor,
                 positions=journal.session_positions(),
             )
             write_sidecar(paths.sidecar, state, io)
             if saver is not None:
-                self.events.append(("shutdown_started",))
+                record(("shutdown_started",))
                 saver.clean_shutdown()
-                self.events.append(("clean_shutdown",))
+                record(("clean_shutdown",))
             journal.close()
             if pp_log is not None:
                 pp_log.close()

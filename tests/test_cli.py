@@ -88,6 +88,22 @@ def test_pp_cli_round_trip(doc, capsys):
     assert code == 0 and "nothing to undo" in out
 
 
+def test_edit_keeps_the_remembered_blob_version(doc, capsys):
+    for data in ("aa", "bb", "cc"):
+        run(["pp", "commit", doc, "--data", data], capsys)
+    run(["pp", "jump", doc, "--to", "1"], capsys)
+    (doc.parent / "no_pp.txt").write_text("ADD 1 aa\nSTEP\n")
+    code, _, _ = run(["edit", doc, "--script", doc.parent / "no_pp.txt"], capsys)
+    assert code == 0
+    # a script that never touches the blob log leaves its version remembered
+    code, out, _ = run(["pp", "undo", doc], capsys)
+    assert code == 0 and "nothing to undo" in out
+    # a script that does opens the log there: a commit drops versions 2 and 3
+    (doc.parent / "pp.txt").write_text("PPCOMMIT dd\n")
+    code, out, _ = run(["edit", doc, "--script", doc.parent / "pp.txt"], capsys)
+    assert code == 0 and "pp at version 2 of 2" in out
+
+
 def test_sign_verify_unsign_flow(doc, capsys, monkeypatch):
     monkeypatch.setenv("DRAFTVAULT_PASSWORD", "pw-secret")
     monkeypatch.setenv("DRAFTVAULT_SALT", "11" * 16)

@@ -3,10 +3,27 @@
 The flagship full-size sweeps live in test_acceptance; these cover the
 machinery and run the same sweeps on small reference scripts.
 """
-import pytest
+import tempfile
+from pathlib import Path
+from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from draftvault import faultsim
 from draftvault.autosave import AutosaveConfig
-from draftvault.faultsim import CrashSimulated, FaultPlan, FaultyIO, crash_sim
+from draftvault.faultsim import (
+    CrashSimulated,
+    FaultPlan,
+    FaultyIO,
+    crash_sim,
+    journal_generations,
+    pp_generations,
+)
+from draftvault.journal import FLAG_ADDED, HEADER, Journal, encode_step
+from draftvault.model import ElementPayload
+from draftvault.ppversions import PPVersionLog
+from draftvault.script import ScriptRunner, parse_script
 
 REFERENCE_SCRIPT = """
 ADD 1 aabb
@@ -161,3 +178,106 @@ def test_crash_mid_journal_recovers_prefix(tmp_path):
     assert report.crashed
     assert report.violations == []
     assert 0 <= report.steps_recovered <= 4
+
+
+# -- reached states rebuilt from per-step events ------------------------------
+
+
+def _journal_key(journal) -> tuple:
+    """The full-snapshot rule the audit's deltas replace: every record of
+    every step the journal holds."""
+    return tuple(
+        (s.step_no, tuple((flag, p.kind, p.data) for flag, p in s.changes)) for s in journal.steps
+    )
+
+
+@st.composite
+def session_scripts(draw) -> str:
+    """A script that runs without error: a simulation of the session's
+    states makes every DEL name an element present and every PPJUMP a
+    stored version."""
+    states, cursor, work, dirty = [[]], 0, [], False
+    pp_cursor = pp_count = 0
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        op = draw(st.sampled_from(["ADD", "DEL", "STEP", "UNDO", "REDO", "PPCOMMIT", "PPJUMP"]))
+        if op == "ADD":
+            element = (draw(st.integers(1, 2)), draw(st.sampled_from(["aa", "bb", "cc"])))
+            work.append(element)
+            dirty = True
+            lines.append("ADD %d %s" % element)
+        elif op == "DEL" and work:
+            element = draw(st.sampled_from(work))
+            work.remove(element)
+            dirty = True
+            lines.append("DEL %d %s" % element)
+        elif op in ("STEP", "UNDO", "REDO"):
+            if dirty:  # the runner commits pending changes before each of these
+                del states[cursor + 1 :]
+                states.append(list(work))
+                cursor += 1
+                dirty = False
+            if op == "UNDO":
+                cursor = max(0, cursor - 1)
+            elif op == "REDO":
+                cursor = min(len(states) - 1, cursor + 1)
+            work = list(states[cursor])
+            lines.append(op)
+        elif op == "PPCOMMIT":
+            lines.append("PPCOMMIT " + draw(st.binary(min_size=1, max_size=3)).hex())
+            pp_cursor = pp_count = pp_cursor + 1  # a commit drops the versions past the cursor
+        elif op == "PPJUMP" and pp_count:
+            pp_cursor = draw(st.integers(1, pp_count))
+            lines.append("PPJUMP %d" % pp_cursor)
+    return "\n".join(lines) + "\n"
+
+
+@given(script=session_scripts())
+@settings(max_examples=60, deadline=None)
+def test_rebuilt_generations_equal_full_snapshots(script):
+    journal_snaps, pp_snaps = [()], [()]
+    commit_step, commit_pp = Journal.commit_step, PPVersionLog.commit_pp
+
+    def snapshot_commit_step(self, drawing, changes):
+        step_no = commit_step(self, drawing, changes)
+        journal_snaps.append(_journal_key(self))
+        return step_no
+
+    def snapshot_commit_pp(self, blob):
+        version = commit_pp(self, blob)
+        pp_snaps.append(tuple(self.versions))
+        return version
+
+    events: list = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch.object(Journal, "commit_step", snapshot_commit_step), \
+            patch.object(PPVersionLog, "commit_pp", snapshot_commit_pp):
+        ScriptRunner(Path(tmp) / "d.tcgd", events=events).run(parse_script(script))
+    assert journal_generations(events) == journal_snaps
+    assert pp_generations(events) == pp_snaps
+
+
+DROPPED_STEP_SCRIPT = "ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 cc\nSTEP\nUNDO\nUNDO\nADD 1 dd\nSTEP\n"
+
+
+@pytest.mark.parametrize("contents, violations", [
+    # step 3 "cc" was dropped when "dd" was committed as step 2
+    (("aa", "dd", "cc"), ["recovered journal is not a prefix of any reached state"]),
+    # the same three steps before the undo: a state the session reached
+    (("aa", "bb", "cc"), []),
+])
+def test_audit_rejects_a_step_dropped_by_undo_and_commit(tmp_path, contents, violations):
+    forged = HEADER + b"".join(
+        encode_step(n, [(FLAG_ADDED, ElementPayload(1, bytes.fromhex(data)))])
+        for n, data in enumerate(contents, 1)
+    )
+    recover_journal = faultsim.recover_journal
+
+    def recover_forged(path, io=None):
+        Path(path).write_bytes(forged)
+        return recover_journal(path, io)
+
+    with patch.object(faultsim, "recover_journal", recover_forged):
+        report = crash_sim(tmp_path / "d.tcgd", DROPPED_STEP_SCRIPT, FaultPlan(10**9, "journal"))
+    assert report.steps_recovered == 3
+    assert report.violations == violations
