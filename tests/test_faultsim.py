@@ -24,6 +24,7 @@ from draftvault.journal import FLAG_ADDED, HEADER, Journal, encode_step
 from draftvault.model import ElementPayload
 from draftvault.ppversions import PPVersionLog
 from draftvault.script import ScriptRunner, parse_script
+from draftvault.sidecar import SidecarState, write_sidecar
 
 REFERENCE_SCRIPT = """
 ADD 1 aabb
@@ -265,7 +266,7 @@ DROPPED_STEP_SCRIPT = "ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 cc\nSTEP\nUNDO\nUND
     (("aa", "dd", "cc"), ["recovered journal is not a prefix of any reached state"]),
     # the same three steps before the undo: a state the session reached
     (("aa", "bb", "cc"), []),
-])
+], ids=["dropped-step", "reached-state"])
 def test_audit_rejects_a_step_dropped_by_undo_and_commit(tmp_path, contents, violations):
     forged = HEADER + b"".join(
         encode_step(n, [(FLAG_ADDED, ElementPayload(1, bytes.fromhex(data)))])
@@ -281,3 +282,23 @@ def test_audit_rejects_a_step_dropped_by_undo_and_commit(tmp_path, contents, vio
         report = crash_sim(tmp_path / "d.tcgd", DROPPED_STEP_SCRIPT, FaultPlan(10**9, "journal"))
     assert report.steps_recovered == 3
     assert report.violations == violations
+
+
+def test_sweep_pp_log_that_existed_before_the_session(tmp_path):
+    """The reached blob states grow from the versions the log already held,
+    and the session commits at the version the sidecar remembers."""
+
+    def crash(workdir, offset):
+        workdir.mkdir()
+        log = PPVersionLog.create(workdir / "d.tcgd.pp")
+        for blob in (b"\xaa", b"\xbb", b"\xcc"):
+            log.commit_pp(blob)
+        log.close()
+        write_sidecar(workdir / "d.tcgd.session", SidecarState(pp_cursor=1))
+        return crash_sim(workdir / "d.tcgd", "PPCOMMIT dd\nADD 1 aa\nSTEP\n", FaultPlan(offset, "pp-log"))
+
+    probe = crash(tmp_path / "probe", 10**9)
+    assert probe.violations == [] and probe.pp_versions_recovered == 2  # aa, dd
+    reports = [crash(tmp_path / f"k{offset}", offset) for offset in range(probe.total_written + 2)]
+    assert [r.violations for r in reports if r.violations] == []
+    assert {r.pp_versions_recovered for r in reports} == {1, 2, 3}
