@@ -28,6 +28,7 @@ The cursor (count of applied steps) is session memory as well.
 """
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,6 +48,9 @@ FLAG_ADDED = 0x01
 FLAG_COMMIT = 0x02
 
 _REC_HEAD = struct.Struct("<IBHI")
+# The tail of a record head, u16 kind | u32 payload_len, followed by the
+# payload is the element's record in the drawing layout.
+_ELEMENT_HEAD_LEN = 6
 RECORD_OVERHEAD = _REC_HEAD.size + CRC_LEN
 
 Change = tuple[int, ElementPayload]
@@ -91,9 +95,10 @@ class IndexedStep(ChangeStep):
     def changes(self) -> list[Change]:
         data, start, end = self._frames
         frames = framelog.scan_frames(data, MAGIC, _REC_HEAD, end, start)
+        new = tuple.__new__
         return [
-            (flag, ElementPayload(kind, data[s : e - CRC_LEN]))
-            for (_, flag, kind, _), s, e in frames
+            (flag, new(ElementPayload, (data[s - _ELEMENT_HEAD_LEN : e - CRC_LEN],)))
+            for (_, flag, _, _), s, e in frames
             if flag != FLAG_COMMIT
         ]
 
@@ -113,27 +118,31 @@ def encode_step(step_no: int, changes: list[Change]) -> bytes:
     return b"".join(parts)
 
 
+def _last_index(work: list[ElementPayload], payload: ElementPayload) -> int:
+    """Index of the most recently inserted element equal to ``payload``,
+    searched from the end in C; ValueError when there is none."""
+    return len(work) - 1 - operator.indexOf(reversed(work), payload)
+
+
 def _apply_forward(
     elements: list[ElementPayload], changes: list[Change]
 ) -> tuple[list[ElementPayload], list[int]]:
     """Apply changes to a copy of the element list; NotFound leaves the
-    original untouched.  Returns the new list and the touched positions."""
+    original untouched.  Returns the new list and the touched positions.
+    A delete removes the most recently inserted equal element."""
     work = list(elements)
     positions = []
     for flag, payload in changes:
         if flag == FLAG_ADDED:
             work.append(payload)
             positions.append(len(work) - 1)
-        elif flag == FLAG_DELETED:
-            for i in range(len(work) - 1, -1, -1):
-                if work[i] == payload:
-                    break
-            else:
-                raise NotFound(f"delete of kind={payload.kind} found no matching element")
+        else:
+            try:
+                i = _last_index(work, payload)
+            except ValueError:
+                raise NotFound(f"delete of kind={payload.kind} found no matching element") from None
             work.pop(i)
             positions.append(i)
-        else:
-            raise ValueError(f"invalid change flag {flag}")
     return work, positions
 
 
@@ -150,12 +159,10 @@ def _apply_reverse(
     if positions is None:
         for flag, payload in reversed(changes):
             if flag == FLAG_ADDED:
-                for i in range(len(work) - 1, -1, -1):
-                    if work[i] == payload:
-                        break
-                else:
-                    raise NotFound("undo diverged: added element is missing")
-                work.pop(i)
+                try:
+                    work.pop(_last_index(work, payload))
+                except ValueError:
+                    raise NotFound("undo diverged: added element is missing") from None
             else:
                 work.append(payload)
         return work
@@ -238,6 +245,11 @@ class Journal(FramedLog):
     def commit_step(self, drawing: Drawing, changes: list[Change]) -> int:
         """Apply one step to the drawing and journal it durably.
 
+        Each change is ``(FLAG_ADDED or FLAG_DELETED, ElementPayload)``;
+        anything else raises ValueError or TypeError before the drawing,
+        the file or the cursor is touched.  A plain tuple is refused because
+        it could compare equal to an element.
+
         Any redo tail beyond the cursor is truncated from the file first
         (history is linear).  On NotFound the drawing, the file and the
         cursor are all unchanged.  On an append failure the file is repaired
@@ -245,6 +257,11 @@ class Journal(FramedLog):
         self._require_session()
         if not changes:
             raise ValueError("a change step must contain at least one change")
+        for flag, payload in changes:
+            if flag not in (FLAG_ADDED, FLAG_DELETED):
+                raise ValueError(f"invalid change flag {flag!r}")
+            if not isinstance(payload, ElementPayload):
+                raise TypeError(f"a change carries an ElementPayload, not {type(payload).__name__}")
         new_elements, positions = _apply_forward(drawing.elements, changes)
         step_no = self.cursor + 1
         self._append(encode_step(step_no, changes), ChangeStep(step_no, list(changes), positions))

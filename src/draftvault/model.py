@@ -1,8 +1,10 @@
 """The drawing model: an ordered multiset of opaque elements.
 
-Elements are (kind, bytes) payloads with content identity: two payloads
-are the same element exactly when the kind tags match and the bytes are
-identical.  The engine assigns no meaning to either field.
+An element is its record: the ``u16 kind | u32 len | data`` bytes that the
+drawing layout stores for it.  The engine assigns no meaning to the kind or
+the data.  Record encoding is injective, so two elements are the same
+element exactly when their records are equal, and equality, hashing and
+list searches are bytes comparisons that run in C.
 
 Serialized layout (little-endian):
 
@@ -17,9 +19,8 @@ content.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
-from .errors import BadHeader, Corrupt, NotFound
+from .errors import BadHeader, Corrupt
 
 MAGIC = b"TCGD"
 FORMAT_VERSION = 1
@@ -27,42 +28,67 @@ HEADER_LEN = 10  # magic + u16 version + u32 count
 
 _HEADER = struct.Struct("<4sHI")
 _ELEMENT_HEAD = struct.Struct("<HI")
+_KIND = struct.Struct("<H")
 
 MAX_KIND = 0xFFFF
 MAX_DATA_LEN = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class ElementPayload:
-    """One opaque geometric element; immutable, identity by content."""
+class ElementPayload(tuple):
+    """One opaque geometric element; immutable, identity by content.
 
-    kind: int
-    data: bytes
-    _record: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    A one-item tuple holding the element's record bytes, so ``==``,
+    ``hash`` and ``list.index`` are the tuple and bytes operations in C.
+    ``ElementPayload(kind, data)`` checks both fields; ``kind`` and
+    ``data`` are read back from the record.
 
-    def __post_init__(self):
-        if not isinstance(self.kind, int) or not 0 <= self.kind <= MAX_KIND:
-            raise ValueError(f"kind must be a 16-bit unsigned integer, got {self.kind!r}")
-        if not isinstance(self.data, bytes):
+    The parsers build an element straight from a record slice of the
+    file, with ``tuple.__new__(ElementPayload, (record,))``, and check its
+    fields no further: the struct layout bounds the kind to 16 bits and
+    the length to 32, and the parser has already checked that the record's
+    data lies within the file, so the slice is exactly the record that
+    ``ElementPayload(kind, data)`` would build.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: int, data: bytes):
+        if not isinstance(kind, int) or not 0 <= kind <= MAX_KIND:
+            raise ValueError(f"kind must be a 16-bit unsigned integer, got {kind!r}")
+        if not isinstance(data, bytes):
             raise TypeError("data must be bytes")
-        if len(self.data) > MAX_DATA_LEN:
+        if len(data) > MAX_DATA_LEN:
             raise ValueError("data exceeds 2**32 - 1 bytes")
+        return tuple.__new__(cls, (_ELEMENT_HEAD.pack(kind, len(data)) + data,))
 
-    def record_bytes(self) -> bytes:
-        """Serialized form of this element; cached, payloads are immutable."""
-        rec = self._record
-        if rec is None:
-            rec = _ELEMENT_HEAD.pack(self.kind, len(self.data)) + self.data
-            object.__setattr__(self, "_record", rec)
-        return rec
+    @property
+    def record(self) -> bytes:
+        """Serialized form of this element, as the drawing layout stores it."""
+        return self[0]
+
+    @property
+    def kind(self) -> int:
+        return _KIND.unpack_from(self[0])[0]
+
+    @property
+    def data(self) -> bytes:
+        return self[0][_ELEMENT_HEAD.size :]
+
+    def __getnewargs__(self) -> tuple[int, bytes]:
+        return self.kind, self.data
+
+    def __repr__(self) -> str:
+        return f"ElementPayload(kind={self.kind!r}, data={self.data!r})"
 
 
 class Drawing:
     """Ordered multiset of payloads; duplicates allowed, insertion order kept.
 
-    ``dirty`` tracks changes since the last durable save; ``revision`` is a
-    monotonically increasing change counter used by the autosave machinery
-    to skip ticks when nothing changed.
+    The journal is the one way to change the element list: it prepares a
+    new list and swaps it in with ``replace_elements``.  ``dirty`` tracks
+    changes since the last durable save; ``revision`` is a monotonically
+    increasing change counter used by the autosave machinery to skip ticks
+    when nothing changed.
     """
 
     def __init__(self, name: str = "", elements: list[ElementPayload] | None = None):
@@ -74,63 +100,29 @@ class Drawing:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _touch(self) -> None:
-        self.dirty = True
-        self.revision += 1
-
-    def add_element(self, e: ElementPayload) -> None:
-        """Append one element (duplicates are separate occurrences)."""
-        self.elements.append(e)
-        self._touch()
-
-    def find_matching(self, e: ElementPayload) -> int:
-        """Index of the most recently inserted element equal to ``e``."""
-        for i in range(len(self.elements) - 1, -1, -1):
-            if self.elements[i] == e:
-                return i
-        raise NotFound(f"no element matches kind={e.kind} len={len(e.data)}")
-
-    def remove_matching(self, e: ElementPayload) -> int:
-        """Remove the most recently inserted match; returns its index.
-
-        Raises NotFound when nothing matches, leaving the drawing untouched.
-        """
-        i = self.find_matching(e)
-        del self.elements[i]
-        self._touch()
-        return i
-
-    def insert_at(self, index: int, e: ElementPayload) -> None:
-        """Reinsert an element at a recorded position (undo of a delete)."""
-        self.elements.insert(index, e)
-        self._touch()
-
     def replace_elements(self, elements: list[ElementPayload]) -> None:
         """Swap in a fully prepared element list (all-or-nothing updates)."""
         self.elements = elements
-        self._touch()
+        self.dirty = True
+        self.revision += 1
 
     def canonical_bytes(self) -> bytes:
-        parts = [_HEADER.pack(MAGIC, FORMAT_VERSION, len(self.elements))]
-        parts.extend(e.record_bytes() for e in self.elements)
+        parts = [e[0] for e in self.elements]
+        parts.insert(0, _HEADER.pack(MAGIC, FORMAT_VERSION, len(parts)))
         return b"".join(parts)
 
     @classmethod
     def from_canonical_bytes(cls, data: bytes, name: str = "") -> "Drawing":
         """The drawing ``data`` encodes; raises as validate_drawing does."""
         count = validate_drawing(data)
-        unpack_head, head_len = _ELEMENT_HEAD.unpack_from, _ELEMENT_HEAD.size
+        unpack_head, head_len, new = _ELEMENT_HEAD.unpack_from, _ELEMENT_HEAD.size, tuple.__new__
         elements = []
         pos = HEADER_LEN
         for _ in range(count):
-            kind, dlen = unpack_head(data, pos)
-            pos += head_len
-            elements.append(ElementPayload(kind, data[pos : pos + dlen]))
-            pos += dlen
+            end = pos + head_len + unpack_head(data, pos)[1]
+            elements.append(new(ElementPayload, (data[pos:end],)))
+            pos = end
         return cls(name=name, elements=elements)
-
-    def copy_elements(self) -> list[ElementPayload]:
-        return list(self.elements)
 
     def mark_saved(self) -> None:
         self.dirty = False

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from draftvault.journal import FLAG_ADDED, FLAG_DELETED
+from draftvault.journal import FLAG_ADDED, FLAG_DELETED, _apply_forward
 from draftvault.model import Drawing, ElementPayload
 
 
@@ -28,6 +28,13 @@ def payload_pool(rng: random.Random, count: int, kinds: int = 64, max_len: int =
 
 def multiset(elements) -> Counter:
     return Counter((e.kind, e.data) for e in elements)
+
+
+def apply_changes(drawing: Drawing, changes) -> None:
+    """Change ``drawing`` the way a commit does, without a journal file:
+    the journal's forward apply on a copy, then one swap."""
+    elements, _ = _apply_forward(drawing.elements, changes)
+    drawing.replace_elements(elements)
 
 
 def random_step(rng: random.Random, pool, present: list, max_changes: int = 10):

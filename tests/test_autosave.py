@@ -7,7 +7,10 @@ from draftvault.autosave import (
     restore,
 )
 from draftvault.errors import Corrupt
+from draftvault.journal import FLAG_ADDED
 from draftvault.model import Drawing, ElementPayload
+
+from conftest import apply_changes
 
 DOC = "plant7.tcgd"
 
@@ -47,14 +50,14 @@ def test_tick_with_no_change_is_skipped(tmp_path):
     session, drawing = make_session(tmp_path)
     assert session.autosave_tick(301.0) is not None
     assert session.autosave_tick(700.0) is None  # nothing changed
-    drawing.add_element(ElementPayload(2, b"valve"))
+    apply_changes(drawing, [(FLAG_ADDED, ElementPayload(2, b"valve"))])
     assert session.autosave_tick(701.0) is not None
 
 
 def test_exactly_one_set_across_many_ticks(tmp_path):
     session, drawing = make_session(tmp_path)
     for i in range(5):
-        drawing.add_element(ElementPayload(3, bytes([i])))
+        apply_changes(drawing, [(FLAG_ADDED, ElementPayload(3, bytes([i])))])
         assert session.autosave_tick(301.0 * (i + 1)) is not None
         assert autosave_files(tmp_path) == [
             f"{DOC}.autosave.drawing",
@@ -67,7 +70,7 @@ def test_pp_copy_written_and_removed_with_set(tmp_path):
     session.set_current_pp(b"profile-v1")
     assert session.autosave_tick(301.0) is not None
     assert f"{DOC}.autosave.pp" in autosave_files(tmp_path)
-    drawing.add_element(ElementPayload(9, b"x"))
+    apply_changes(drawing, [(FLAG_ADDED, ElementPayload(9, b"x"))])
     session.set_current_pp(None)  # task closed: next set has no pp copy
     assert session.autosave_tick(602.0) is not None
     assert f"{DOC}.autosave.pp" not in autosave_files(tmp_path)
@@ -100,7 +103,7 @@ def test_restore_matches_harness_recorded_copy(tmp_path):
     session, drawing = make_session(tmp_path)
     recorded = drawing.canonical_bytes()  # independent copy before the tick
     session.autosave_tick(301.0)
-    drawing.add_element(ElementPayload(5, b"later"))  # mutate after the tick
+    apply_changes(drawing, [(FLAG_ADDED, ElementPayload(5, b"later"))])  # mutate after the tick
     found = probe_recovery(tmp_path, DOC)
     restored, _ = restore(found)
     assert restored.canonical_bytes() == recorded
@@ -176,7 +179,7 @@ def test_loss_window_bounded_by_interval(tmp_path):
     mutation_times = []
     last_saved_revision_time = None
     for t in range(1, 100):
-        drawing.add_element(ElementPayload(1, t.to_bytes(2, "little")))
+        apply_changes(drawing, [(FLAG_ADDED, ElementPayload(1, t.to_bytes(2, "little")))])
         mutation_times.append(float(t))
         if session.autosave_tick(float(t)) is not None:
             last_saved_revision_time = float(t)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -14,9 +14,13 @@ from draftvault.journal import (
     HEADER,
     RECORD_OVERHEAD,
     Journal,
+    _apply_forward,
+    _apply_reverse,
     encode_record,
+    encode_step,
     inspect_journal,
     make_modify,
+    parse_journal_bytes,
     recover_journal,
 )
 from draftvault.model import Drawing, ElementPayload
@@ -95,6 +99,28 @@ def test_commit_empty_step_rejected(session):
     journal, drawing = session
     with pytest.raises(ValueError):
         journal.commit_step(drawing, [])
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ((FLAG_ADDED, (1, b"alpha")), TypeError),
+        ((FLAG_DELETED, A.record), TypeError),
+        ((FLAG_DELETED, (A.record,)), TypeError),
+        ((FLAG_COMMIT, A), ValueError),
+        ((7, A), ValueError),
+    ],
+    ids=["plain_tuple", "record_bytes", "record_in_tuple", "commit_flag", "unknown_flag"],
+)
+def test_commit_rejects_malformed_change_untouched(session, change, error):
+    journal, drawing = session
+    journal.commit_step(drawing, [(FLAG_ADDED, A)])
+    file_before = journal.path.read_bytes()
+    with pytest.raises(error):
+        journal.commit_step(drawing, [(FLAG_ADDED, B), change])
+    assert drawing.elements == [A] and drawing.revision == 1
+    assert journal.cursor == 1 and journal.step_count == 1
+    assert journal.path.read_bytes() == file_before
 
 
 def test_commit_missing_delete_aborts_cleanly(session):
@@ -366,6 +392,103 @@ def test_file_size_is_linear_in_payload_bytes(session):
         journal.commit_step(drawing, [(FLAG_ADDED, p)])
         expected += (RECORD_OVERHEAD + len(p.data)) + RECORD_OVERHEAD
         assert journal.path.stat().st_size == expected
+
+
+def _reference_last_index(work, payload):
+    """The Python scan the element search replaced, kept as its reference."""
+    for i in range(len(work) - 1, -1, -1):
+        if work[i] == payload:
+            return i
+    raise NotFound("no matching element")
+
+
+def _reference_forward(elements, changes):
+    work = list(elements)
+    positions = []
+    for flag, payload in changes:
+        if flag == FLAG_ADDED:
+            work.append(payload)
+            positions.append(len(work) - 1)
+        else:
+            i = _reference_last_index(work, payload)
+            work.pop(i)
+            positions.append(i)
+    return work, positions
+
+
+def _reference_reverse(elements, changes):
+    work = list(elements)
+    for flag, payload in reversed(changes):
+        if flag == FLAG_ADDED:
+            work.pop(_reference_last_index(work, payload))
+        else:
+            work.append(payload)
+    return work
+
+
+_ALPHABET = [(1, b"a"), (1, b"b"), (2, b"a")]
+_letter = st.integers(0, len(_ALPHABET) - 1)
+_letters = st.lists(_letter, max_size=12)
+
+
+def _fresh(letter: int) -> ElementPayload:
+    """A new object for each call, so that equal elements are distinct objects."""
+    kind, data = _ALPHABET[letter]
+    return ElementPayload(kind, data)
+
+
+def _outcome(fn, elements, *args):
+    try:
+        return fn(elements, *args)
+    except NotFound:
+        return NotFound
+
+
+def _same_objects(lhs, rhs) -> bool:
+    return len(lhs) == len(rhs) and all(a is b for a, b in zip(lhs, rhs))
+
+
+_changes = st.lists(st.tuples(st.sampled_from([FLAG_DELETED, FLAG_ADDED]), _letter), min_size=1, max_size=8)
+
+
+@given(_letters, _changes)
+def test_element_search_matches_the_python_scan(letters, drawn):
+    elements = [_fresh(x) for x in letters]
+    before = list(elements)
+    changes = [(flag, _fresh(x)) for flag, x in drawn]
+
+    expected = _outcome(_reference_forward, elements, changes)
+    got = _outcome(_apply_forward, elements, changes)
+    if expected is NotFound:
+        assert got is NotFound
+    else:
+        assert got[0] == expected[0] and got[1] == expected[1]
+        assert _same_objects(got[0], expected[0])
+    assert _same_objects(elements, before)
+
+    expected = _outcome(_reference_reverse, elements, changes)
+    got = _outcome(_apply_reverse, elements, changes, None)
+    if expected is NotFound:
+        assert got is NotFound
+    else:
+        assert got == expected and _same_objects(got, expected)
+    assert _same_objects(elements, before)
+
+
+def test_element_equality_stays_in_c():
+    assert ElementPayload.__eq__ is tuple.__eq__
+    assert ElementPayload.__hash__ is tuple.__hash__
+
+
+def test_parsers_build_exact_payloads():
+    built = [ElementPayload(1, b"alpha"), ElementPayload(0xFFFF, b""), ElementPayload(0, bytes(range(256)))]
+    parsed = Drawing.from_canonical_bytes(Drawing(elements=built).canonical_bytes()).elements
+    data = HEADER + encode_step(1, [(FLAG_ADDED, p) for p in built])
+    steps, _ = parse_journal_bytes(data)
+    for elements in (parsed, [p for _, p in steps[0].changes]):
+        assert [type(p) for p in elements] == [ElementPayload] * len(built)
+        assert elements == built
+        assert [(p.kind, p.data, p.record) for p in elements] == [(p.kind, p.data, p.record) for p in built]
 
 
 class JournalMachine(RuleBasedStateMachine):

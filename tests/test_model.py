@@ -1,10 +1,14 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from draftvault.errors import BadHeader, Corrupt, NotFound
+from draftvault.journal import FLAG_ADDED, FLAG_DELETED
 from draftvault.model import Drawing, ElementPayload
 
-from conftest import multiset
+from conftest import apply_changes, multiset
 
 E1 = ElementPayload(1, b"\x01\x02")
 E2 = ElementPayload(2, b"\x03")
@@ -32,16 +36,27 @@ def test_payload_is_immutable_and_validated():
         ElementPayload(0, "not bytes")
 
 
+def test_payload_pickles_and_copies():
+    for p in (E1, ElementPayload(0xFFFF, b""), ElementPayload(0, bytes(range(256)))):
+        again = [pickle.loads(pickle.dumps(p, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        again += [copy.copy(p), copy.deepcopy(p)]
+        for q in again:
+            assert type(q) is ElementPayload
+            assert q == p and hash(q) == hash(p)
+            assert (q.kind, q.data) == (p.kind, p.data)
+    assert repr(E1) == "ElementPayload(kind=1, data=b'\\x01\\x02')"
+
+
 def test_add_to_empty():
     d = Drawing()
-    d.add_element(E1)
+    apply_changes(d, [(FLAG_ADDED, E1)])
     assert d.elements == [E1]
     assert d.dirty
 
 
 def test_add_duplicate_keeps_both():
     d = Drawing(elements=[E1])
-    d.add_element(E1)
+    apply_changes(d, [(FLAG_ADDED, E1)])
     assert len(d) == 2
     assert multiset(d.elements) == {(1, b"\x01\x02"): 2}
 
@@ -49,13 +64,13 @@ def test_add_duplicate_keeps_both():
 def test_add_changes_canonical_bytes():
     d = Drawing()
     before = d.canonical_bytes()
-    d.add_element(E1)
+    apply_changes(d, [(FLAG_ADDED, E1)])
     assert d.canonical_bytes() != before
 
 
 def test_remove_single():
     d = Drawing(elements=[E1])
-    d.remove_matching(E1)
+    apply_changes(d, [(FLAG_DELETED, E1)])
     assert d.elements == []
 
 
@@ -63,7 +78,7 @@ def test_remove_picks_most_recent_duplicate():
     first = ElementPayload(1, b"dup")
     second = ElementPayload(1, b"dup")
     d = Drawing(elements=[first, E2, second])
-    d.remove_matching(ElementPayload(1, b"dup"))
+    apply_changes(d, [(FLAG_DELETED, ElementPayload(1, b"dup"))])
     assert d.elements == [first, E2]
     assert d.elements[0] is first  # the earlier occurrence survived
 
@@ -71,14 +86,14 @@ def test_remove_picks_most_recent_duplicate():
 def test_remove_missing_raises_and_leaves_drawing():
     d = Drawing(elements=[E1])
     with pytest.raises(NotFound):
-        d.remove_matching(E2)
+        apply_changes(d, [(FLAG_DELETED, E2)])
     assert d.elements == [E1]
 
 
 def test_remove_preserves_relative_order():
     payloads = [ElementPayload(i % 3, bytes([i])) for i in range(10)]
     d = Drawing(elements=list(payloads))
-    d.remove_matching(payloads[4])
+    apply_changes(d, [(FLAG_DELETED, payloads[4])])
     assert d.elements == payloads[:4] + payloads[5:]
 
 
@@ -89,10 +104,10 @@ def test_empty_drawing_is_fixed_ten_byte_header():
 def test_equal_drawings_built_differently_serialize_identically():
     a = Drawing(elements=[E1, E2])
     b = Drawing()
-    b.add_element(E1)
-    b.add_element(E2)
-    b.add_element(E1)
-    b.remove_matching(E1)
+    apply_changes(b, [(FLAG_ADDED, E1)])
+    apply_changes(b, [(FLAG_ADDED, E2)])
+    apply_changes(b, [(FLAG_ADDED, E1)])
+    apply_changes(b, [(FLAG_DELETED, E1)])
     assert a.canonical_bytes() == b.canonical_bytes()
 
 
@@ -114,8 +129,8 @@ def test_canonical_is_injective_over_sequences(lhs, rhs):
 def test_remove_inverts_add(elements, extra):
     d = Drawing(elements=list(elements))
     before = multiset(d.elements)
-    d.add_element(extra)
-    d.remove_matching(extra)
+    apply_changes(d, [(FLAG_ADDED, extra)])
+    apply_changes(d, [(FLAG_DELETED, extra)])
     assert multiset(d.elements) == before
 
 
@@ -134,6 +149,6 @@ def test_parse_rejects_garbage():
 def test_revision_counts_mutations():
     d = Drawing(elements=[E1])
     r0 = d.revision
-    d.add_element(E2)
-    d.remove_matching(E2)
+    apply_changes(d, [(FLAG_ADDED, E2)])
+    apply_changes(d, [(FLAG_DELETED, E2)])
     assert d.revision == r0 + 2
