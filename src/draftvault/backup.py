@@ -173,7 +173,9 @@ def run_backup(
     manifest.
 
     Every copy is taken under the file's session lock so a live editing
-    session is never read mid-write.  Any failure aborts the whole run
+    session is never read mid-write, and the manifest records the digest
+    of the bytes copied, not of the scan: a file rewritten in between is
+    recorded as the vault holds it.  Any failure aborts the whole run
     with the manifest untouched; the next launch retries.  Prior dated
     directories are never modified.
     """
@@ -201,7 +203,9 @@ def run_backup(
         try:
             with SessionLock(source):
                 dest.parent.mkdir(parents=True, exist_ok=True)
-                io.write_atomic(dest, io.read_bytes(source))
+                data = io.read_bytes(source)
+                io.write_atomic(dest, data)
+            new_entries[relpath] = hashlib.sha256(data).hexdigest()
         except Locked as exc:
             raise IoFailure(f"{source} is being edited: {exc}") from exc
         except OSError as exc:

@@ -34,6 +34,7 @@ from .errors import (
     ScriptError,
     WeakPassword,
 )
+from .fileio import FileIO
 from .paths import STREAMS, for_doc
 
 PASSWORD_ENV = "DRAFTVAULT_PASSWORD"
@@ -89,26 +90,17 @@ def _unlink_all(io, paths) -> None:
 
 def cmd_edit(args) -> int:
     from .autosave import AutosaveConfig
-    from .fileio import FileIO
-    from .locks import SessionLock
     from .script import ScriptRunner, parse_script
 
     _log_warnings()
     paths = for_doc(args.doc)
-    io = FileIO()
     autosave_cfg = None
     if getattr(args, "interval", None):
         autosave_cfg = AutosaveConfig(args.interval, paths.autosave_dir())
-    with SessionLock(paths.doc):
-        runner = ScriptRunner(
-            paths.doc,
-            io=io,
-            autosave=autosave_cfg,
-            start_time=_parse_now(args.now),
-            step_seconds=args.step_seconds,
-        )
-        result = runner.run(parse_script(Path(args.script).read_text()),
-                            abort_after_step=getattr(args, "abort_after_step", None))
+    runner = ScriptRunner(paths.doc, io=args.io, autosave=autosave_cfg,
+                          start_time=_parse_now(args.now), step_seconds=args.step_seconds)
+    result = runner.run(parse_script(Path(args.script).read_text()),
+                        abort_after_step=getattr(args, "abort_after_step", None))
     for notice in result.notices:
         print(notice)
     if result.aborted:
@@ -121,39 +113,25 @@ def cmd_edit(args) -> int:
 
 
 def _move_cursor(args, direction: str) -> int:
-    from .fileio import FileIO
-    from .journal import Journal
-    from .locks import SessionLock
-    from .sidecar import read_sidecar, write_sidecar
-    from .signatures import SignedEnvelope, load_editable, save_document
+    from .session import Session
 
     paths = for_doc(args.doc)
-    io = FileIO()
-    if not io.exists(paths.journal):
+    if not args.io.exists(paths.journal):
         print(f"nothing to {direction}")
         return 0
-    with SessionLock(paths.doc):
-        drawing = load_editable(paths.doc, io)
-        state = read_sidecar(paths.sidecar, io)
-        journal = Journal.resume(paths.journal, io, state.journal_cursor, state.positions)
-        try:
-            moved = 0
-            for _ in range(args.count):
-                try:
-                    if direction == "undo":
-                        journal.undo_step(drawing)
-                    else:
-                        journal.redo_step(drawing)
-                    moved += 1
-                except (NothingToUndo, NothingToRedo):
-                    break
-            if moved:
-                save_document(paths.doc, SignedEnvelope(document=drawing.canonical_bytes()), io)
-                state.journal_cursor = journal.cursor
-                state.positions = journal.session_positions()
-                write_sidecar(paths.sidecar, state, io)
-        finally:
-            journal.close()
+    with Session(paths.doc, args.io) as session:
+        drawing = session.load()
+        journal = session.open_journal()
+        move = journal.undo_step if direction == "undo" else journal.redo_step
+        moved = 0
+        for _ in range(args.count):
+            try:
+                move(drawing)
+            except (NothingToUndo, NothingToRedo):
+                break
+            moved += 1
+        if moved:
+            session.save(drawing.canonical_bytes())
     if moved:
         print(f"{direction}: {moved} step(s); cursor at {journal.cursor} of {journal.step_count}")
     else:
@@ -172,18 +150,16 @@ def cmd_redo(args) -> int:
 def cmd_history(args) -> int:
     """The steps' figures come from the journal's frame heads; no payload
     is decoded."""
-    from .fileio import FileIO
     from .framelog import clamp_cursor
     from .journal import inspect_journal
     from .sidecar import read_sidecar
 
     paths = for_doc(args.doc)
-    io = FileIO()
-    if not io.exists(paths.journal):
+    if not args.io.exists(paths.journal):
         print("no session history")
         return 0
-    journal, truncated = inspect_journal(paths.journal, io)
-    state = read_sidecar(paths.sidecar, io)
+    journal, truncated = inspect_journal(paths.journal, args.io)
+    state = read_sidecar(paths.sidecar, args.io)
     cursor = clamp_cursor(state.journal_cursor, journal.step_count)
     lines = []
     for step in journal.steps:
@@ -199,41 +175,19 @@ def cmd_history(args) -> int:
 
 
 def cmd_pp(args) -> int:
-    from .fileio import FileIO
-    from .framelog import clamp_cursor
-    from .locks import SessionLock
-    from .ppversions import PPVersionLog
-    from .sidecar import read_sidecar, write_sidecar
+    from .session import Session
 
-    paths = for_doc(args.doc)
-    io = FileIO()
-    with SessionLock(paths.doc):
-        state = read_sidecar(paths.sidecar, io)
-        log = PPVersionLog.open(paths.pp_log, io=io)
-        log.cursor = clamp_cursor(state.pp_cursor, log.version_count)
-        try:
-            if args.pp_op == "commit":
-                version = log.commit_pp(bytes.fromhex(args.data))
-                print(f"committed version {version}")
-            elif args.pp_op == "undo":
-                try:
-                    blob = log.undo_pp()
-                    print(f"at version {log.cursor} of {log.version_count}: {blob.data.hex()}")
-                except NothingToUndo:
-                    print("nothing to undo")
-            elif args.pp_op == "redo":
-                try:
-                    blob = log.redo_pp()
-                    print(f"at version {log.cursor} of {log.version_count}: {blob.data.hex()}")
-                except NothingToRedo:
-                    print("nothing to redo")
-            else:  # jump
-                blob = log.jump_pp(args.to)
+    with Session(args.doc, args.io) as session:
+        log = session.open_pp_log()
+        if args.pp_op == "commit":
+            print(f"committed version {log.commit_pp(bytes.fromhex(args.data))}")
+        else:
+            try:
+                blob = log.jump_pp(args.to) if args.pp_op == "jump" else getattr(log, f"{args.pp_op}_pp")()
                 print(f"at version {log.cursor} of {log.version_count}: {blob.data.hex()}")
-            state.pp_cursor = log.cursor
-            write_sidecar(paths.sidecar, state, io)
-        finally:
-            log.close()
+            except (NothingToUndo, NothingToRedo):
+                print(f"nothing to {args.pp_op}")
+        session.save()
     return 0
 
 
@@ -241,17 +195,13 @@ def cmd_recover(args) -> int:
     """Probe, discard and restore all run under the document's session
     lock: the autosave files of a live session are not leftovers."""
     from .autosave import probe_recovery, restore
-    from .fileio import FileIO
-    from .locks import SessionLock
-    from .ppversions import PPVersionLog
-    from .sidecar import read_sidecar, write_sidecar
-    from .signatures import SignedEnvelope, load_editable, save_document
+    from .session import Session
 
     _log_warnings()
     paths = for_doc(args.doc)
-    io = FileIO()
+    io = args.io
     autosave_dir = paths.autosave_dir(Path(args.autosave_dir) if args.autosave_dir else None)
-    with SessionLock(paths.doc):
+    with Session(paths.doc, io) as session:
         aset = probe_recovery(autosave_dir, paths.name, io)
         if aset is None:
             print(f"no autosave found for {paths.name}")
@@ -264,17 +214,15 @@ def cmd_recover(args) -> int:
             _unlink_all(io, set_paths)
             print("autosave set discarded")
         elif args.apply:
-            load_editable(paths.doc, io)  # refuses a signed or damaged document
+            session.load()  # refuses a signed or damaged document
             drawing, pp = restore(aset, io)
-            save_document(paths.doc, SignedEnvelope(document=drawing.canonical_bytes()), io)
+            # The document goes first, so a rerun after a crash stores the
+            # blob once, and the blob after every stored version.
+            session.save(drawing.canonical_bytes())
             if pp is not None:
-                state = read_sidecar(paths.sidecar, io)
-                log = PPVersionLog.open(paths.pp_log, io=io)
-                try:
-                    state.pp_cursor = log.commit_pp(pp)
-                finally:
-                    log.close()
-                write_sidecar(paths.sidecar, state, io)
+                session.remembered().pp_cursor = None
+                session.open_pp_log().commit_pp(pp)
+                session.save()
             _unlink_all(io, set_paths)
             print(f"restored {paths.doc}" + (" and pp" if pp is not None else ""))
         else:
@@ -294,7 +242,7 @@ def cmd_backup(args) -> int:
     if not backup_mod.backup_due(config, manifest, today):
         print("backup not due")
         return 0
-    backup_set, _ = backup_mod.run_backup(config, manifest, today)
+    backup_set, _ = backup_mod.run_backup(config, manifest, today, args.io)
     if backup_set.dir is None:
         print("nothing changed since last backup; date recorded")
     else:
@@ -312,34 +260,30 @@ def _password() -> str:
 
 
 def cmd_sign(args) -> int:
-    from .fileio import FileIO
     from .locks import SessionLock
     from .signatures import load_document, save_document, sign
 
     paths = for_doc(args.doc)
-    io = FileIO()
     now = _parse_now(args.now)
     with SessionLock(paths.doc):
-        env = load_document(paths.doc, io)
+        env = load_document(paths.doc, args.io)
         env = sign(env, args.signer, _password(), signed_at=int(now))
-        save_document(paths.doc, env, io)
+        save_document(paths.doc, env, args.io)
     print(f"signed by {args.signer}; {len(env.signatures)} signature(s) now on {paths.name}")
     return 0
 
 
 def cmd_unsign(args) -> int:
-    from .fileio import FileIO
     from .locks import SessionLock
     from .signatures import append_audit, load_document, remove_signature, save_document
 
     paths = for_doc(args.doc)
-    io = FileIO()
     now = _parse_now(args.now)
     with SessionLock(paths.doc):
-        env = load_document(paths.doc, io)
+        env = load_document(paths.doc, args.io)
         env = remove_signature(env, args.signer)
-        save_document(paths.doc, env, io)
-        append_audit(paths.siglog, _iso(now), args.signer, len(env.signatures), io)
+        save_document(paths.doc, env, args.io)
+        append_audit(paths.siglog, _iso(now), args.signer, len(env.signatures), args.io)
     print(f"signature of {args.signer} removed; {len(env.signatures)} remain")
     if not env.signatures:
         print(f"{paths.name} is now visibly unsigned and editable")
@@ -347,11 +291,10 @@ def cmd_unsign(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .fileio import FileIO
     from .signatures import IntegrityStatus, load_document, verify_integrity
 
     paths = for_doc(args.doc)
-    env = load_document(paths.doc, FileIO())
+    env = load_document(paths.doc, args.io)
     results = verify_integrity(env)
     if not results:
         print(f"{paths.name} carries no signatures")
@@ -390,6 +333,7 @@ def cmd_crash_sim(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="draftvault", description=__doc__.splitlines()[0])
+    parser.set_defaults(io=FileIO())
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_now(p):
@@ -474,13 +418,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, io=None) -> int:
+    """Run one command; ``io`` (default: a plain FileIO) carries every
+    file operation of the commands that take one."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if io is not None:
+        args.io = io
     try:
         return args.func(args)
     except (ScriptError, WeakPassword, DuplicateSigner, NoSuchSigner, OutOfRange) as exc:

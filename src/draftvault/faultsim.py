@@ -10,9 +10,9 @@ writes sweepable offsets too.
 
 The abort is a BaseException on purpose: none of the engine's error
 handling may intercept it, exactly as no repair code runs when the power
-goes out.  After the 'crash' the harness releases the zombie session
-locks (the real process is still alive, so pid-liveness cannot), runs
-the normal recovery paths, and checks the outcome against what the dead
+goes out.  Every lock holder releases its lock whatever the exit, so
+the 'crash' leaves no zombie lock to release.  After it the harness runs
+the normal recovery paths and checks the outcome against what the dead
 session provably achieved - its event log - reporting every invariant
 violation.  A fault sweep runs this once per byte offset of the write
 stream and demands zero violations everywhere.
@@ -36,7 +36,6 @@ from .autosave import AutosaveConfig, probe_recovery, restore
 from .errors import BadHeader, Corrupt, DraftVaultError
 from .fileio import FileIO
 from .journal import ChangeStep, recover_journal
-from .locks import force_release
 from .model import Drawing
 from .paths import STREAMS as TARGETS, for_doc
 from .ppversions import PPVersionLog, recover_pp_log
@@ -254,8 +253,6 @@ def crash_sim(
         runner.run(commands)
     except CrashSimulated:
         crashed = True
-        force_release(paths.journal)
-        force_release(paths.pp_log)
 
     report = CrashReport(
         crashed=crashed, target=plan.target, kill_at_byte=plan.kill_at_byte,

@@ -90,15 +90,3 @@ class SessionLock:
     def __exit__(self, *exc) -> None:
         self.release()
 
-
-def force_release(target: Path) -> None:
-    """Remove a lock regardless of owner liveness.
-
-    Used by the crash harness: a simulated crash leaves the lock of the
-    'dead' session behind, but its pid is this very process, so staleness
-    detection cannot see it died.
-    """
-    try:
-        lock_path_for(target).unlink()
-    except FileNotFoundError:
-        pass

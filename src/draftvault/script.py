@@ -14,12 +14,13 @@ per line, ``#`` comments allowed.
 Changes accumulate between STEP markers and commit as a single change
 step; a trailing group without a closing STEP commits at end of script.
 
-The runner drives a whole session: take the document lock, open the
-journal, execute commands, tick autosave on a synthetic clock that
-advances ``step_seconds`` per executed operation, then save the document,
-park the session memory in the sidecar and clean up.  The blob log opens
-at the version the sidecar remembers, and a script that never touches it
-leaves that version remembered.
+The runner drives a whole session on a ``session.Session``: it takes the
+document lock itself (a caller that holds it gets Locked), starts a
+fresh journal, executes commands, ticks autosave on a synthetic clock
+that advances ``step_seconds`` per executed operation, then saves the
+document and the sidecar and cleans up.  The blob log opens at the
+version the sidecar remembers; a script that never touches it leaves
+that version remembered.
 
 A crash audit passes an ``events`` list, which it shares with its
 write-interposition layer and the autosave session (see ``faultsim``).
@@ -41,13 +42,9 @@ from pathlib import Path
 from .autosave import AutosaveConfig, AutosaveSession, _sha
 from .errors import NothingToRedo, NothingToUndo, ScriptError
 from .fileio import FileIO
-from .framelog import clamp_cursor
-from .journal import FLAG_ADDED, FLAG_DELETED, Change, Journal, make_modify
+from .journal import FLAG_ADDED, FLAG_DELETED, Change, make_modify
 from .model import ElementPayload
-from .paths import DocPaths, for_doc
-from .ppversions import PPVersionLog
-from .sidecar import SidecarState, read_sidecar, write_sidecar
-from .signatures import SignedEnvelope, load_editable, save_document
+from .session import Session
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ class ScriptRunner:
         step_seconds: float = 1.0,
         events: list | None = None,
     ):
-        self.paths: DocPaths = for_doc(doc)
+        self.doc = Path(doc)
         self.io = io or FileIO()
         self.autosave_config = autosave
         self.clock = start_time
@@ -141,48 +138,35 @@ class ScriptRunner:
         commands: list[Command],
         abort_after_step: int | None = None,
     ) -> RunResult:
-        io = self.io
-        paths = self.paths
         events = self.events
         record = events.append if events is not None else _ignore
-        drawing = load_editable(paths.doc, io)
-        remembered = read_sidecar(paths.sidecar, io)
         result = RunResult()
-        journal = Journal.begin_session(drawing, paths.journal, io)
-        pp_log: PPVersionLog | None = None
-        saver: AutosaveSession | None = None
-        if self.autosave_config is not None:
-            saver = AutosaveSession(
-                paths.name, drawing, self.autosave_config, io, started_at=self.clock,
-                events=events,
-            )
+        with Session(self.doc, self.io) as session:
+            drawing = session.load()
+            journal = session.open_journal(drawing)
+            saver: AutosaveSession | None = None
+            if self.autosave_config is not None:
+                saver = AutosaveSession(self.doc.name, drawing, self.autosave_config, self.io,
+                                        started_at=self.clock, events=events)
 
-        pending: list[Change] = []
+            pending: list[Change] = []
 
-        def tick() -> None:
-            self.clock += self.step_seconds
-            if saver is not None:
-                saver.autosave_tick(self.clock)
+            def tick() -> None:
+                self.clock += self.step_seconds
+                if saver is not None:
+                    saver.autosave_tick(self.clock)
 
-        def flush() -> None:
-            if not pending:
-                return
-            journal.commit_step(drawing, list(pending))
-            pending.clear()
-            result.steps_committed += 1
-            record(("journal_gen", journal.steps[-1]))
-            tick()
-            if abort_after_step is not None and result.steps_committed >= abort_after_step:
-                raise _AbortRun()
+            def flush() -> None:
+                if not pending:
+                    return
+                journal.commit_step(drawing, list(pending))
+                pending.clear()
+                result.steps_committed += 1
+                record(("journal_gen", journal.steps[-1]))
+                tick()
+                if abort_after_step is not None and result.steps_committed >= abort_after_step:
+                    raise _AbortRun()
 
-        def open_pp() -> PPVersionLog:
-            nonlocal pp_log
-            if pp_log is None:
-                pp_log = PPVersionLog.open(paths.pp_log, io=io)
-                pp_log.cursor = clamp_cursor(remembered.pp_cursor, pp_log.version_count)
-            return pp_log
-
-        try:
             try:
                 for command in commands:
                     if command.op == "ADD":
@@ -209,13 +193,13 @@ class ScriptRunner:
                         tick()
                     elif command.op == "PPCOMMIT":
                         blob = command.args[0]
-                        version = open_pp().commit_pp(blob)
+                        version = session.open_pp_log().commit_pp(blob)
                         record(("pp_gen", version, blob))
                         if saver is not None:
                             saver.set_current_pp(blob)
                         tick()
                     elif command.op == "PPJUMP":
-                        blob = open_pp().jump_pp(command.args[0])
+                        blob = session.open_pp_log().jump_pp(command.args[0])
                         if saver is not None:
                             saver.set_current_pp(blob.data)
                         tick()
@@ -225,43 +209,21 @@ class ScriptRunner:
 
             result.cursor = journal.cursor
             result.step_count = journal.step_count
-            if pp_log is not None:
-                result.pp_cursor = pp_log.cursor
-                result.pp_count = pp_log.version_count
-
+            if session.pp_log is not None:
+                result.pp_cursor = session.pp_log.cursor
+                result.pp_count = session.pp_log.version_count
             if result.aborted:
-                # Simulated abnormal end: leave journal, sidecar and autosave
-                # set as they are; only the locks are released because the
-                # process itself lives on.
-                journal.close()
-                if pp_log is not None:
-                    pp_log.close()
+                # Simulated abnormal end: journal, sidecar and autosave set
+                # stay as they are; the process lives on, so the locks go.
                 return result
 
             document = drawing.canonical_bytes()
-            save_document(paths.doc, SignedEnvelope(document=document), io)
+            session.save(document)
             drawing.mark_saved()
             if events is not None:  # the digest is only for an audit
                 events.append(("doc_saved", _sha(document)))
-            state = SidecarState(
-                journal_cursor=journal.cursor,
-                pp_cursor=pp_log.cursor if pp_log is not None else remembered.pp_cursor,
-                positions=journal.session_positions(),
-            )
-            write_sidecar(paths.sidecar, state, io)
             if saver is not None:
                 record(("shutdown_started",))
                 saver.clean_shutdown()
                 record(("clean_shutdown",))
-            journal.close()
-            if pp_log is not None:
-                pp_log.close()
-            return result
-        except Exception:
-            # Orderly failure: this process survives, so it must not leave
-            # stale locks behind.  (A simulated crash is BaseException-based
-            # and bypasses this on purpose.)
-            journal.close()
-            if pp_log is not None:
-                pp_log.close()
-            raise
+        return result

@@ -1,5 +1,6 @@
 import datetime as dt
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +240,26 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("weekdays = mon\n")
     with pytest.raises(Corrupt):
         parse_config(bad)
+
+
+def test_manifest_records_the_digest_of_the_copied_bytes(setup):
+    """A file rewritten between the scan and the copy is recorded with the
+    digest of the bytes the vault holds, so when its scanned content comes
+    back it is a change and gets backed up."""
+    work, vault, config = setup
+    make_tree(work, {"a.tcgd": b"v1"})
+    source = work / "a.tcgd"
+
+    class RewritingIO(FileIO):
+        def read_bytes(self, path):
+            if Path(path) == source:
+                source.write_bytes(b"v2")
+            return super().read_bytes(path)
+
+    _, manifest = run_backup(config, BackupManifest(), MON, RewritingIO(fsync_enabled=False))
+    assert vault_snapshot(vault)[f"{MON.isoformat()}/work/a.tcgd"] == b"v2"
+    assert manifest.entries == {"work/a.tcgd": hashlib.sha256(b"v2").hexdigest()}
+    source.write_bytes(b"v1")
+    backup_set, _ = run_backup(config, manifest, WED)
+    assert [relpath for _, relpath in backup_set.copied] == ["work/a.tcgd"]
+    assert vault_snapshot(vault)[f"{WED.isoformat()}/work/a.tcgd"] == b"v1"

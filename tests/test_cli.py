@@ -1,12 +1,15 @@
+import importlib
 import subprocess
 import sys
 
 import pytest
 
 from draftvault import model
+from draftvault.autosave import AutosaveConfig, AutosaveSession
 from draftvault.cli import main
 from draftvault.locks import SessionLock
 from draftvault.model import Drawing
+from draftvault.ppversions import recover_pp_log
 from draftvault.sidecar import SidecarState, write_sidecar
 
 from test_signatures import envelope_with_raw_signer
@@ -359,3 +362,73 @@ def test_module_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "step 1" in proc.stdout
+
+
+def test_recover_apply_stores_the_blob_after_every_version(doc, capsys):
+    """``recover --apply`` appends the restored blob after every stored
+    version, not after the one the sidecar remembers: no version is lost."""
+    for data in ("aa", "bb", "cc"):
+        run(["pp", "commit", doc, "--data", data], capsys)
+    (doc.parent / "jump.txt").write_text("ADD 1 aa\nSTEP\nPPJUMP 1\nADD 1 bb\nSTEP\n")
+    code, out, _ = run(["autosave-run", doc, "--script", doc.parent / "jump.txt", "--interval", "1",
+                        "--abort-after-step", "2"], capsys)
+    assert code == 0 and "aborted after step 2" in out
+    run(["pp", "jump", doc, "--to", "2"], capsys)
+    code, out, _ = run(["recover", doc, "--apply"], capsys)
+    assert code == 0 and "and pp" in out
+    log, _ = recover_pp_log(doc.with_name("d.tcgd.pp"))
+    assert log.versions == [b"\xaa", b"\xbb", b"\xcc", b"\xaa"]
+    code, out, _ = run(["pp", "undo", doc], capsys)
+    assert code == 0 and "at version 3 of 4: cc" in out
+
+
+_DEFINED_IN = {"read_sidecar": "sidecar", "write_sidecar": "sidecar", "load_editable": "signatures"}
+
+
+def _count_calls(monkeypatch, name: str, calls: list) -> None:
+    """Record each call of the function ``name`` of draftvault, through
+    every module binding of it, as the benchmark's tracer does."""
+    original = getattr(importlib.import_module(f"draftvault.{_DEFINED_IN[name]}"), name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("draftvault.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("argv", [
+    ["undo", "{doc}"], ["redo", "{doc}"], ["pp", "jump", "{doc}", "--to", "1"],
+    ["pp", "commit", "{doc}", "--data", "dd"], ["recover", "{doc}", "--apply"],
+    ["edit", "{doc}", "--script", "{dir}/edit.txt"],
+])
+def test_writing_command_locks_once_and_reads_each_file_once(doc, capsys, monkeypatch, argv):
+    """Every command that writes takes the document lock once, reads and
+    writes the sidecar once each, and opens the document at most once."""
+    run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+    run(["undo", doc], capsys)  # cursor 2 of 3: both undo and redo move
+    for data in ("aa", "bb"):
+        run(["pp", "commit", doc, "--data", data], capsys)
+    saver = AutosaveSession("d.tcgd", Drawing(), AutosaveConfig(1.0, doc.parent / "autosaves"))
+    saver.set_current_pp(b"\xee")
+    assert saver.autosave_tick(1.0) is not None  # and never shut down: the set stays behind
+    for module in ("session", "script", "signatures", "sidecar", "ppversions", "autosave"):
+        importlib.import_module(f"draftvault.{module}")
+    calls: list = []
+    for name in _DEFINED_IN:
+        _count_calls(monkeypatch, name, calls)
+    acquire = SessionLock.acquire
+
+    def counting_acquire(lock):
+        calls.append(lock.path.name)
+        return acquire(lock)
+
+    monkeypatch.setattr(SessionLock, "acquire", counting_acquire)
+    code, out, err = run([a.format(doc=doc, dir=doc.parent) for a in argv], capsys)
+    assert code == 0, err
+    assert "nothing" not in out
+    assert calls.count("d.tcgd.lock") == 1
+    assert calls.count("read_sidecar") == calls.count("write_sidecar") == 1
+    assert calls.count("load_editable") == (0 if argv[0] == "pp" else 1)

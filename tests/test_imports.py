@@ -61,3 +61,32 @@ def test_unknown_attribute_raises_attribute_error():
         "    print(json.dumps(None))"
     )
     assert outcome is not None and "no_such_name" in outcome
+
+
+def test_resumed_commands_skip_the_script_machinery(tmp_path, capsys):
+    """``undo`` and ``pp jump`` resume a session without the script
+    interpreter, its autosave, ``logging`` or ``uuid``; ``undo`` loads no
+    blob log either."""
+    from draftvault.cli import main
+
+    doc = tmp_path / "d.tcgd"
+    (tmp_path / "s.txt").write_text("ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n")
+    assert main(["edit", str(doc), "--script", str(tmp_path / "s.txt")]) == 0
+    for data in ("aa", "bb"):
+        assert main(["pp", "commit", str(doc), "--data", data]) == 0
+    capsys.readouterr()
+    heavy = ["draftvault.script", "draftvault.autosave", "logging", "uuid", "draftvault.ppversions"]
+    for argv, expected_out, unloaded in (
+        (["undo", str(doc)], "cursor at 1 of 2", heavy),
+        (["pp", "jump", str(doc), "--to", "1"], "at version 1 of 2", heavy[:4]),
+    ):
+        rc, out, loaded = _fresh(
+            "import contextlib, io, json, sys\n"
+            "from draftvault.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    rc = main({argv!r})\n"
+            f"print(json.dumps([rc, out.getvalue(), [m for m in {unloaded!r} if m in sys.modules]]))"
+        )
+        assert rc == 0 and expected_out in out
+        assert loaded == []

@@ -1,0 +1,108 @@
+"""Every-offset crash sweep of the commands that resume a session.
+
+Each command runs through ``cli.main`` on a copy of one small session:
+a three-step journal with its cursor at step 2, a blob log of three
+versions remembered at version 2, and an autosave set of a session that
+never shut down.  For every offset of the document ("envelope") and
+blob log ("pp-log") write streams the command dies there, and then:
+
+* the document is its old bytes or the clean run's;
+* the blob log is its old versions or a prefix of the clean run's;
+* no lock file is left behind;
+* a rerun exits 0 and leaves every file as the clean run does.
+"""
+import shutil
+
+import pytest
+
+from draftvault.autosave import AutosaveConfig, AutosaveSession
+from draftvault.cli import main
+from draftvault.faultsim import CrashSimulated, FaultPlan, FaultyIO
+from draftvault.fileio import FileIO
+from draftvault.model import Drawing, ElementPayload
+from draftvault.ppversions import PPVersionLog
+
+SCRIPT = "ADD 1 aa\nADD 2 bb\nSTEP\nMOD 1 aa -> 1 aacc\nSTEP\nDEL 2 bb\nSTEP\n"
+
+COMMANDS = {
+    "undo -n 2": ["undo", "{doc}", "-n", "2"],
+    "redo": ["redo", "{doc}"],
+    "pp commit": ["pp", "commit", "{doc}", "--data", "dd"],
+    "pp jump": ["pp", "jump", "{doc}", "--to", "1"],
+    "recover --apply": ["recover", "{doc}", "--apply"],
+}
+
+
+@pytest.fixture(scope="module")
+def template(tmp_path_factory):
+    root = tmp_path_factory.mktemp("resumed")
+    session = root / "session"
+    session.mkdir()
+    doc = session / "d.tcgd"
+    (root / "s.txt").write_text(SCRIPT)
+    io = FileIO(fsync_enabled=False)
+    for argv in (
+        ["edit", doc, "--script", root / "s.txt"],
+        ["undo", doc],
+        *(["pp", "commit", doc, "--data", data] for data in ("aa", "bb", "cc")),
+        ["pp", "jump", doc, "--to", "2"],
+    ):
+        assert main([str(a) for a in argv], io=io) == 0
+    drawing = Drawing(elements=[ElementPayload(7, b"\x07\x07")])
+    saver = AutosaveSession(doc.name, drawing, AutosaveConfig(1.0, session), io)
+    saver.set_current_pp(b"\xee\xee")
+    assert saver.autosave_tick(1.0) is not None  # and never shut down: the set stays behind
+    return session
+
+
+def _files(d) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def _versions(d) -> list:
+    log, _ = PPVersionLog._load(d / "d.tcgd.pp", FileIO(), repair=False)
+    return list(log.versions)
+
+
+def _run(d, command: str, io) -> int:
+    return main([a.format(doc=d / "d.tcgd") for a in COMMANDS[command]], io=io)
+
+
+@pytest.mark.parametrize("stream", ["envelope", "pp-log"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_crash_at_every_offset_then_rerun(template, tmp_path, monkeypatch, capsys, command, stream):
+    monkeypatch.delenv("DRAFTVAULT_AUTOSAVE_DIR", raising=False)
+    old = _files(template)
+    old_versions = _versions(template)
+    clean_dir = tmp_path / "clean"
+    shutil.copytree(template, clean_dir)
+    assert _run(clean_dir, command, FileIO(fsync_enabled=False)) == 0
+    clean = _files(clean_dir)
+    clean_versions = _versions(clean_dir)
+
+    offset = 0
+    while True:
+        d = tmp_path / f"k{offset}"
+        shutil.copytree(template, d)
+        doc = d / "d.tcgd"
+        try:
+            _run(d, command, FaultyIO(FaultPlan(offset, stream), doc))
+        except CrashSimulated:
+            pass
+        else:
+            assert _files(d) == clean, f"offset {offset}: a run that did not die differs"
+            break
+        where = f"{command}, {stream} offset {offset}"
+        assert doc.read_bytes() in (old["d.tcgd"], clean["d.tcgd"]), where
+        versions = _versions(d)
+        assert versions == old_versions or versions == clean_versions[: len(versions)], where
+        assert not list(d.glob("*.lock")), where
+        assert _run(d, command, FileIO(fsync_enabled=False)) == 0, where
+        assert _files(d) == clean, where
+        shutil.rmtree(d)
+        offset += 1
+    capsys.readouterr()
+    if (command, stream) in {("undo -n 2", "envelope"), ("redo", "envelope"),
+                             ("pp commit", "pp-log"), ("recover --apply", "envelope"),
+                             ("recover --apply", "pp-log")}:
+        assert offset > 1, "the command writes this stream, so some offsets must crash"
