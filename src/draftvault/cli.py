@@ -159,14 +159,17 @@ def cmd_history(args) -> int:
         print("no session history")
         return 0
     journal, truncated = inspect_journal(paths.journal, args.io)
-    state = read_sidecar(paths.sidecar, args.io)
-    cursor = clamp_cursor(state.journal_cursor, journal.step_count)
+    cursor = read_sidecar(paths.sidecar, args.io).journal_cursor
+    if cursor is not None:
+        cursor = clamp_cursor(cursor, journal.step_count)
     lines = []
     for step in journal.steps:
         records, added, size = step.figures
         marker = "  <- cursor" if step.step_no == cursor else ""
         lines.append(f"step {step.step_no}: +{added} -{records - added} ({size} payload bytes){marker}")
-    if cursor == 0:
+    if cursor is None:
+        lines.append(f"cursor unknown: {paths.sidecar.name} is missing or damaged")
+    elif cursor == 0:
         lines.append("cursor at session start")
     torn = " (torn tail ignored)" if truncated else ""
     lines.append(f"{journal.step_count} step(s) in session journal{torn}")
@@ -216,12 +219,15 @@ def cmd_recover(args) -> int:
         elif args.apply:
             session.load()  # refuses a signed or damaged document
             drawing, pp = restore(aset, io)
-            # The document goes first, so a rerun after a crash stores the
-            # blob once, and the blob after every stored version.
+            # The document goes first.  The blob goes after every stored
+            # version, and only if the newest is not already it: a rerun
+            # after a crash stores it once.
             session.save(drawing.canonical_bytes())
             if pp is not None:
                 session.remembered().pp_cursor = None
-                session.open_pp_log().commit_pp(pp)
+                log = session.open_pp_log()
+                if not log.version_count or log.current().data != pp.data:
+                    log.commit_pp(pp)
                 session.save()
             _unlink_all(io, set_paths)
             print(f"restored {paths.doc}" + (" and pp" if pp is not None else ""))

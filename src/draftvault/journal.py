@@ -24,7 +24,10 @@ position it was removed from.  Record order within a step matters whenever
 the same payload appears twice (delete x then add x), which is why the
 reverse discipline is unconditional.  Positions are session memory: they
 are captured while applying forward and are not part of the file format.
-The cursor (count of applied steps) is session memory as well.
+The cursor (count of applied steps) is session memory as well.  A step
+reloaded from disk without the positions its session recorded cannot be
+undone: undo refuses it with NotFound rather than guess where its deleted
+elements stood.  Redoing a step records its positions afresh.
 """
 from __future__ import annotations
 
@@ -152,20 +155,12 @@ def _apply_reverse(
     positions: list[int] | None,
 ) -> list[ElementPayload]:
     """Invert a step on a copy of the element list, strictly last record
-    first.  With recorded positions the pre-step list is reproduced exactly;
-    without them (journal reloaded from disk) deleted elements are appended,
-    which restores the same multiset but not necessarily the same order."""
-    work = list(elements)
+    first, at the positions recorded when it was applied: the pre-step list
+    exactly.  NotFound leaves the original untouched; it is raised when the
+    step has no recorded positions or they do not match the list."""
     if positions is None:
-        for flag, payload in reversed(changes):
-            if flag == FLAG_ADDED:
-                try:
-                    work.pop(_last_index(work, payload))
-                except ValueError:
-                    raise NotFound("undo diverged: added element is missing") from None
-            else:
-                work.append(payload)
-        return work
+        raise NotFound("undo refused: the step's recorded positions are unknown")
+    work = list(elements)
     for (flag, payload), pos in zip(reversed(changes), reversed(positions)):
         if flag == FLAG_ADDED:
             if pos >= len(work) or work[pos] != payload:
@@ -213,7 +208,8 @@ class Journal(FramedLog):
         Parses the valid prefix (repairing a torn tail), re-applies session
         memory (cursor, clamped to 0..step_count, and per-step positions)
         captured by the previous process, and takes the session lock.  A
-        step whose positions are miscounted or negative gets none."""
+        step whose positions are missing, miscounted or negative gets none,
+        and undo refuses it."""
         journal = cls._open(Path(path), io or FileIO(), cursor)
         if positions:
             for step in journal.steps:

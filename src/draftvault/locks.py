@@ -1,12 +1,19 @@
 """Single-writer session locks.
 
-A session lock is a small file at ``<path>.lock`` holding the owner's pid.
-Creation is O_EXCL so exactly one process can hold it.  A lock whose pid is
-no longer alive is considered stale and is taken over; this covers crashed
-sessions whose lock file survived the process.
+A session lock is an exclusive, non-blocking ``fcntl.flock`` on the file
+``<path>.lock``, held through its open descriptor.  The kernel drops the
+lock when the holder dies, however it dies, so a lock file left behind by
+a crash or a power cut is not held: the next taker simply locks it.  What
+the file holds, and whether it exists, says nothing about the lock.
+
+``release`` unlinks the file, then closes the descriptor.  A taker that
+opened the file before that unlink can then lock an inode that is no
+longer at the path, so ``acquire`` checks that the path still names the
+inode it locked, and starts over if it does not.
 """
 from __future__ import annotations
 
+import fcntl
 import os
 from pathlib import Path
 
@@ -20,73 +27,46 @@ def lock_path_for(path: Path) -> Path:
     return path.with_name(path.name + LOCK_SUFFIX)
 
 
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
 class SessionLock:
     def __init__(self, target: Path):
         self.path = lock_path_for(target)
-        self._held = False
+        self._fd: int | None = None
 
     @property
     def held(self) -> bool:
-        return self._held
+        return self._fd is not None
 
     def acquire(self) -> "SessionLock":
-        for _ in range(2):
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._steal_if_stale():
-                    continue
-                raise Locked(f"{self.path} is held by a live session")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(f"pid={os.getpid()}\n")
-            self._held = True
-            return self
-        raise Locked(f"{self.path} could not be acquired")
-
-    def _steal_if_stale(self) -> bool:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return True  # vanished or unreadable: retry the create
-        pid = 0
-        for line in text.splitlines():
-            if line.startswith("pid="):
-                try:
-                    pid = int(line[4:])
-                except ValueError:
-                    pid = 0
-        if _pid_alive(pid):
-            return False
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
-        return True
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    self._fd = fd
+                    return self
+            except FileNotFoundError:
+                pass
+            except BlockingIOError:
+                os.close(fd)
+                raise Locked(f"{self.path} is held by a live session") from None
+            except BaseException:
+                os.close(fd)
+                raise
+            os.close(fd)  # released and unlinked under us: lock the file now there
 
     def release(self) -> None:
-        if not self._held:
+        fd, self._fd = self._fd, None
+        if fd is None:
             return
-        self._held = False
         try:
             self.path.unlink()
         except FileNotFoundError:
             pass
+        finally:
+            os.close(fd)
 
     def __enter__(self) -> "SessionLock":
         return self.acquire()
 
     def __exit__(self, *exc) -> None:
         self.release()
-

@@ -85,16 +85,14 @@ class Drawing:
     """Ordered multiset of payloads; duplicates allowed, insertion order kept.
 
     The journal is the one way to change the element list: it prepares a
-    new list and swaps it in with ``replace_elements``.  ``dirty`` tracks
-    changes since the last durable save; ``revision`` is a monotonically
-    increasing change counter used by the autosave machinery to skip ticks
-    when nothing changed.
+    new list and swaps it in with ``replace_elements``.  ``revision`` is a
+    monotonically increasing change counter used by the autosave machinery
+    to skip ticks when nothing changed.
     """
 
     def __init__(self, name: str = "", elements: list[ElementPayload] | None = None):
         self.name = name
         self.elements: list[ElementPayload] = list(elements) if elements else []
-        self.dirty = False
         self.revision = 0
 
     def __len__(self) -> int:
@@ -103,7 +101,6 @@ class Drawing:
     def replace_elements(self, elements: list[ElementPayload]) -> None:
         """Swap in a fully prepared element list (all-or-nothing updates)."""
         self.elements = elements
-        self.dirty = True
         self.revision += 1
 
     def canonical_bytes(self) -> bytes:
@@ -123,9 +120,6 @@ class Drawing:
             elements.append(new(ElementPayload, (data[pos:end],)))
             pos = end
         return cls(name=name, elements=elements)
-
-    def mark_saved(self) -> None:
-        self.dirty = False
 
 
 def validate_drawing(data: bytes) -> int:

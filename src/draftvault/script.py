@@ -219,7 +219,6 @@ class ScriptRunner:
 
             document = drawing.canonical_bytes()
             session.save(document)
-            drawing.mark_saved()
             if events is not None:  # the digest is only for an audit
                 events.append(("doc_saved", _sha(document)))
             if saver is not None:

@@ -6,17 +6,20 @@ a :class:`Session`.  It holds the document lock (``<doc>.lock``) for its
 ``with`` block and reads the sidecar at most once, on first need.  It
 opens the journal on first use, fresh for a drawing or resumed at the
 remembered cursor and positions, and the blob log at the remembered
-version.  :meth:`Session.save` writes the document, then the sidecar.
-Leaving the block releases the logs and the lock on every exit, a
-simulated crash included.  Each log keeps its own lock file too: a
-library host opens a ``Journal`` without the document lock.  The journal,
-the signatures and the blob log load on first use, so a cold command
-imports only what it touches.
+version.  A journal is not resumed without a remembered cursor (sidecar
+missing, damaged or never written): undo and redo refuse with Corrupt
+rather than guess which step the document is at.  :meth:`Session.save`
+writes the document, then the sidecar.  Leaving the block releases the
+logs and the lock on every exit, a simulated crash included.  Each log
+keeps its own lock file too: a library host opens a ``Journal`` without
+the document lock.  The journal, the signatures and the blob log load on
+first use, so a cold command imports only what it touches.
 """
 from __future__ import annotations
 
 from pathlib import Path
 
+from .errors import Corrupt
 from .fileio import FileIO
 from .framelog import clamp_cursor
 from .locks import SessionLock
@@ -60,7 +63,8 @@ class Session:
     def open_journal(self, drawing=None):
         """The session journal, opened on the first call: a fresh one when
         a ``drawing`` is given, else the existing one resumed at the
-        remembered cursor and positions."""
+        remembered cursor and positions.  Resuming raises Corrupt when the
+        sidecar holds no cursor: which step the document is at is unknown."""
         if self.journal is None:
             from .journal import Journal
 
@@ -68,6 +72,9 @@ class Session:
                 self.journal = Journal.begin_session(drawing, self.paths.journal, self.io)
             else:
                 state = self.remembered()
+                if state.journal_cursor is None:
+                    raise Corrupt(f"{self.paths.sidecar} is missing or damaged: "
+                                  "the journal cursor is unknown")
                 self.journal = Journal.resume(self.paths.journal, self.io, state.journal_cursor,
                                               state.positions)
         return self.journal

@@ -5,13 +5,12 @@ session memory.  The CLI spreads one editing session over several
 process invocations (edit, then undo, then redo ...), so it parks that
 memory here between commands.  ``session.Session.save`` is the one
 writer in the program, and it writes the document first, then this file.
-A missing or damaged sidecar reads as an empty state: the cursor falls
-back to the full step count and undo to content-matched (multiset)
-restore.  That is not always correct: when the document is not at the
-newest step, the next undo can exit 0 with a drawing the session never
-had, and a crash between the two writes leaves a cursor that no longer
-matches the document (see the ROADMAP item "Session memory that neither
-a crash nor a lost sidecar can turn into a wrong drawing").
+A missing or damaged sidecar reads as an empty state, with no journal
+cursor, and the session refuses to resume its journal from that: undo
+and redo fail rather than guess.  A crash between the two writes still
+leaves a cursor that no longer matches the document (see the ROADMAP
+item "Session memory that neither a crash nor a lost sidecar can turn
+into a wrong drawing").
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ from draftvault.backup import (
 )
 from draftvault.errors import Corrupt, IoFailure
 from draftvault.fileio import FileIO
+from draftvault.locks import SessionLock
 
 MON = dt.date(2026, 8, 3)
 TUE = dt.date(2026, 8, 4)
@@ -175,8 +176,7 @@ def test_abort_leaves_manifest_unchanged(setup, monkeypatch):
 def test_live_session_lock_aborts_backup(setup):
     work, _, config = setup
     make_tree(work, {"a": b"1"})
-    (work / "a.lock").write_text(f"pid={__import__('os').getpid()}\n")
-    with pytest.raises(IoFailure):
+    with SessionLock(work / "a"), pytest.raises(IoFailure):
         run_backup(config, BackupManifest(), MON)
 
 
@@ -186,7 +186,7 @@ def test_transient_files_are_not_backed_up(setup):
         work,
         {
             "a.tcgd": b"1",
-            "a.tcgd.lock": b"pid=999999999\n",  # stale: not live, still excluded
+            "a.tcgd.lock": b"pid=999999999\n",  # left by a crash: still excluded
             "x.tmp": b"t",
             "a.tcgd.autosave.drawing": b"copy",
         },

@@ -228,6 +228,47 @@ def test_history_clamps_a_negative_sidecar_cursor(doc, capsys):
     assert code == 0 and "cursor at 1 of 2" in out
 
 
+REVISIT = "ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 aa\nSTEP\n"
+
+
+def _damage(sidecar):
+    """A sidecar whose CRC no longer matches its text."""
+    sidecar.write_bytes(sidecar.read_bytes().replace(b"journal_cursor=2", b"journal_cursor=3"))
+
+
+@pytest.mark.parametrize("lose", [lambda p: p.unlink(), _damage], ids=["lost", "damaged"])
+def test_undo_without_a_cursor_is_refused(doc, capsys, lose):
+    """At state 2 of 3 the cursor cannot be told from the journal: a guess
+    at step 3 undoes the second ``aa`` and leaves ``[bb]``, a drawing the
+    session never had."""
+    (doc.parent / "revisit.txt").write_text(REVISIT)
+    run(["edit", doc, "--script", doc.parent / "revisit.txt"], capsys)
+    run(["undo", doc], capsys)
+    before = doc.read_bytes()
+    sidecar = doc.with_name("d.tcgd.session")
+    lose(sidecar)
+    for command in ("undo", "redo"):
+        code, _, err = run([command, doc], capsys)
+        assert code == 3 and f"{sidecar} is missing or damaged" in err
+        assert doc.read_bytes() == before
+    code, out, _ = run(["history", doc], capsys)
+    assert code == 0
+    assert "<- cursor" not in out
+    assert out.splitlines()[-2:] == ["cursor unknown: d.tcgd.session is missing or damaged",
+                                     "3 step(s) in session journal"]
+    assert len([line for line in out.splitlines() if line.startswith("step ")]) == 3
+
+
+def test_a_lock_file_left_by_a_crash_does_not_hold(doc, capsys):
+    """The lock file names a live pid, as a reused one after a power cut
+    would; only a held kernel lock keeps a command out."""
+    run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+    doc.with_name("d.tcgd.lock").write_text("pid=1\n")
+    code, out, _ = run(["undo", doc], capsys)
+    assert code == 0 and "cursor at 2 of 3" in out
+    assert not doc.with_name("d.tcgd.lock").exists()
+
+
 def test_autosave_run_and_recover_cycle(doc, capsys):
     code, out, _ = run(
         ["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",

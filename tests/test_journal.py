@@ -219,8 +219,9 @@ def test_resume_drops_negative_positions(tmp_path):
     journal.close()
     resumed = Journal.resume(tmp_path / "j", cursor=1, positions={1: [-1]})
     assert resumed.steps[0].positions is None
-    resumed.undo_step(drawing)  # multiset restore, not an insert at index -1
-    assert drawing.elements == [B, C, A]
+    with pytest.raises(NotFound):  # refused, not an insert at index -1 or a guess
+        resumed.undo_step(drawing)
+    assert drawing.elements == [B, C] and resumed.cursor == 1
     resumed.close()
 
 
@@ -416,16 +417,6 @@ def _reference_forward(elements, changes):
     return work, positions
 
 
-def _reference_reverse(elements, changes):
-    work = list(elements)
-    for flag, payload in reversed(changes):
-        if flag == FLAG_ADDED:
-            work.pop(_reference_last_index(work, payload))
-        else:
-            work.append(payload)
-    return work
-
-
 _ALPHABET = [(1, b"a"), (1, b"b"), (2, b"a")]
 _letter = st.integers(0, len(_ALPHABET) - 1)
 _letters = st.lists(_letter, max_size=12)
@@ -466,13 +457,21 @@ def test_element_search_matches_the_python_scan(letters, drawn):
         assert _same_objects(got[0], expected[0])
     assert _same_objects(elements, before)
 
-    expected = _outcome(_reference_reverse, elements, changes)
-    got = _outcome(_apply_reverse, elements, changes, None)
-    if expected is NotFound:
-        assert got is NotFound
-    else:
-        assert got == expected and _same_objects(got, expected)
-    assert _same_objects(elements, before)
+    if got is NotFound:
+        return
+    # Undo is the exact inverse of the forward apply: each element is the
+    # original object or, where the step deleted one, the step's record.
+    # It refuses a step whose positions are unknown.
+    work, positions = got
+    applied = list(work)
+    undone = _apply_reverse(work, changes, positions)
+    records = [p for _, p in changes]
+    assert undone == elements
+    assert all(u is e or any(u is p for p in records) for u, e in zip(undone, elements))
+    assert _same_objects(work, applied)
+    with pytest.raises(NotFound):
+        _apply_reverse(work, changes, None)
+    assert _same_objects(work, applied)
 
 
 def test_element_equality_stays_in_c():

@@ -51,7 +51,6 @@ def test_add_to_empty():
     d = Drawing()
     apply_changes(d, [(FLAG_ADDED, E1)])
     assert d.elements == [E1]
-    assert d.dirty
 
 
 def test_add_duplicate_keeps_both():

@@ -3,8 +3,9 @@
 Each command runs through ``cli.main`` on a copy of one small session:
 a three-step journal with its cursor at step 2, a blob log of three
 versions remembered at version 2, and an autosave set of a session that
-never shut down.  For every offset of the document ("envelope") and
-blob log ("pp-log") write streams the command dies there, and then:
+never shut down.  For every offset of the document ("envelope"), blob
+log ("pp-log") and autosave set ("autosave") write streams the command
+dies there, and then:
 
 * the document is its old bytes or the clean run's;
 * the blob log is its old versions or a prefix of the clean run's;
@@ -68,7 +69,7 @@ def _run(d, command: str, io) -> int:
     return main([a.format(doc=d / "d.tcgd") for a in COMMANDS[command]], io=io)
 
 
-@pytest.mark.parametrize("stream", ["envelope", "pp-log"])
+@pytest.mark.parametrize("stream", ["envelope", "pp-log", "autosave"])
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_crash_at_every_offset_then_rerun(template, tmp_path, monkeypatch, capsys, command, stream):
     monkeypatch.delenv("DRAFTVAULT_AUTOSAVE_DIR", raising=False)
@@ -104,5 +105,5 @@ def test_crash_at_every_offset_then_rerun(template, tmp_path, monkeypatch, capsy
     capsys.readouterr()
     if (command, stream) in {("undo -n 2", "envelope"), ("redo", "envelope"),
                              ("pp commit", "pp-log"), ("recover --apply", "envelope"),
-                             ("recover --apply", "pp-log")}:
+                             ("recover --apply", "pp-log"), ("recover --apply", "autosave")}:
         assert offset > 1, "the command writes this stream, so some offsets must crash"
