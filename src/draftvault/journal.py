@@ -28,10 +28,16 @@ The cursor (count of applied steps) is session memory as well.  A step
 reloaded from disk without the positions its session recorded cannot be
 undone: undo refuses it with NotFound rather than guess where its deleted
 elements stood.  Redoing a step records its positions afresh.
+
+Commit, undo and redo change the drawing in place, one record at a time,
+through ``Drawing``'s primitives; no copy of the element list is made.  A
+step is still all or nothing, by inversion: when a delete finds no equal
+element, an undo meets a position that does not match, or the append to
+the file fails, the records already applied are inverted, last first, and
+the drawing holds the very objects it held before the step.
 """
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -121,56 +127,67 @@ def encode_step(step_no: int, changes: list[Change]) -> bytes:
     return b"".join(parts)
 
 
-def _last_index(work: list[ElementPayload], payload: ElementPayload) -> int:
-    """Index of the most recently inserted element equal to ``payload``,
-    searched from the end in C; ValueError when there is none."""
-    return len(work) - 1 - operator.indexOf(reversed(work), payload)
+# An undo log lists the inverse of each primitive applied to a drawing, in
+# the order applied: ``(i, None)`` removes the element at ``i`` again, and
+# ``(i, element)`` puts that same object back at ``i``.
+UndoLog = list[tuple[int, ElementPayload | None]]
 
 
-def _apply_forward(
-    elements: list[ElementPayload], changes: list[Change]
-) -> tuple[list[ElementPayload], list[int]]:
-    """Apply changes to a copy of the element list; NotFound leaves the
-    original untouched.  Returns the new list and the touched positions.
-    A delete removes the most recently inserted equal element."""
-    work = list(elements)
-    positions = []
-    for flag, payload in changes:
-        if flag == FLAG_ADDED:
-            work.append(payload)
-            positions.append(len(work) - 1)
+def _roll_back(drawing: Drawing, log: UndoLog) -> None:
+    """Play an undo log backwards: the drawing holds the very objects it
+    held before the logged primitives ran."""
+    for i, element in reversed(log):
+        if element is None:
+            drawing.remove_at(i)
         else:
-            try:
-                i = _last_index(work, payload)
-            except ValueError:
-                raise NotFound(f"delete of kind={payload.kind} found no matching element") from None
-            work.pop(i)
-            positions.append(i)
-    return work, positions
+            drawing.insert_at(i, element)
 
 
-def _apply_reverse(
-    elements: list[ElementPayload],
-    changes: list[Change],
-    positions: list[int] | None,
-) -> list[ElementPayload]:
-    """Invert a step on a copy of the element list, strictly last record
-    first, at the positions recorded when it was applied: the pre-step list
-    exactly.  NotFound leaves the original untouched; it is raised when the
-    step has no recorded positions or they do not match the list."""
+def _apply_forward(drawing: Drawing, changes: list[Change], build_mirror: bool) -> UndoLog:
+    """Apply changes to the drawing in place, first record first, and
+    return their undo log, whose indices are the touched positions.  A
+    delete removes the most recently inserted equal element
+    (``Drawing.last_index``).  On NotFound, or any other exception, the
+    records already applied are rolled back and the drawing is unchanged."""
+    log = []
+    try:
+        for flag, payload in changes:
+            if flag == FLAG_ADDED:
+                log.append((drawing.append(payload), None))
+            else:
+                try:
+                    i = drawing.last_index(payload, build_mirror)
+                except ValueError:
+                    raise NotFound(f"delete of kind={payload.kind} found no matching element") from None
+                log.append((i, drawing.remove_at(i)))
+    except BaseException:
+        _roll_back(drawing, log)
+        raise
+    return log
+
+
+def _apply_reverse(drawing: Drawing, changes: list[Change], positions: list[int] | None) -> None:
+    """Invert a step on the drawing in place, strictly last record first, at
+    the positions recorded when it was applied: the pre-step list exactly.
+    NotFound leaves the drawing unchanged; it is raised when the step has
+    no recorded positions or they do not match the list."""
     if positions is None:
         raise NotFound("undo refused: the step's recorded positions are unknown")
-    work = list(elements)
-    for (flag, payload), pos in zip(reversed(changes), reversed(positions)):
-        if flag == FLAG_ADDED:
-            if pos >= len(work) or work[pos] != payload:
-                raise NotFound("undo diverged: recorded position does not match")
-            work.pop(pos)
-        else:
-            if pos > len(work):
-                raise NotFound("undo diverged: recorded position out of range")
-            work.insert(pos, payload)
-    return work
+    log = []
+    try:
+        for (flag, payload), pos in zip(reversed(changes), reversed(positions)):
+            if flag == FLAG_ADDED:
+                if pos >= len(drawing) or drawing.elements[pos] != payload:
+                    raise NotFound("undo diverged: recorded position does not match")
+                log.append((pos, drawing.remove_at(pos)))
+            else:
+                if pos > len(drawing):
+                    raise NotFound("undo diverged: recorded position out of range")
+                drawing.insert_at(pos, payload)
+                log.append((pos, None))
+    except BaseException:
+        _roll_back(drawing, log)
+        raise
 
 
 class Journal(FramedLog):
@@ -247,9 +264,11 @@ class Journal(FramedLog):
         it could compare equal to an element.
 
         Any redo tail beyond the cursor is truncated from the file first
-        (history is linear).  On NotFound the drawing, the file and the
-        cursor are all unchanged.  On an append failure the file is repaired
-        back to the last commit record and IoFailure is raised."""
+        (history is linear).  The step is applied to the drawing in place
+        first, then appended to the file.  On NotFound the drawing, the file
+        and the cursor are all unchanged.  On an append failure the file is
+        repaired back to the last commit record, the applied records are
+        rolled back, and IoFailure is raised."""
         self._require_session()
         if not changes:
             raise ValueError("a change step must contain at least one change")
@@ -258,10 +277,14 @@ class Journal(FramedLog):
                 raise ValueError(f"invalid change flag {flag!r}")
             if not isinstance(payload, ElementPayload):
                 raise TypeError(f"a change carries an ElementPayload, not {type(payload).__name__}")
-        new_elements, positions = _apply_forward(drawing.elements, changes)
+        log = _apply_forward(drawing, changes, build_mirror=True)
         step_no = self.cursor + 1
-        self._append(encode_step(step_no, changes), ChangeStep(step_no, list(changes), positions))
-        drawing.replace_elements(new_elements)
+        try:
+            self._append(encode_step(step_no, changes), ChangeStep(step_no, list(changes), [i for i, _ in log]))
+        except BaseException:
+            _roll_back(drawing, log)
+            raise
+        drawing.revision += 1
         return step_no
 
     def undo_step(self, drawing: Drawing) -> None:
@@ -269,19 +292,19 @@ class Journal(FramedLog):
         if self.cursor < 1:
             raise NothingToUndo("cursor is at the session start")
         step = self.steps[self.cursor - 1]
-        new_elements = _apply_reverse(drawing.elements, step.changes, step.positions)
+        _apply_reverse(drawing, step.changes, step.positions)
         self.cursor -= 1
-        drawing.replace_elements(new_elements)
+        drawing.revision += 1
 
     def redo_step(self, drawing: Drawing) -> None:
         """Re-apply the first step of the redo tail."""
         if self.cursor >= len(self.steps):
             raise NothingToRedo("no steps beyond the cursor")
         step = self.steps[self.cursor]
-        new_elements, positions = _apply_forward(drawing.elements, step.changes)
-        step.positions = positions
+        log = _apply_forward(drawing, step.changes, build_mirror=False)
+        step.positions = [i for i, _ in log]
         self.cursor += 1
-        drawing.replace_elements(new_elements)
+        drawing.revision += 1
 
 
 def _scan_steps(data: bytes, end: int | None) -> tuple[list[tuple[int, int, tuple[int, int, int]]], int]:

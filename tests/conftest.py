@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from draftvault.journal import FLAG_ADDED, FLAG_DELETED, _apply_forward
-from draftvault.model import Drawing, ElementPayload
+from draftvault.model import Drawing, ElementPayload, _packed_hashes
 
 
 def make_payload(rng: random.Random, kinds: int = 8, max_len: int = 32) -> ElementPayload:
@@ -32,9 +32,18 @@ def multiset(elements) -> Counter:
 
 def apply_changes(drawing: Drawing, changes) -> None:
     """Change ``drawing`` the way a commit does, without a journal file:
-    the journal's forward apply on a copy, then one swap."""
-    elements, _ = _apply_forward(drawing.elements, changes)
-    drawing.replace_elements(elements)
+    the journal's in-place forward apply, building the hash mirror, and
+    one revision bump."""
+    _apply_forward(drawing, changes, build_mirror=True)
+    drawing.revision += 1
+
+
+def assert_mirror_in_step(drawing: Drawing) -> None:
+    """The hash mirror, when there is one, is the packed hashes of the
+    drawing's current element list."""
+    if drawing._mirror is not None:
+        assert drawing._mirrored is drawing.elements
+        assert drawing._mirror == _packed_hashes(drawing.elements)
 
 
 def random_step(rng: random.Random, pool, present: list, max_changes: int = 10):

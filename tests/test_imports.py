@@ -64,8 +64,9 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_resumed_commands_skip_the_script_machinery(tmp_path, capsys):
-    """``undo`` and ``pp jump`` resume a session without the script
-    interpreter, its autosave, ``logging`` or ``uuid``; ``undo`` loads no
+    """``undo``, ``redo`` and ``pp jump`` resume a session without the
+    script interpreter, its autosave, ``logging`` or ``uuid``, and build no
+    hash mirror, so ``array`` stays unloaded; ``undo`` and ``redo`` load no
     blob log either."""
     from draftvault.cli import main
 
@@ -75,10 +76,11 @@ def test_resumed_commands_skip_the_script_machinery(tmp_path, capsys):
     for data in ("aa", "bb"):
         assert main(["pp", "commit", str(doc), "--data", data]) == 0
     capsys.readouterr()
-    heavy = ["draftvault.script", "draftvault.autosave", "logging", "uuid", "draftvault.ppversions"]
+    heavy = ["draftvault.script", "draftvault.autosave", "logging", "uuid", "array", "draftvault.ppversions"]
     for argv, expected_out, unloaded in (
         (["undo", str(doc)], "cursor at 1 of 2", heavy),
-        (["pp", "jump", str(doc), "--to", "1"], "at version 1 of 2", heavy[:4]),
+        (["pp", "jump", str(doc), "--to", "1"], "at version 1 of 2", heavy[:5]),
+        (["redo", str(doc)], "cursor at 2 of 2", heavy),
     ):
         rc, out, loaded = _fresh(
             "import contextlib, io, json, sys\n"

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from draftvault.errors import BadHeader, Locked, NotFound, NothingToRedo, NothingToUndo
+from draftvault.errors import BadHeader, IoFailure, Locked, NotFound, NothingToRedo, NothingToUndo
 from draftvault.fileio import FileIO
 from draftvault.journal import (
     FLAG_ADDED,
@@ -23,9 +23,16 @@ from draftvault.journal import (
     parse_journal_bytes,
     recover_journal,
 )
-from draftvault.model import Drawing, ElementPayload
+from draftvault.model import _HASH, Drawing, ElementPayload, _last_index, _packed_hashes
 
-from conftest import SnapshotOracle, multiset, payload_pool, random_step
+from conftest import (
+    SnapshotOracle,
+    apply_changes,
+    assert_mirror_in_step,
+    multiset,
+    payload_pool,
+    random_step,
+)
 
 A = ElementPayload(1, b"alpha")
 B = ElementPayload(2, b"beta")
@@ -188,14 +195,16 @@ def test_undo_divergence_aborts_without_touching_drawing(tmp_path, session):
     journal, drawing = session
     journal.commit_step(drawing, [(FLAG_ADDED, A), (FLAG_ADDED, B)])
     journal.close()
-    # a resumed session with a corrupted position memory must refuse cleanly
-    resumed = Journal.resume(journal.path, cursor=1, positions={1: [5, 7]})
-    snapshot = list(drawing.elements)
-    with pytest.raises(NotFound):
-        resumed.undo_step(drawing)
-    assert drawing.elements == snapshot
-    assert resumed.cursor == 1
-    resumed.close()
+    # a resumed session with a corrupted position memory must refuse cleanly,
+    # whether the first record it inverts diverges or a later one
+    for positions in ([5, 7], [5, 1]):
+        resumed = Journal.resume(journal.path, cursor=1, positions={1: positions})
+        snapshot = list(drawing.elements)
+        with pytest.raises(NotFound):
+            resumed.undo_step(drawing)
+        assert _same_objects(drawing.elements, snapshot)
+        assert resumed.cursor == 1
+        resumed.close()
 
 
 def test_resume_clamps_a_negative_cursor(tmp_path):
@@ -442,36 +451,194 @@ def _same_objects(lhs, rhs) -> bool:
 _changes = st.lists(st.tuples(st.sampled_from([FLAG_DELETED, FLAG_ADDED]), _letter), min_size=1, max_size=8)
 
 
-@given(_letters, _changes)
-def test_element_search_matches_the_python_scan(letters, drawn):
+@given(_letters, _changes, st.booleans())
+def test_element_search_matches_the_python_scan(letters, drawn, build_mirror):
     elements = [_fresh(x) for x in letters]
-    before = list(elements)
+    drawing = Drawing(elements=elements)
     changes = [(flag, _fresh(x)) for flag, x in drawn]
 
     expected = _outcome(_reference_forward, elements, changes)
-    got = _outcome(_apply_forward, elements, changes)
+    got = _outcome(_apply_forward, drawing, changes, build_mirror)
+    assert_mirror_in_step(drawing)
     if expected is NotFound:
         assert got is NotFound
-    else:
-        assert got[0] == expected[0] and got[1] == expected[1]
-        assert _same_objects(got[0], expected[0])
-    assert _same_objects(elements, before)
-
-    if got is NotFound:
+        assert _same_objects(drawing.elements, elements)  # refused: the very same objects
         return
+    assert [i for i, _ in got] == expected[1]
+    assert drawing.elements == expected[0]
+    assert _same_objects(drawing.elements, expected[0])
+
     # Undo is the exact inverse of the forward apply: each element is the
     # original object or, where the step deleted one, the step's record.
-    # It refuses a step whose positions are unknown.
-    work, positions = got
-    applied = list(work)
-    undone = _apply_reverse(work, changes, positions)
-    records = [p for _, p in changes]
-    assert undone == elements
-    assert all(u is e or any(u is p for p in records) for u, e in zip(undone, elements))
-    assert _same_objects(work, applied)
+    # It refuses a step whose positions are unknown, touching nothing.
+    applied = list(drawing.elements)
     with pytest.raises(NotFound):
-        _apply_reverse(work, changes, None)
-    assert _same_objects(work, applied)
+        _apply_reverse(drawing, changes, None)
+    assert _same_objects(drawing.elements, applied)
+    _apply_reverse(drawing, changes, expected[1])
+    assert_mirror_in_step(drawing)
+    records = [p for _, p in changes]
+    assert drawing.elements == elements
+    assert all(u is e or any(u is p for p in records) for u, e in zip(drawing.elements, elements))
+
+
+def test_last_index_skips_unaligned_and_colliding_hits():
+    x, y = ElementPayload(1, b"x"), ElementPayload(2, b"y")
+    elements = [x, y, x, y, y, y]
+    needle = _HASH.pack(hash(x))
+    # x's hash sits in slot 2 (x), in slot 5 as well although its element
+    # is y (a collision), and across slots 3 and 4 (unaligned)
+    mirror = _packed_hashes(elements)
+    mirror[40:48] = needle
+    mirror[27:35] = needle
+    assert mirror.rfind(needle) == 40 and mirror.rfind(needle, 0, 47) == 27
+    assert _last_index(mirror, elements, x) == 2
+    assert _last_index(_packed_hashes(elements), elements, y) == 5
+    with pytest.raises(ValueError):
+        _last_index(mirror, elements, ElementPayload(3, b"z"))
+
+
+class _Hashed:
+    """An element whose hash the test chooses."""
+
+    def __init__(self, h: int):
+        self.h = h
+
+    def __hash__(self) -> int:
+        return self.h
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Hashed) and other.h == self.h
+
+
+def test_last_index_takes_only_aligned_slots_of_a_self_overlapping_hash():
+    x, y = _Hashed(0x0101010101010101), _Hashed(0x0202020202020202)
+    needle = _HASH.pack(hash(x))  # eight equal bytes: occurrences can overlap
+    # slots x, y, y, where slot 1 starts with three bytes of x's hash:
+    # the hits at 3, 2 and 1 are unaligned, and the search reaches 0 behind them
+    mirror = bytearray(needle + needle[:3] + bytes(5) + _HASH.pack(hash(y)))
+    assert mirror.rfind(needle) == 3
+    assert _last_index(mirror, [x, y, y], x) == 0
+    # an unaligned hit is never taken, even where its slot's element is equal
+    mirror = bytearray(needle + bytes(4) + needle[:4] + needle[:4] + b"\x02" * 4)
+    assert mirror.rfind(needle) == 12
+    assert _last_index(mirror, [x, x, y], x) == 0
+
+
+def test_append_failure_rolls_back_the_same_objects(tmp_path):
+    class FailingAppend(FileIO):
+        fail = False
+
+        def append(self, path, data):
+            if self.fail:
+                raise OSError("disk gone")
+            return super().append(path, data)
+
+    io = FailingAppend(fsync_enabled=False)
+    first, last = ElementPayload(1, b"dup"), ElementPayload(1, b"dup")
+    drawing = Drawing(elements=[first, A, last, B])
+    journal = Journal.begin_session(drawing, tmp_path / "j", io)
+    journal.commit_step(drawing, [(FLAG_DELETED, B), (FLAG_ADDED, C)])  # builds the mirror
+    before, revision = list(drawing.elements), drawing.revision
+    file_before = journal.path.read_bytes()
+    io.fail = True
+    with pytest.raises(IoFailure):
+        journal.commit_step(drawing, [(FLAG_DELETED, ElementPayload(1, b"dup")), (FLAG_ADDED, B), (FLAG_DELETED, A)])
+    assert _same_objects(drawing.elements, before) and drawing.elements[2] is last
+    assert drawing.revision == revision and journal.cursor == 1 and journal.step_count == 1
+    assert journal.path.read_bytes() == file_before
+    assert drawing._mirror is not None
+    assert_mirror_in_step(drawing)
+    journal.close()
+
+
+def _reference_reverse(elements, changes, positions):
+    work = list(elements)
+    for (flag, payload), pos in zip(reversed(changes), reversed(positions)):
+        if flag == FLAG_ADDED:
+            work.pop(pos)
+        else:
+            work.insert(pos, payload)
+    return work
+
+
+_ops = st.lists(
+    st.one_of(st.tuples(st.just("commit"), _changes), st.just(("undo",)), st.just(("redo",))), max_size=25
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_letters, _ops)
+def test_journal_matches_the_list_reference_with_duplicates(tmp_path_factory, letters, ops):
+    """Commits, undos and redos through a Journal on a drawing full of
+    duplicates give the drawing bytes and the journal file that the list
+    reference gives."""
+    path = tmp_path_factory.mktemp("j") / "j"
+    drawing = Drawing(elements=[_fresh(x) for x in letters])
+    journal = Journal.begin_session(drawing, path, FileIO(fsync_enabled=False))
+    work = list(drawing.elements)
+    steps, positions, cursor = [], [], 0  # the reference's history
+    try:
+        for op in ops:
+            if op[0] == "commit":
+                changes = [(flag, _fresh(x)) for flag, x in op[1]]
+                expected = _outcome(_reference_forward, work, changes)
+                if expected is NotFound:
+                    with pytest.raises(NotFound):
+                        journal.commit_step(drawing, changes)
+                else:
+                    journal.commit_step(drawing, changes)
+                    work = expected[0]
+                    del steps[cursor:], positions[cursor:]
+                    steps.append(changes)
+                    positions.append(expected[1])
+                    cursor += 1
+            elif op[0] == "undo" and cursor:
+                journal.undo_step(drawing)
+                cursor -= 1
+                work = _reference_reverse(work, steps[cursor], positions[cursor])
+            elif op[0] == "redo" and cursor < len(steps):
+                journal.redo_step(drawing)
+                work, positions[cursor] = _reference_forward(work, steps[cursor])
+                cursor += 1
+            assert drawing.canonical_bytes() == Drawing(elements=work).canonical_bytes()
+            assert_mirror_in_step(drawing)
+        assert journal.cursor == cursor
+        assert path.read_bytes() == HEADER + b"".join(encode_step(n, ch) for n, ch in enumerate(steps, 1))
+    finally:
+        journal.close()
+
+
+def test_cold_undo_and_redo_build_no_mirror(tmp_path):
+    drawing = Drawing(elements=[A, B, C, A])
+    journal = Journal.begin_session(drawing, tmp_path / "j")
+    journal.commit_step(drawing, [(FLAG_DELETED, A), (FLAG_ADDED, B)])
+    journal.commit_step(drawing, [(FLAG_DELETED, B), (FLAG_ADDED, C)])
+    positions = journal.session_positions()
+    saved = drawing.canonical_bytes()
+    journal.close()
+    cold = Drawing.from_canonical_bytes(saved)
+    resumed = Journal.resume(tmp_path / "j", cursor=2, positions=positions)
+    resumed.undo_step(cold)
+    resumed.undo_step(cold)
+    resumed.redo_step(cold)  # searches by the plain scan
+    assert cold.elements == [A, B, C, B]
+    assert cold._mirror is None
+    resumed.close()
+
+
+def test_a_swapped_or_resized_list_gets_a_fresh_mirror():
+    drawing = Drawing(elements=[A, B])
+    apply_changes(drawing, [(FLAG_DELETED, B), (FLAG_ADDED, B)])  # builds the mirror
+    drawing.elements = [B, A, C, A, B]  # a host swaps in a new list
+    assert drawing.last_index(A, build_mirror=True) == 3
+    assert_mirror_in_step(drawing)
+    drawing.elements.append(C)  # a host grows the list behind the mirror's back
+    assert drawing.last_index(C, build_mirror=True) == 5
+    assert_mirror_in_step(drawing)
+    drawing.elements.append(A)
+    assert drawing.last_index(A) == 6  # a stale mirror is dropped, not searched
+    assert drawing._mirror is None
 
 
 def test_element_equality_stays_in_c():

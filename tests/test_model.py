@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from draftvault.errors import BadHeader, Corrupt, NotFound
-from draftvault.journal import FLAG_ADDED, FLAG_DELETED
-from draftvault.model import Drawing, ElementPayload
+from draftvault.fileio import FileIO
+from draftvault.journal import FLAG_ADDED, FLAG_DELETED, Journal
+from draftvault.model import Drawing, ElementPayload, validate_drawing
 
 from conftest import apply_changes, multiset
 
@@ -145,9 +146,41 @@ def test_parse_rejects_garbage():
         Drawing.from_canonical_bytes(intact + b"\x00")
 
 
-def test_revision_counts_mutations():
+def test_revision_counts_mutations(tmp_path):
+    """One bump per step the journal applies, whatever its record count,
+    and none for a step it refuses."""
     d = Drawing(elements=[E1])
+    journal = Journal.begin_session(d, tmp_path / "j", FileIO(fsync_enabled=False))
     r0 = d.revision
-    apply_changes(d, [(FLAG_ADDED, E2)])
-    apply_changes(d, [(FLAG_DELETED, E2)])
-    assert d.revision == r0 + 2
+    journal.commit_step(d, [(FLAG_ADDED, E2), (FLAG_DELETED, E1), (FLAG_ADDED, E1)])
+    assert d.revision == r0 + 1
+    with pytest.raises(NotFound):
+        journal.commit_step(d, [(FLAG_ADDED, E1), (FLAG_DELETED, ElementPayload(9, b""))])
+    assert d.revision == r0 + 1
+    journal.undo_step(d)
+    journal.redo_step(d)
+    assert d.revision == r0 + 3
+    journal.close()
+
+
+def _raised(fn, data):
+    try:
+        fn(data)
+    except (BadHeader, Corrupt) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_parse_refuses_exactly_what_validate_refuses():
+    """The parse checks the structure in the walk that builds the elements;
+    at every cut and one-byte overrun it raises what validate_drawing does."""
+    intact = Drawing(elements=[E1, E2, ElementPayload(3, b""), ElementPayload(4, bytes(9))]).canonical_bytes()
+    cases = [intact[:cut] for cut in range(len(intact) + 1)]
+    cases += [intact + b"\x00", intact[:-1] + b"\x00\x00"]
+    cases += [intact[:i] + bytes([(intact[i] + 1) & 0xFF]) + intact[i + 1 :] for i in range(6, len(intact))]
+    for data in cases:
+        expected = _raised(validate_drawing, data)
+        assert _raised(Drawing.from_canonical_bytes, data) == expected
+        if expected is None:
+            assert Drawing.from_canonical_bytes(data).canonical_bytes() == data
+    assert _raised(Drawing.from_canonical_bytes, intact[:-1]) == (Corrupt, "truncated element data")
