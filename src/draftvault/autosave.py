@@ -1,47 +1,52 @@
 """Timed autosave and crash recovery.
 
-While a document session is live, a periodic tick writes copies of the
-drawing and of the current parametric blob into the autosave directory.
-Normal session shutdown removes the copies; after a crash they survive,
-and the next start can offer to restore them.
+While a document session is live, a periodic tick saves the drawing and
+the current parametric blob into the autosave directory.  Normal session
+shutdown removes the save; after a crash it survives, and the next start
+can offer to restore it.
 
-One autosave set exists per document:
+One autosave set exists per document, in one file, ``<doc>.autosave.set``:
+a ``framelog`` container (magic ``TCGA``, version 1) of three frames,
+each ``u32 len | payload | u32 crc32``:
 
-    <doc>.autosave.drawing   copy of the drawing (canonical layout)
-    <doc>.autosave.pp        copy of the current parametric blob (optional)
-    <doc>.autosave.marker    session marker naming the copies by digest
+    meta      f64 created_at | u8 payload count (1 or 2)
+              | per payload: u32 size | SHA-256 | the document name (UTF-8)
+    drawing   the drawing (canonical layout)
+    blob      the current parametric blob (only when there is one)
 
-Because a set spans three fixed-name files, per-file atomic rename alone
-cannot replace it as a group.  The update protocol makes the marker the
-single commit point:
-
-    1. write all new copies and the new marker as .tmp siblings (fsync)
-    2. rename marker.tmp over the marker            <- commit
-    3. rename the copies over their final names
-
-The marker names each copy by content digest, and recovery accepts a copy
-at its final OR temp name (finishing interrupted renames).  A crash before
-step 2 leaves the previous set fully intact; a crash after it leaves
-every new copy present at one of its two names.  At every write offset,
-either the previous or the new complete set is recoverable - never
-neither, never both.
+A tick writes the whole file with ``FileIO.write_atomic``: one write of
+``<set>.tmp`` and one rename over the set, the single commit point.  A
+crash before the rename leaves the previous set intact, a crash after it
+the new one: at every write offset exactly one complete set, or none
+before the first tick, is recoverable.  Recovery reads the one file and
+accepts it only when every frame is intact, the file ends with the last
+frame, the payloads match their recorded sizes and digests and the
+document name is its own; anything else is logged and collected, and so
+is a leftover ``<set>.tmp``.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
-import uuid
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import Corrupt, IoFailure
-from .fileio import FileIO, decode_checked_text, encode_checked_text
+from . import framelog
+from .errors import BadHeader, Corrupt, IoFailure
+from .fileio import FileIO
 from .model import Drawing
 from .ppversions import PPBlob
 
 logger = logging.getLogger(__name__)
 
-MARKER_BANNER = "draftvault-autosave v1"
+MAGIC = b"TCGA"
+VERSION = 1
+HEADER = framelog.header(MAGIC, VERSION)
+
+_FRAME_HEAD = struct.Struct("<I")  # payload length
+_META = struct.Struct("<dB")  # created_at, payload count
+_PAYLOAD = struct.Struct("<I32s")  # size, SHA-256
 
 
 @dataclass(frozen=True)
@@ -56,67 +61,30 @@ class AutosaveConfig:
 
 @dataclass(frozen=True)
 class AutosaveSet:
-    """A complete on-disk autosave: paths plus the digests that vouch for it."""
+    """A complete on-disk autosave: its file plus the digests that vouch for it."""
 
     doc_name: str
-    drawing_copy: Path
-    pp_copy: Path | None
-    marker: Path
+    path: Path
     created_at: float
-    session_id: str
     drawing_sha: str
     drawing_size: int
     pp_sha: str | None = None
     pp_size: int | None = None
 
 
-def _names(autosave_dir: Path, doc_name: str) -> tuple[Path, Path, Path]:
-    base = Path(autosave_dir) / doc_name
-    return (
-        base.with_name(base.name + ".autosave.drawing"),
-        base.with_name(base.name + ".autosave.pp"),
-        base.with_name(base.name + ".autosave.marker"),
-    )
-
-
-def _tmp(path: Path) -> Path:
-    return path.with_name(path.name + ".tmp")
+def _set_path(autosave_dir: Path, doc_name: str) -> Path:
+    return Path(autosave_dir) / f"{doc_name}.autosave.set"
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _encode_marker(aset: AutosaveSet) -> bytes:
-    return encode_checked_text(MARKER_BANNER, [
-        f"doc={aset.doc_name}",
-        f"session={aset.session_id}",
-        f"created={aset.created_at!r}",
-        f"drawing={aset.drawing_sha} {aset.drawing_size}",
-        f"pp={aset.pp_sha} {aset.pp_size}" if aset.pp_sha else "pp=none",
-    ])
-
-
-def _parse_marker(data: bytes, autosave_dir: Path) -> AutosaveSet:
-    fields = dict(decode_checked_text(data, MARKER_BANNER))
-    doc_name = fields["doc"]
-    drawing_sha, _, drawing_size = fields["drawing"].partition(" ")
-    pp_sha = pp_size = None
-    if fields["pp"] != "none":
-        pp_sha, _, pp_size = fields["pp"].partition(" ")
-    drawing_path, pp_path, marker_path = _names(autosave_dir, doc_name)
-    return AutosaveSet(
-        doc_name=doc_name,
-        drawing_copy=drawing_path,
-        pp_copy=pp_path if pp_sha else None,
-        marker=marker_path,
-        created_at=float(fields["created"]),
-        session_id=fields["session"],
-        drawing_sha=drawing_sha,
-        drawing_size=int(drawing_size),
-        pp_sha=pp_sha,
-        pp_size=int(pp_size) if pp_size else None,
-    )
+def _collect(io: FileIO, path: Path) -> None:
+    try:
+        io.unlink(path)
+    except OSError:
+        pass
 
 
 class AutosaveSession:
@@ -126,13 +94,14 @@ class AutosaveSession:
     with a mutation of the same drawing; the host serializes them.  Time is
     passed in, never read from the wall clock, so behaviour under test is
     exact.  The first save becomes due one full interval after the session
-    starts, and further saves one interval after the previous one.
+    starts, and further saves one interval after the previous one.  A tick
+    that fails raises IoFailure and stays due, so the next tick retries.
 
     ``events``, when a list is given, receives the progress a crash audit
     needs (see ``faultsim``): ``("tick_attempt", drawing_sha, pp_sha)`` just
-    before a tick's first write and ``("tick_committed", drawing_sha,
-    pp_sha)`` once the set is in place.  A skipped tick records nothing.
-    Production passes no list, and nothing is recorded.
+    before a tick's write and ``("tick_committed", drawing_sha, pp_sha)``
+    right after its rename.  A skipped tick records nothing.  Production
+    passes no list, and nothing is recorded.
     """
 
     def __init__(
@@ -142,14 +111,13 @@ class AutosaveSession:
         config: AutosaveConfig,
         io: FileIO | None = None,
         started_at: float = 0.0,
-        session_id: str | None = None,
         events: list | None = None,
     ):
         self.doc_name = doc_name
         self.drawing = drawing
         self.config = config
         self.io = io or FileIO()
-        self.session_id = session_id or uuid.uuid4().hex
+        self.path = _set_path(config.autosave_dir, doc_name)
         self.last_save = started_at
         self.current_pp: bytes | None = None
         self._saved_fingerprint: tuple | None = None
@@ -158,158 +126,114 @@ class AutosaveSession:
     def set_current_pp(self, data: bytes | None) -> None:
         self.current_pp = data
 
-    def _fingerprint(self) -> tuple:
-        pp_sha = _sha(self.current_pp) if self.current_pp is not None else None
-        return (self.drawing.revision, pp_sha)
-
     def autosave_tick(self, now: float) -> AutosaveSet | None:
         """Write a new autosave set if one is due; returns None when skipped
         (interval not yet elapsed, or nothing changed since the last set)."""
         if now - self.last_save < self.config.interval:
             return None
-        fingerprint = self._fingerprint()
+        pp = self.current_pp
+        pp_digest = hashlib.sha256(pp).digest() if pp is not None else None
+        fingerprint = (self.drawing.revision, pp_digest)
         if fingerprint == self._saved_fingerprint:
             return None
 
-        drawing_bytes = self.drawing.canonical_bytes()
-        pp_bytes = self.current_pp
-        pp_sha = fingerprint[1]
-        drawing_path, pp_path, marker_path = _names(self.config.autosave_dir, self.doc_name)
-        aset = AutosaveSet(
-            doc_name=self.doc_name,
-            drawing_copy=drawing_path,
-            pp_copy=pp_path if pp_bytes is not None else None,
-            marker=marker_path,
-            created_at=now,
-            session_id=self.session_id,
-            drawing_sha=_sha(drawing_bytes),
-            drawing_size=len(drawing_bytes),
-            pp_sha=pp_sha,
-            pp_size=len(pp_bytes) if pp_bytes is not None else None,
-        )
-        io = self.io
+        payloads = [self.drawing.canonical_bytes()]
+        digests = [hashlib.sha256(payloads[0]).digest()]
+        if pp is not None:
+            payloads.append(pp)
+            digests.append(pp_digest)
+        meta = b"".join([
+            _META.pack(now, len(payloads)),
+            *(_PAYLOAD.pack(len(p), d) for p, d in zip(payloads, digests)),
+            self.doc_name.encode(),
+        ])
+        parts = [HEADER]
+        for payload in (meta, *payloads):
+            parts.extend(framelog.frame_parts(_FRAME_HEAD, payload))
+        aset = _describe(self.doc_name, self.path, now, payloads, digests)
+
         events = self.events
         if events is not None:
-            events.append(("tick_attempt", aset.drawing_sha, pp_sha))
+            events.append(("tick_attempt", aset.drawing_sha, aset.pp_sha))
         try:
-            io.write_file(_tmp(drawing_path), drawing_bytes)
-            if pp_bytes is not None:
-                io.write_file(_tmp(pp_path), pp_bytes)
-            io.write_file(_tmp(marker_path), _encode_marker(aset))
-            io.replace(_tmp(marker_path), marker_path)  # commit point
-            io.replace(_tmp(drawing_path), drawing_path)
-            if pp_bytes is not None:
-                io.replace(_tmp(pp_path), pp_path)
-            elif io.exists(pp_path):
-                io.unlink(pp_path)
+            self.io.write_atomic(self.path, b"".join(parts))  # the rename commits
         except OSError as exc:
             raise IoFailure(f"autosave failed: {exc}") from exc
         if events is not None:
-            events.append(("tick_committed", aset.drawing_sha, pp_sha))
+            events.append(("tick_committed", aset.drawing_sha, aset.pp_sha))
 
         self.last_save = now
         self._saved_fingerprint = fingerprint
         return aset
 
     def clean_shutdown(self) -> None:
-        """Remove the autosave set; a later probe must find nothing."""
-        drawing_path, pp_path, marker_path = _names(self.config.autosave_dir, self.doc_name)
-        # The marker goes first: without it the copies are inert garbage.
-        for attempt in (1, 2):
-            try:
-                self.io.unlink(marker_path)
-                break
-            except FileNotFoundError:
-                break
-            except OSError as exc:
-                if attempt == 2:
-                    raise IoFailure(f"cannot remove autosave marker: {exc}") from exc
-        for path in (drawing_path, pp_path, _tmp(drawing_path), _tmp(pp_path), _tmp(marker_path)):
-            try:
-                self.io.unlink(path)
-            except FileNotFoundError:
-                pass
-            except OSError as exc:
-                logger.warning("autosave cleanup left %s behind: %s", path, exc)
+        """Remove the autosave set, then a temp file a failed tick left;
+        a later probe must find nothing."""
+        try:
+            self.io.unlink(self.path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise IoFailure(f"cannot remove autosave set: {exc}") from exc
+        _collect(self.io, self.path.with_name(self.path.name + ".tmp"))
         self._saved_fingerprint = None
 
 
-def _resolve_copy(io: FileIO, final: Path, sha: str, size: int) -> bool:
-    """Accept the copy at its final name, or finish an interrupted rename
-    from the temp name; True when the digest-verified copy is in place."""
-    for candidate in (final, _tmp(final)):
-        try:
-            data = io.read_bytes(candidate)
-        except OSError:
-            continue
-        if len(data) == size and _sha(data) == sha:
-            if candidate != final:
-                io.replace(candidate, final)
-            return True
-    return False
+def _describe(doc_name: str, path: Path, created_at: float, payloads: list, digests: list) -> AutosaveSet:
+    pp = (digests[1].hex(), len(payloads[1])) if len(payloads) == 2 else (None, None)
+    return AutosaveSet(doc_name, path, created_at, digests[0].hex(), len(payloads[0]), *pp)
 
 
-def _gc(io: FileIO, paths: list[Path]) -> None:
-    for path in paths:
-        try:
-            io.unlink(path)
-        except OSError:
-            pass
+def _read_set(data: bytes, path: Path) -> tuple[AutosaveSet, list[bytes]]:
+    """The set the bytes of ``path`` hold, and its payloads; Corrupt unless
+    the file is exactly a meta frame and the payload frames it vouches for."""
+    try:
+        frames, valid_end = framelog.read_frames(data, HEADER, _FRAME_HEAD)
+        meta, *payloads = [payload for _, payload in frames]
+        created_at, count = _META.unpack_from(meta)
+        recorded = [_PAYLOAD.unpack_from(meta, _META.size + i * _PAYLOAD.size) for i in range(count)]
+        doc_name = meta[_META.size + count * _PAYLOAD.size :].decode()
+    except (BadHeader, struct.error, ValueError) as exc:
+        raise Corrupt(f"{path.name}: {exc}") from exc
+    if valid_end != len(data) or count not in (1, 2) or len(payloads) != count:
+        raise Corrupt(f"{path.name}: torn, or not one set")
+    if recorded != [(len(p), hashlib.sha256(p).digest()) for p in payloads]:
+        raise Corrupt(f"{path.name}: a payload does not match its recorded digest")
+    return _describe(doc_name, path, created_at, payloads, [d for _, d in recorded]), payloads
 
 
 def probe_recovery(autosave_dir: Path, doc_name: str, io: FileIO | None = None) -> AutosaveSet | None:
     """Look for a complete autosave set left behind by a dead session.
 
-    Returns the set if its marker and digest-verified copies are present;
-    incomplete or corrupt leftovers are logged, garbage-collected and
-    reported as None.  Must not run while a session is live for the doc.
+    Returns the set if it is intact and names ``doc_name``; a damaged or
+    foreign set is logged, collected and reported as None, and so is a
+    leftover temp file.  Must not run while a session is live for the doc.
     """
     io = io or FileIO()
-    drawing_path, pp_path, marker_path = _names(autosave_dir, doc_name)
-    all_paths = [
-        marker_path, drawing_path, pp_path,
-        _tmp(marker_path), _tmp(drawing_path), _tmp(pp_path),
-    ]
+    path = _set_path(autosave_dir, doc_name)
+    _collect(io, path.with_name(path.name + ".tmp"))
     try:
-        marker_data = io.read_bytes(marker_path)
-    except OSError:
-        _gc(io, all_paths)
+        data = io.read_bytes(path)
+    except FileNotFoundError:
         return None
     try:
-        aset = _parse_marker(marker_data, Path(autosave_dir))
+        aset, _ = _read_set(data, path)
         if aset.doc_name != doc_name:
-            raise Corrupt(f"marker belongs to {aset.doc_name!r}")
-    except (Corrupt, KeyError, ValueError) as exc:
-        logger.warning("discarding invalid autosave marker %s: %s", marker_path, exc)
-        _gc(io, all_paths)
+            raise Corrupt(f"set belongs to {aset.doc_name!r}")
+    except Corrupt as exc:
+        logger.warning("discarding invalid autosave set %s: %s", path, exc)
+        _collect(io, path)
         return None
-
-    ok = _resolve_copy(io, drawing_path, aset.drawing_sha, aset.drawing_size)
-    if ok and aset.pp_sha is not None:
-        ok = _resolve_copy(io, pp_path, aset.pp_sha, aset.pp_size or 0)
-    if not ok:
-        logger.warning("autosave set for %s is incomplete; discarding", doc_name)
-        _gc(io, all_paths)
-        return None
-    leftovers = [_tmp(marker_path), _tmp(drawing_path), _tmp(pp_path)]
-    if aset.pp_sha is None:
-        leftovers.append(pp_path)
-    _gc(io, leftovers)
     return aset
 
 
 def restore(aset: AutosaveSet, io: FileIO | None = None) -> tuple[Drawing, PPBlob | None]:
     """Load the autosaved state; the set stays on disk (restoring is
-    non-destructive, the caller decides when to drop it)."""
+    non-destructive, the caller decides when to drop it).  Corrupt when the
+    file no longer holds the set ``aset`` describes."""
     io = io or FileIO()
-    data = io.read_bytes(aset.drawing_copy)
-    if len(data) != aset.drawing_size or _sha(data) != aset.drawing_sha:
-        raise Corrupt("autosaved drawing does not match its recorded digest")
-    drawing = Drawing.from_canonical_bytes(data, name=aset.doc_name)
-    pp = None
-    if aset.pp_copy is not None and aset.pp_sha is not None:
-        pp_data = io.read_bytes(aset.pp_copy)
-        if len(pp_data) != (aset.pp_size or 0) or _sha(pp_data) != aset.pp_sha:
-            raise Corrupt("autosaved parametric blob does not match its digest")
-        pp = PPBlob(pp_data)
-    return drawing, pp
+    found, payloads = _read_set(io.read_bytes(aset.path), aset.path)
+    if found != aset:
+        raise Corrupt("autosave set changed since it was found")
+    drawing = Drawing.from_canonical_bytes(payloads[0], name=aset.doc_name)
+    return drawing, PPBlob(payloads[1]) if len(payloads) == 2 else None

@@ -80,14 +80,6 @@ def _log_warnings() -> None:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
 
 
-def _unlink_all(io, paths) -> None:
-    for path in paths:
-        try:
-            io.unlink(path)
-        except FileNotFoundError:
-            pass
-
-
 def cmd_edit(args) -> int:
     from .autosave import AutosaveConfig
     from .script import ScriptRunner, parse_script
@@ -109,6 +101,8 @@ def cmd_edit(args) -> int:
         print(f"committed {result.steps_committed} step(s); cursor at {result.cursor} of {result.step_count}")
     if result.pp_cursor is not None:
         print(f"pp at version {result.pp_cursor} of {result.pp_count}")
+    if result.autosave_failures:
+        print(f"autosave failed {result.autosave_failures} time(s)")
     return 0
 
 
@@ -212,24 +206,23 @@ def cmd_recover(args) -> int:
         print(f"autosave set found for {paths.name} (saved at t={aset.created_at}, "
               f"drawing {aset.drawing_size} bytes"
               + (f", pp {aset.pp_size} bytes)" if aset.pp_sha else ", no pp)"))
-        set_paths = [aset.marker, aset.drawing_copy] + ([aset.pp_copy] if aset.pp_copy else [])
         if args.discard:
-            _unlink_all(io, set_paths)
+            io.unlink(aset.path)
             print("autosave set discarded")
         elif args.apply:
             session.load()  # refuses a signed or damaged document
             drawing, pp = restore(aset, io)
-            # The document goes first.  The blob goes after every stored
-            # version, and only if the newest is not already it: a rerun
-            # after a crash stores it once.
-            session.save(drawing.canonical_bytes())
+            # The blob goes first, after every stored version, and only if
+            # the newest is not already it: a rerun after a crash stores it
+            # once.  Then the sidecar, with the journal cursor unknown, and
+            # the document (see Session.restore); the set goes last.
             if pp is not None:
                 session.remembered().pp_cursor = None
                 log = session.open_pp_log()
                 if not log.version_count or log.current().data != pp.data:
                     log.commit_pp(pp)
-                session.save()
-            _unlink_all(io, set_paths)
+            session.restore(drawing.canonical_bytes())
+            io.unlink(aset.path)
             print(f"restored {paths.doc}" + (" and pp" if pp is not None else ""))
         else:
             print("run again with --apply to restore it, or --discard to drop it")

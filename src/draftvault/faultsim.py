@@ -17,15 +17,16 @@ session provably achieved - its event log - reporting every invariant
 violation.  A fault sweep runs this once per byte offset of the write
 stream and demands zero violations everywhere.
 
-The event log is one list, shared by :class:`FaultyIO` (an ``io`` event
-per interposed operation), the script runner and its autosave session
-(see ``script`` and ``autosave``).  Each event is O(1) in session length:
-a journal event carries only the step just appended and a blob event only
-the version just stored, so the audit rebuilds the states the session
-reached from these deltas (:func:`journal_generations`,
-:func:`pp_generations`).  An autosave attempt is recorded only by a tick
-that writes.  Outside this harness no list is passed and nothing is
-recorded.
+The event log is one list, shared by the script runner and its autosave
+session (see ``script`` and ``autosave``).  Each event is O(1) in session
+length: a journal event carries only the step just appended and a blob
+event only the version just stored, so the audit rebuilds the states the
+session reached from these deltas (:func:`journal_generations`,
+:func:`pp_generations`).  An autosave set has one commit point, the
+rename that ``FileIO.write_atomic`` ends its one write with, and the
+tick records its commit right after it, so the audit admits exactly the
+last committed set.  An autosave attempt is recorded only by a tick that
+writes.  Outside this harness no list is passed and nothing is recorded.
 """
 from __future__ import annotations
 
@@ -67,11 +68,10 @@ class FaultyIO(FileIO):
     no-op here; the simulated disk is simply what was written.
     """
 
-    def __init__(self, plan: FaultPlan, doc: Path, events: list | None = None):
+    def __init__(self, plan: FaultPlan, doc: Path):
         super().__init__(fsync_enabled=False)
         self.plan = plan
         self.doc = Path(doc)
-        self.events = events if events is not None else []
         self.budget_left = plan.kill_at_byte
         self.total_written = 0
 
@@ -88,71 +88,62 @@ class FaultyIO(FileIO):
             return "envelope"
         return "other"
 
-    def _log(self, stream: str, op: str, path: Path, planned: int, written: int, completed: bool):
-        self.events.append(("io", stream, op, str(path), planned, written, completed))
-
-    def _spend_bytes(self, stream: str, op: str, path: Path, data: bytes) -> bytes:
+    def _spend_bytes(self, stream: str, data: bytes) -> bytes:
         """Portion of ``data`` that survives; raises after a partial write."""
         if stream != self.plan.target:
-            self._log(stream, op, path, len(data), len(data), True)
             self.total_written += len(data)
             return data
         if self.budget_left >= len(data):
             self.budget_left -= len(data)
             self.total_written += len(data)
-            self._log(stream, op, path, len(data), len(data), True)
             return data
         survived = data[: self.budget_left]
         self.total_written += self.budget_left
         self.budget_left = 0
-        self._log(stream, op, path, len(data), len(survived), False)
         return survived
 
-    def _spend_tick(self, stream: str, op: str, path: Path) -> bool:
+    def _spend_tick(self, stream: str) -> bool:
         """One budget unit for a metadata operation; False means crash now,
         before the operation happens."""
         if stream != self.plan.target:
-            self._log(stream, op, path, 1, 1, True)
             return True
         if self.budget_left >= 1:
             self.budget_left -= 1
             self.total_written += 1
-            self._log(stream, op, path, 1, 1, True)
             return True
-        self._log(stream, op, path, 1, 0, False)
         return False
 
     # -- interposed operations ------------------------------------------
 
     def write_file(self, path: Path, data: bytes) -> None:
         stream = self.classify(path)
-        survived = self._spend_bytes(stream, "write", path, data)
+        survived = self._spend_bytes(stream, data)
         super().write_file(path, survived)
         if len(survived) != len(data):
             raise CrashSimulated(f"write of {path} torn at {len(survived)}/{len(data)}")
 
     def append(self, path: Path, data: bytes) -> None:
         stream = self.classify(path)
-        survived = self._spend_bytes(stream, "append", path, data)
+        survived = self._spend_bytes(stream, data)
         super().append(path, survived)
         if len(survived) != len(data):
             raise CrashSimulated(f"append to {path} torn at {len(survived)}/{len(data)}")
 
     def truncate(self, path: Path, size: int) -> None:
         stream = self.classify(path)
-        if not self._spend_tick(stream, "truncate", path):
+        if not self._spend_tick(stream):
             raise CrashSimulated(f"died before truncate of {path}")
         super().truncate(path, size)
 
     def replace(self, src: Path, dst: Path) -> None:
         stream = self.classify(dst)
-        if not self._spend_tick(stream, "replace", dst):
+        if not self._spend_tick(stream):
             raise CrashSimulated(f"died before rename onto {dst}")
         super().replace(src, dst)
 
     def unlink(self, path: Path) -> None:
         stream = self.classify(path)
-        if not self._spend_tick(stream, "unlink", path):
+        if not self._spend_tick(stream):
             raise CrashSimulated(f"died before unlink of {path}")
         super().unlink(path)
 
@@ -243,7 +234,7 @@ def crash_sim(
     base_pp = _blobs_before(paths.pp_log, clean_io)
 
     events: list = []
-    fio = FaultyIO(plan, paths.doc, events)
+    fio = FaultyIO(plan, paths.doc)
     runner = ScriptRunner(
         doc, io=fio, autosave=autosave, start_time=start_time, step_seconds=step_seconds,
         events=events,
@@ -306,9 +297,8 @@ def crash_sim(
         except DraftVaultError as exc:
             report.violations.append(f"blob log recovery failed: {exc}")
 
-    # Autosave: what probe finds must be a set the dead session could have
-    # left: the last committed one, or the one being written, or nothing if
-    # nothing was ever committed (or shutdown had begun).
+    # Autosave: what probe finds must be the last set the dead session
+    # committed, or nothing if it committed none (or shutdown had begun).
     if autosave is not None:
         report.autosave_outcome = _audit_autosave(paths.name, autosave, events, report)
 
@@ -335,42 +325,32 @@ def crash_sim(
 def _audit_autosave(
     doc_name: str, config: AutosaveConfig, events: list, report: CrashReport
 ) -> str:
-    committed: list[tuple] = []
-    last_committed_index = -1
-    shutdown_started = False
-    shutdown_finished = False
-    for index, ev in enumerate(events):
-        if ev[0] == "tick_committed":
-            committed.append((ev[1], ev[2]))
-            last_committed_index = index
+    """Check the set a probe finds against the ticks the dead session
+    committed.  No I/O runs between a tick's rename and its
+    ``tick_committed`` event, so the one admissible set is the last
+    committed one (None when no tick committed); once shutdown has started,
+    None as well, and only None once it has finished.  The outcome says on
+    which side of the newest tick's commit point the kill came: "old" when
+    that tick was still in flight, so the previous set was found, "new"
+    when its rename was done and its own set was found, "none" when
+    nothing was found."""
+    committed: tuple | None = None
+    in_flight = shutdown_started = shutdown_finished = False
+    for ev in events:
+        if ev[0] == "tick_attempt":
+            in_flight = True
+        elif ev[0] == "tick_committed":
+            committed, in_flight = (ev[1], ev[2]), False
         elif ev[0] == "shutdown_started":
             shutdown_started = True
         elif ev[0] == "clean_shutdown":
             shutdown_finished = True
-
-    in_flight: tuple | None = None
-    touched_after_commit = any(
-        ev[0] == "io" and ev[1] == "autosave" for ev in events[last_committed_index + 1 :]
-    )
-    if touched_after_commit and not shutdown_started:
-        attempts = [
-            (ev[1], ev[2]) for ev in events[last_committed_index + 1 :] if ev[0] == "tick_attempt"
-        ]
-        if attempts:
-            in_flight = attempts[-1]
-
-    current = committed[-1] if committed else None
-    admissible: set[tuple | None] = set()
     if shutdown_finished:
-        admissible.add(None)
+        admissible = {None}
     elif shutdown_started:
-        admissible.update({None, current})
-    elif in_flight is not None:
-        admissible.update({current, in_flight})
-        if current is None:
-            admissible.add(None)
+        admissible = {None, committed}
     else:
-        admissible.add(current)  # may be None when nothing was ever saved
+        admissible = {committed}
 
     aset = probe_recovery(config.autosave_dir, doc_name)
     found = (aset.drawing_sha, aset.pp_sha) if aset is not None else None
@@ -379,16 +359,11 @@ def _audit_autosave(
             f"autosave probe found {found!r}, admissible: {sorted(map(repr, admissible))}"
         )
         return "violation"
-    if aset is not None:
-        try:
-            restore(aset)
-        except Corrupt as exc:
-            report.violations.append(f"found autosave set does not restore: {exc}")
-            return "violation"
-    if found is None:
+    if aset is None:
         return "none"
-    if in_flight is not None and found == in_flight and found != current:
-        return "new"
-    if shutdown_started or in_flight is not None:
-        return "old"
-    return "current"
+    try:
+        restore(aset)
+    except Corrupt as exc:
+        report.violations.append(f"found autosave set does not restore: {exc}")
+        return "violation"
+    return "old" if in_flight else "new"

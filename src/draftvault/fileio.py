@@ -6,7 +6,7 @@ implementation talks to the real filesystem and follows the usual
 durability discipline: whole-file replacements go through a temp file in
 the same directory, fsync, then an atomic rename, so a crash can never
 expose a torn file under its final name.  The checked text codec of the
-small key=value files (session sidecar, autosave marker) lives here too.
+small key=value files (the session sidecar) lives here too.
 """
 from __future__ import annotations
 

@@ -1,17 +1,18 @@
-"""The CRC-framed container shared by the journal, the blob log and the
-signature envelope, and the append-only log built on it.
+"""The CRC-framed container shared by the journal, the blob log, the
+signature envelope and the autosave set, and the append-only log built on it.
 
 Container layout (little-endian):
 
     magic (4 bytes) | u16 version
     per frame: head | payload | u32 crc32(head + payload)
 
-Each format supplies its own ``head``: a ``struct.Struct`` whose last
-field is the payload length.  Recovery rule: a reader keeps the longest
-prefix of frames that are complete and whose CRC matches, and stops at
-the first frame that is not.  A format may stop earlier on rules of its
-own (the journal does, on step structure); nothing after the stop point
-is ever interpreted.
+Each format has its own magic and version, which ``header`` packs into
+the 6-byte header its files start with, and its own ``head``: a
+``struct.Struct`` whose last field is the payload length.  Recovery rule:
+a reader keeps the longest prefix of frames that are complete and whose
+CRC matches, and stops at the first frame that is not.  A format may stop
+earlier on rules of its own (the journal does, on step structure);
+nothing after the stop point is ever interpreted.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .errors import BadHeader, IoFailure
 from .fileio import FileIO
 from .locks import SessionLock
 
-FORMAT_VERSION = 1
 HEADER_LEN = 6  # magic + u16 version
 CRC_LEN = 4
 
@@ -36,8 +36,9 @@ _CRC = struct.Struct("<I")
 _CRC_RESIDUE = 0x2144DF1C
 
 
-def header(magic: bytes) -> bytes:
-    return magic + _VERSION.pack(FORMAT_VERSION)
+def header(magic: bytes, version: int) -> bytes:
+    """The header of a format: its magic, then its version."""
+    return magic + _VERSION.pack(version)
 
 
 def clamp_cursor(cursor: int | None, count: int) -> int:
@@ -46,18 +47,25 @@ def clamp_cursor(cursor: int | None, count: int) -> int:
     return count if cursor is None else max(0, min(cursor, count))
 
 
+def frame_parts(head: struct.Struct, payload: bytes, *fields: int) -> tuple[bytes, bytes, bytes]:
+    """One frame in three pieces, so that a caller can join it into a
+    larger buffer without copying the payload twice: ``head`` packed from
+    ``fields`` plus the payload length, the payload, and the CRC-32 of both."""
+    packed = head.pack(*fields, len(payload))
+    return packed, payload, _CRC.pack(zlib.crc32(payload, zlib.crc32(packed)))
+
+
 def encode_frame(head: struct.Struct, payload: bytes, *fields: int) -> bytes:
-    """One frame: ``head`` packed from ``fields`` plus the payload length,
-    the payload, and the CRC-32 of both."""
-    body = head.pack(*fields, len(payload)) + payload
-    return body + _CRC.pack(zlib.crc32(body))
+    """One frame as bytes (see frame_parts)."""
+    return b"".join(frame_parts(head, payload, *fields))
 
 
 def scan_frames(
-    data: bytes, magic: bytes, head: struct.Struct, end: int | None = None, start: int = HEADER_LEN
+    data: bytes, header: bytes, head: struct.Struct, end: int | None = None, start: int = HEADER_LEN
 ) -> Iterator[tuple[tuple, int, int]]:
-    """Check the header, then iterate the intact frames of ``data[:end]``
-    from offset ``start``, a frame boundary (the first frame by default).
+    """Check that ``data`` starts with the format's ``header`` (magic and
+    version), then iterate the intact frames of ``data[:end]`` from offset
+    ``start``, a frame boundary (the first frame by default).
 
     Yields ``(fields, payload_start, frame_end)`` per frame, where
     ``fields`` is the unpacked head and the payload is
@@ -66,11 +74,11 @@ def scan_frames(
     magic or version is wrong or the header is torn.
     """
     n = len(data) if end is None else min(end, len(data))
-    if n < HEADER_LEN or data[:4] != magic:
-        raise BadHeader(f"not a {magic.decode()} file: bad magic")
-    (version,) = _VERSION.unpack_from(data, 4)
-    if version != FORMAT_VERSION:
-        raise BadHeader(f"unsupported {magic.decode()} format version {version}")
+    if n < HEADER_LEN or data[:4] != header[:4]:
+        raise BadHeader(f"not a {header[:4].decode()} file: bad magic")
+    if data[4:HEADER_LEN] != header[4:]:
+        (version,) = _VERSION.unpack_from(data, 4)
+        raise BadHeader(f"unsupported {header[:4].decode()} format version {version}")
     return _frames(data, head, start, n)
 
 
@@ -88,12 +96,12 @@ def _frames(data: bytes, head: struct.Struct, pos: int, n: int) -> Iterator[tupl
         pos = end
 
 
-def read_frames(data: bytes, magic: bytes, head: struct.Struct) -> tuple[list[tuple[tuple, bytes]], int]:
+def read_frames(data: bytes, header: bytes, head: struct.Struct) -> tuple[list[tuple[tuple, bytes]], int]:
     """Every intact frame as ``(fields, payload)``, and the offset where
     the intact prefix ends."""
     frames = []
     valid_end = HEADER_LEN
-    for fields, start, frame_end in scan_frames(data, magic, head):
+    for fields, start, frame_end in scan_frames(data, header, head):
         frames.append((fields, data[start : frame_end - CRC_LEN]))
         valid_end = frame_end
     return frames, valid_end
@@ -108,13 +116,13 @@ class FramedLog:
     (history is linear).  Mutating calls assume the single-session
     ownership enforced by the lock file at ``<path>.lock``.
 
-    A subclass sets ``MAGIC`` and provides ``_parse``: the entries of
-    the valid prefix of the file's bytes, the offset just past each one,
-    and the end of that prefix.  An entry may be decoded lazily, from the
+    A subclass sets ``HEADER`` (see ``header``) and provides ``_parse``:
+    the entries of the valid prefix of the file's bytes, the offset just
+    past each one, and the end of that prefix.  An entry may be decoded lazily, from the
     bytes it was loaded from, when it is first used.
     """
 
-    MAGIC: bytes
+    HEADER: bytes
 
     def __init__(self, path: Path, io: FileIO, lock: SessionLock | None):
         self.path = Path(path)
@@ -137,7 +145,7 @@ class FramedLog:
         previous one."""
         lock = SessionLock(path).acquire()
         try:
-            io.write_file(path, header(cls.MAGIC))
+            io.write_file(path, cls.HEADER)
         except OSError as exc:
             lock.release()
             raise IoFailure(f"cannot initialize {path}: {exc}") from exc

@@ -50,7 +50,8 @@ from .framelog import CRC_LEN, HEADER_LEN, FramedLog
 from .model import Drawing, ElementPayload
 
 MAGIC = b"TCGJ"
-HEADER = framelog.header(MAGIC)
+VERSION = 1
+HEADER = framelog.header(MAGIC, VERSION)
 
 FLAG_DELETED = 0x00
 FLAG_ADDED = 0x01
@@ -103,7 +104,7 @@ class IndexedStep(ChangeStep):
     @cached_property
     def changes(self) -> list[Change]:
         data, start, end = self._frames
-        frames = framelog.scan_frames(data, MAGIC, _REC_HEAD, end, start)
+        frames = framelog.scan_frames(data, HEADER, _REC_HEAD, end, start)
         new = tuple.__new__
         return [
             (flag, new(ElementPayload, (data[s - _ELEMENT_HEAD_LEN : e - CRC_LEN],)))
@@ -198,7 +199,7 @@ class Journal(FramedLog):
     by the lock file at ``<path>.lock``.
     """
 
-    MAGIC = MAGIC
+    HEADER = HEADER
 
     @classmethod
     def _parse(cls, data: bytes) -> tuple[list[ChangeStep], list[int], int]:
@@ -319,7 +320,7 @@ def _scan_steps(data: bytes, end: int | None) -> tuple[list[tuple[int, int, tupl
     steps = []
     count = pending = added = payload = 0
     valid_end = HEADER_LEN
-    for (step_no, flag, kind, length), _, frame_end in framelog.scan_frames(data, MAGIC, _REC_HEAD, end):
+    for (step_no, flag, kind, length), _, frame_end in framelog.scan_frames(data, HEADER, _REC_HEAD, end):
         if step_no != count + 1 or flag > FLAG_COMMIT:
             break
         if flag == FLAG_COMMIT:

@@ -190,7 +190,9 @@ class Drawing:
             pos = end
         if pos != n:
             raise Corrupt(f"{n - pos} trailing bytes after last element")
-        return cls(name=name, elements=elements)
+        drawing = cls(name=name)
+        drawing.elements = elements  # nobody else holds the list: no copy
+        return drawing
 
 
 def _packed_hashes(elements: list[ElementPayload]) -> bytearray:

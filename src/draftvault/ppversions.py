@@ -27,7 +27,8 @@ from .framelog import CRC_LEN, HEADER_LEN, FramedLog
 from .locks import SessionLock
 
 MAGIC = b"TCGP"
-HEADER = framelog.header(MAGIC)
+VERSION = 1
+HEADER = framelog.header(MAGIC, VERSION)
 
 _BLOCK_HEAD = struct.Struct("<I")
 
@@ -48,7 +49,7 @@ class PPVersionLog(FramedLog):
     file by the next commit.
     """
 
-    MAGIC = MAGIC
+    HEADER = HEADER
 
     def __init__(self, path: Path, io: FileIO, lock: SessionLock | None, task_tag: str = ""):
         super().__init__(path, io, lock)
@@ -58,7 +59,7 @@ class PPVersionLog(FramedLog):
     def _parse(cls, data: bytes) -> tuple[list[bytes | None], list[int], int]:
         """Every intact frame's end; no blob is sliced out until ``_blob``
         reaches it."""
-        ends = [frame_end for _, _, frame_end in framelog.scan_frames(data, MAGIC, _BLOCK_HEAD)]
+        ends = [frame_end for _, _, frame_end in framelog.scan_frames(data, HEADER, _BLOCK_HEAD)]
         return [None] * len(ends), ends, ends[-1] if ends else HEADER_LEN
 
     def _blob(self, index: int) -> bytes:
@@ -67,7 +68,7 @@ class PPVersionLog(FramedLog):
         if blob is None:
             data = self._data
             ((_, start, end),) = framelog.scan_frames(
-                data, MAGIC, _BLOCK_HEAD, self._ends[index], self._prefix_end(index)
+                data, HEADER, _BLOCK_HEAD, self._ends[index], self._prefix_end(index)
             )
             blob = self._entries[index] = data[start : end - CRC_LEN]
         return blob

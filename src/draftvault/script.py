@@ -18,9 +18,11 @@ The runner drives a whole session on a ``session.Session``: it takes the
 document lock itself (a caller that holds it gets Locked), starts a
 fresh journal, executes commands, ticks autosave on a synthetic clock
 that advances ``step_seconds`` per executed operation, then saves the
-document and the sidecar and cleans up.  The blob log opens at the
-version the sidecar remembers; a script that never touches it leaves
-that version remembered.
+document and the sidecar and cleans up.  A tick that fails is logged
+and counted, and the next tick retries: the journal already holds every
+step, so a failed autosave does not end the session.  The blob log opens
+at the version the sidecar remembers; a script that never touches it
+leaves that version remembered.
 
 A crash audit passes an ``events`` list, which it shares with its
 write-interposition layer and the autosave session (see ``faultsim``).
@@ -36,15 +38,18 @@ Production passes no list, and nothing is recorded.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .autosave import AutosaveConfig, AutosaveSession, _sha
-from .errors import NothingToRedo, NothingToUndo, ScriptError
+from .errors import IoFailure, NothingToRedo, NothingToUndo, ScriptError
 from .fileio import FileIO
 from .journal import FLAG_ADDED, FLAG_DELETED, Change, make_modify
 from .model import ElementPayload
 from .session import Session
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,7 @@ class RunResult:
     pp_count: int = 0
     notices: list[str] = field(default_factory=list)
     aborted: bool = False
+    autosave_failures: int = 0
 
 
 class _AbortRun(Exception):
@@ -154,7 +160,11 @@ class ScriptRunner:
             def tick() -> None:
                 self.clock += self.step_seconds
                 if saver is not None:
-                    saver.autosave_tick(self.clock)
+                    try:
+                        saver.autosave_tick(self.clock)
+                    except IoFailure as exc:
+                        result.autosave_failures += 1
+                        logger.warning("%s; retrying at the next tick", exc)
 
             def flush() -> None:
                 if not pending:

@@ -6,10 +6,14 @@ a :class:`Session`.  It holds the document lock (``<doc>.lock``) for its
 ``with`` block and reads the sidecar at most once, on first need.  It
 opens the journal on first use, fresh for a drawing or resumed at the
 remembered cursor and positions, and the blob log at the remembered
-version.  A journal is not resumed without a remembered cursor (sidecar
-missing, damaged or never written): undo and redo refuse with Corrupt
+version.  A fresh journal is followed at once by a sidecar at cursor 0,
+before the first step, so a session that dies leaves no older session's
+cursor beside its journal.  A journal is not resumed without a remembered
+cursor (sidecar missing, damaged or never written, or the document
+replaced by a restored autosave): undo and redo refuse with Corrupt
 rather than guess which step the document is at.  :meth:`Session.save`
-writes the document, then the sidecar.  Leaving the block releases the
+writes the document, then the sidecar; :meth:`Session.restore` writes the
+sidecar first.  Leaving the block releases the
 logs and the lock on every exit, a simulated crash included.  Each log
 keeps its own lock file too: a library host opens a ``Journal`` without
 the document lock.  The journal, the signatures and the blob log load on
@@ -62,14 +66,21 @@ class Session:
 
     def open_journal(self, drawing=None):
         """The session journal, opened on the first call: a fresh one when
-        a ``drawing`` is given, else the existing one resumed at the
-        remembered cursor and positions.  Resuming raises Corrupt when the
-        sidecar holds no cursor: which step the document is at is unknown."""
+        a ``drawing`` is given, followed by the sidecar at its cursor 0,
+        else the existing one resumed at the remembered cursor and
+        positions.  Resuming raises Corrupt when the sidecar holds no
+        cursor: which step the document is at is unknown.
+
+        The fresh journal replaces the old one before the sidecar is
+        written: a crash between the two leaves the old cursor over an
+        empty journal, which moves nothing, where the other order would
+        leave cursor 0 over the old steps the document already holds."""
         if self.journal is None:
             from .journal import Journal
 
             if drawing is not None:
                 self.journal = Journal.begin_session(drawing, self.paths.journal, self.io)
+                self._write_sidecar()
             else:
                 state = self.remembered()
                 if state.journal_cursor is None:
@@ -94,11 +105,27 @@ class Session:
         with the cursors of the logs this session opened.  Without an
         opened log the sidecar is left as it is."""
         if document is not None:
-            from .signatures import SignedEnvelope, save_document
+            self._save_document(document)
+        if self.journal is not None or self.pp_log is not None:
+            self._write_sidecar()
 
-            save_document(self.paths.doc, SignedEnvelope(document=document), self.io)
-        if self.journal is None and self.pp_log is None:
-            return
+    def restore(self, document: bytes) -> None:
+        """Replace the document by ``document``, which no step of the
+        journal leads to (a restored autosave): first the sidecar, with the
+        journal cursor unknown and the blob log's cursor if it is open, then
+        the document.  A crash between the two leaves undo and redo
+        refusing, never replaying the journal over the new document."""
+        state = self.remembered()
+        state.journal_cursor, state.positions = None, {}
+        self._write_sidecar()
+        self._save_document(document)
+
+    def _save_document(self, document: bytes) -> None:
+        from .signatures import SignedEnvelope, save_document
+
+        save_document(self.paths.doc, SignedEnvelope(document=document), self.io)
+
+    def _write_sidecar(self) -> None:
         state = self.remembered()
         if self.journal is not None:
             state.journal_cursor = self.journal.cursor

@@ -3,14 +3,15 @@
 The journal file format carries no cursor and no positions: both are
 session memory.  The CLI spreads one editing session over several
 process invocations (edit, then undo, then redo ...), so it parks that
-memory here between commands.  ``session.Session.save`` is the one
-writer in the program, and it writes the document first, then this file.
-A missing or damaged sidecar reads as an empty state, with no journal
-cursor, and the session refuses to resume its journal from that: undo
-and redo fail rather than guess.  A crash between the two writes still
-leaves a cursor that no longer matches the document (see the ROADMAP
-item "Session memory that neither a crash nor a lost sidecar can turn
-into a wrong drawing").
+memory here between commands.  ``session.Session`` is the one writer in
+the program: at a fresh journal's start (cursor 0, before the first
+step), after the document when a session saves, and before the document,
+with the cursor unknown, when a restored autosave replaces it.  A missing
+or damaged sidecar reads as an empty state, with no journal cursor, and
+the session refuses to resume its journal from that: undo and redo fail
+rather than guess.  A crash between a save's two writes still leaves a
+cursor that no longer matches the document (see the ROADMAP item
+"Session memory bound to the document").
 """
 from __future__ import annotations
 

@@ -49,7 +49,8 @@ from . import model
 from .fileio import FileIO
 
 MAGIC = b"TCGE"
-HEADER = framelog.header(MAGIC)
+VERSION = 1
+HEADER = framelog.header(MAGIC, VERSION)
 
 SECTION_DOCUMENT = 0x01
 SECTION_SIGNATURE = 0x02
@@ -223,7 +224,7 @@ def _decode_signature(value: bytes) -> SignatureRecord:
 
 
 def encode_envelope(env: SignedEnvelope) -> bytes:
-    parts = [HEADER, framelog.encode_frame(_SECTION_HEAD, env.document, SECTION_DOCUMENT)]
+    parts = [HEADER, *framelog.frame_parts(_SECTION_HEAD, env.document, SECTION_DOCUMENT)]
     parts.extend(
         framelog.encode_frame(_SECTION_HEAD, _encode_signature(r), SECTION_SIGNATURE) for r in env.signatures
     )
@@ -231,7 +232,7 @@ def encode_envelope(env: SignedEnvelope) -> bytes:
 
 
 def parse_envelope(data: bytes) -> SignedEnvelope:
-    sections, valid_end = framelog.read_frames(data, MAGIC, _SECTION_HEAD)
+    sections, valid_end = framelog.read_frames(data, HEADER, _SECTION_HEAD)
     if valid_end != len(data):
         raise Corrupt(f"{len(data) - valid_end} invalid trailing bytes in envelope")
     if not sections or sections[0][0][0] != SECTION_DOCUMENT:

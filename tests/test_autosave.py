@@ -1,28 +1,66 @@
 import pytest
 
+from draftvault import framelog
 from draftvault.autosave import (
+    _FRAME_HEAD,
+    _META,
+    _PAYLOAD,
+    HEADER,
     AutosaveConfig,
     AutosaveSession,
     probe_recovery,
     restore,
 )
-from draftvault.errors import Corrupt
+from draftvault.errors import Corrupt, IoFailure
+from draftvault.fileio import FileIO
 from draftvault.journal import FLAG_ADDED
 from draftvault.model import Drawing, ElementPayload
 
 from conftest import apply_changes
 
 DOC = "plant7.tcgd"
+SET = f"{DOC}.autosave.set"
 
 
-def make_session(tmp_path, interval=300.0, started_at=0.0):
+def make_session(tmp_path, interval=300.0, started_at=0.0, io=None):
     drawing = Drawing(name="plant7", elements=[ElementPayload(1, b"pipe")])
     config = AutosaveConfig(interval=interval, autosave_dir=tmp_path)
-    return AutosaveSession(DOC, drawing, config, started_at=started_at), drawing
+    return AutosaveSession(DOC, drawing, config, io, started_at=started_at), drawing
 
 
 def autosave_files(tmp_path):
     return sorted(p.name for p in tmp_path.iterdir() if ".autosave." in p.name)
+
+
+class CountingIO(FileIO):
+    """Records each operation on a file of the autosave stream."""
+
+    def __init__(self, fail_writes: bool = False):
+        super().__init__(fsync_enabled=False)
+        self.ops: list[tuple[str, str]] = []
+        self.fail_writes = fail_writes
+
+    def _note(self, op, path):
+        if ".autosave." in str(path):
+            self.ops.append((op, path.name))
+
+    def read_bytes(self, path):
+        self._note("read", path)
+        return super().read_bytes(path)
+
+    def write_file(self, path, data):
+        self._note("write", path)
+        if self.fail_writes and ".autosave." in str(path):
+            raise OSError(28, "No space left on device")
+        super().write_file(path, data)
+
+    def replace(self, src, dst):
+        self._note("replace", dst)
+        super().replace(src, dst)
+
+    def unlink(self, path):
+        self._note("unlink", path)
+        super().unlink(path)
 
 
 def test_config_validation(tmp_path):
@@ -40,10 +78,36 @@ def test_tick_saves_after_interval(tmp_path):
     session, _ = make_session(tmp_path)
     saved = session.autosave_tick(301.0)
     assert saved is not None
-    assert autosave_files(tmp_path) == [
-        f"{DOC}.autosave.drawing",
-        f"{DOC}.autosave.marker",
-    ]
+    assert saved.path == tmp_path / SET
+    assert autosave_files(tmp_path) == [SET]
+
+
+def test_tick_is_one_write_and_one_replace(tmp_path):
+    io = CountingIO()
+    session, drawing = make_session(tmp_path, io=io)
+    session.set_current_pp(b"profile")
+    for i in range(3):
+        apply_changes(drawing, [(FLAG_ADDED, ElementPayload(3, bytes([i])))])
+        io.ops.clear()
+        assert session.autosave_tick(301.0 * (i + 1)) is not None
+        assert io.ops == [("write", f"{SET}.tmp"), ("replace", SET)]
+    io.ops.clear()
+    assert probe_recovery(tmp_path, DOC, io) is not None
+    assert io.ops == [("unlink", f"{SET}.tmp"), ("read", SET)]
+    io.ops.clear()
+    session.clean_shutdown()
+    assert io.ops == [("unlink", SET), ("unlink", f"{SET}.tmp")]
+
+
+def test_failed_tick_raises_and_stays_due(tmp_path):
+    io = CountingIO(fail_writes=True)
+    session, _ = make_session(tmp_path, io=io)
+    with pytest.raises(IoFailure):
+        session.autosave_tick(301.0)
+    assert probe_recovery(tmp_path, DOC) is None
+    io.fail_writes = False
+    assert session.autosave_tick(302.0) is not None  # due again at once: the retry
+    assert autosave_files(tmp_path) == [SET]
 
 
 def test_tick_with_no_change_is_skipped(tmp_path):
@@ -59,21 +123,22 @@ def test_exactly_one_set_across_many_ticks(tmp_path):
     for i in range(5):
         apply_changes(drawing, [(FLAG_ADDED, ElementPayload(3, bytes([i])))])
         assert session.autosave_tick(301.0 * (i + 1)) is not None
-        assert autosave_files(tmp_path) == [
-            f"{DOC}.autosave.drawing",
-            f"{DOC}.autosave.marker",
-        ]
+        assert autosave_files(tmp_path) == [SET]
 
 
 def test_pp_copy_written_and_removed_with_set(tmp_path):
     session, drawing = make_session(tmp_path)
     session.set_current_pp(b"profile-v1")
     assert session.autosave_tick(301.0) is not None
-    assert f"{DOC}.autosave.pp" in autosave_files(tmp_path)
+    found = probe_recovery(tmp_path, DOC)
+    assert found.pp_size == len(b"profile-v1")
+    assert restore(found)[1].data == b"profile-v1"
     apply_changes(drawing, [(FLAG_ADDED, ElementPayload(9, b"x"))])
-    session.set_current_pp(None)  # task closed: next set has no pp copy
+    session.set_current_pp(None)  # task closed: next set has no blob
     assert session.autosave_tick(602.0) is not None
-    assert f"{DOC}.autosave.pp" not in autosave_files(tmp_path)
+    found = probe_recovery(tmp_path, DOC)
+    assert (found.pp_sha, found.pp_size) == (None, None)
+    assert restore(found)[1] is None
 
 
 def test_probe_after_crash_finds_set(tmp_path):
@@ -82,9 +147,7 @@ def test_probe_after_crash_finds_set(tmp_path):
     saved = session.autosave_tick(301.0)
     # no clean_shutdown: that's the crash
     found = probe_recovery(tmp_path, DOC)
-    assert found is not None
-    assert found.drawing_sha == saved.drawing_sha
-    assert found.pp_sha == saved.pp_sha
+    assert found == saved
     restored, pp = restore(found)
     assert restored.canonical_bytes() == drawing.canonical_bytes()
     assert pp.data == b"pp-bytes"
@@ -109,25 +172,43 @@ def test_restore_matches_harness_recorded_copy(tmp_path):
     assert restored.canonical_bytes() == recorded
 
 
-def test_every_single_byte_flip_in_copy_is_detected(tmp_path):
-    session, _ = make_session(tmp_path)
+def test_restore_refuses_a_set_written_after_the_probe(tmp_path):
+    session, drawing = make_session(tmp_path)
     session.autosave_tick(301.0)
-    copy_path = tmp_path / f"{DOC}.autosave.drawing"
-    original = copy_path.read_bytes()
+    found = probe_recovery(tmp_path, DOC)
+    apply_changes(drawing, [(FLAG_ADDED, ElementPayload(5, b"later"))])
+    session.autosave_tick(602.0)  # a valid set, but not the one found
+    with pytest.raises(Corrupt, match="changed"):
+        restore(found)
+
+
+def test_every_single_byte_flip_in_copy_is_detected(tmp_path):
+    """A flip of any byte of the set file, in the header, the meta frame,
+    the drawing or the blob, makes restore raise Corrupt and the probe
+    discard the file."""
+    session, _ = make_session(tmp_path)
+    session.set_current_pp(b"blob")
+    session.autosave_tick(301.0)
+    set_path = tmp_path / SET
+    original = set_path.read_bytes()
     found = probe_recovery(tmp_path, DOC)
     for offset in range(len(original)):
-        mutated = bytearray(original)
-        mutated[offset] ^= 0x01
-        copy_path.write_bytes(bytes(mutated))
-        with pytest.raises(Corrupt):
-            restore(found)
-    copy_path.write_bytes(original)
+        for mask in (0x01, 0x80, 0xFF):
+            mutated = bytearray(original)
+            mutated[offset] ^= mask
+            set_path.write_bytes(bytes(mutated))
+            with pytest.raises(Corrupt):
+                restore(found)
+            assert probe_recovery(tmp_path, DOC) is None, (offset, mask)
+            assert not set_path.exists()
+    set_path.write_bytes(original)
     restore(found)
 
 
 def test_clean_shutdown_removes_everything(tmp_path):
     session, _ = make_session(tmp_path)
     session.autosave_tick(301.0)
+    (tmp_path / f"{SET}.tmp").write_bytes(b"left by a failed tick")
     session.clean_shutdown()
     assert autosave_files(tmp_path) == []
     assert probe_recovery(tmp_path, DOC) is None
@@ -144,31 +225,52 @@ def test_probe_fresh_document_is_none(tmp_path):
 
 
 def test_probe_ignores_and_collects_marker_for_other_doc(tmp_path, caplog):
+    """The meta frame, the set's marker, names the document: a set under
+    another document's name is not that document's."""
     session, _ = make_session(tmp_path)
     session.autosave_tick(301.0)
-    marker = tmp_path / f"{DOC}.autosave.marker"
-    other = tmp_path / "other.tcgd.autosave.marker"
-    other.write_bytes(marker.read_bytes())  # doc= field says plant7
+    other = tmp_path / "other.tcgd.autosave.set"
+    other.write_bytes((tmp_path / SET).read_bytes())  # the meta frame says plant7
     assert probe_recovery(tmp_path, "other.tcgd") is None
     assert not other.exists()
-    assert "autosave" in caplog.text.lower() or caplog.text == ""
+    assert "belongs to 'plant7.tcgd'" in caplog.text
 
 
-def test_probe_collects_orphan_copies_without_marker(tmp_path):
-    session, _ = make_session(tmp_path)
-    session.autosave_tick(301.0)
-    (tmp_path / f"{DOC}.autosave.marker").unlink()
-    assert probe_recovery(tmp_path, DOC) is None
-    assert autosave_files(tmp_path) == []
+def test_probe_collects_a_leftover_tmp_and_keeps_the_set(tmp_path):
+    """A tick that died before its rename leaves ``<set>.tmp``, torn or
+    whole, beside the previous set: the probe keeps the set and collects
+    the temp file."""
+    session, drawing = make_session(tmp_path)
+    saved = session.autosave_tick(301.0)
+    (tmp_path / f"{SET}.tmp").write_bytes((tmp_path / SET).read_bytes()[:20])
+    assert probe_recovery(tmp_path, DOC) == saved
+    assert autosave_files(tmp_path) == [SET]
 
 
 def test_probe_collects_corrupt_marker(tmp_path, caplog):
+    """A set cut short, one with bytes after its last frame, one whose
+    meta frame vouches for a blob frame it lacks and one whose recorded
+    drawing digest is wrong (every frame intact) are each discarded."""
     session, _ = make_session(tmp_path)
     session.autosave_tick(301.0)
-    marker = tmp_path / f"{DOC}.autosave.marker"
-    marker.write_bytes(marker.read_bytes()[:-3])
-    assert probe_recovery(tmp_path, DOC) is None
-    assert autosave_files(tmp_path) == []
+    set_path = tmp_path / SET
+    good = set_path.read_bytes()
+    (_, meta), (_, drawing) = framelog.read_frames(good, HEADER, _FRAME_HEAD)[0]
+    created_at, _ = _META.unpack_from(meta)
+    entry = meta[_META.size : _META.size + _PAYLOAD.size]
+    claims_a_blob = _META.pack(created_at, 2) + entry + entry + meta[_META.size + _PAYLOAD.size :]
+    wrong_digest = bytearray(meta)
+    wrong_digest[-len(DOC) - 1] ^= 0x01  # the last byte of the drawing's SHA-256
+    for bad in (
+        good[:-3],
+        good + b"\x00",
+        HEADER + b"".join(framelog.encode_frame(_FRAME_HEAD, p) for p in (claims_a_blob, drawing)),
+        HEADER + b"".join(framelog.encode_frame(_FRAME_HEAD, p) for p in (bytes(wrong_digest), drawing)),
+    ):
+        set_path.write_bytes(bad)
+        assert probe_recovery(tmp_path, DOC) is None
+        assert autosave_files(tmp_path) == []
+    assert "discarding invalid autosave set" in caplog.text
 
 
 def test_loss_window_bounded_by_interval(tmp_path):

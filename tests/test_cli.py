@@ -7,6 +7,7 @@ import pytest
 from draftvault import model
 from draftvault.autosave import AutosaveConfig, AutosaveSession
 from draftvault.cli import main
+from draftvault.fileio import FileIO
 from draftvault.locks import SessionLock
 from draftvault.model import Drawing
 from draftvault.ppversions import recover_pp_log
@@ -289,11 +290,12 @@ def test_autosave_run_and_recover_cycle(doc, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--discard"], ["--apply"]])
 def test_recover_leaves_a_live_session_alone(doc, capsys, flags):
-    """A live session's first autosave tick has written its drawing copy
-    but no marker yet; recover must not collect that copy as a leftover."""
+    """A live session's first autosave tick has written its set's temp
+    file but not renamed it yet; recover must not collect that file as a
+    leftover."""
     run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
     before = doc.read_bytes()
-    live_copy = doc.parent / "autosaves" / "d.tcgd.autosave.drawing.tmp"
+    live_copy = doc.parent / "autosaves" / "d.tcgd.autosave.set.tmp"
     live_copy.write_bytes(before)
     with SessionLock(doc):
         code, _, err = run(["recover", doc, *flags], capsys)
@@ -448,7 +450,8 @@ def _count_calls(monkeypatch, name: str, calls: list) -> None:
 ])
 def test_writing_command_locks_once_and_reads_each_file_once(doc, capsys, monkeypatch, argv):
     """Every command that writes takes the document lock once, reads and
-    writes the sidecar once each, and opens the document at most once."""
+    writes the sidecar once each, and opens the document at most once;
+    ``edit`` writes the sidecar twice, at its journal's start and at its end."""
     run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
     run(["undo", doc], capsys)  # cursor 2 of 3: both undo and redo move
     for data in ("aa", "bb"):
@@ -472,5 +475,100 @@ def test_writing_command_locks_once_and_reads_each_file_once(doc, capsys, monkey
     assert code == 0, err
     assert "nothing" not in out
     assert calls.count("d.tcgd.lock") == 1
-    assert calls.count("read_sidecar") == calls.count("write_sidecar") == 1
+    assert calls.count("read_sidecar") == 1
+    assert calls.count("write_sidecar") == (2 if argv[0] == "edit" else 1)
     assert calls.count("load_editable") == (0 if argv[0] == "pp" else 1)
+
+
+def _elements(doc) -> list:
+    return [e.data.hex() for e in Drawing.from_canonical_bytes(doc.read_bytes()).elements]
+
+
+def _earlier_session(doc, capsys) -> None:
+    """A finished session of one step, ``00``: the document is [00] and the
+    sidecar remembers cursor 1."""
+    (doc.parent / "first.txt").write_text("ADD 1 00\nSTEP\n")
+    assert run(["edit", doc, "--script", doc.parent / "first.txt"], capsys)[0] == 0
+
+
+def test_redo_after_a_crashed_session_replays_its_own_first_step(doc, capsys):
+    """The crashed session's journal holds aa, bb; the document is still
+    [00].  Its start wrote cursor 0, so redo replays aa, not bb."""
+    _earlier_session(doc, capsys)
+    (doc.parent / "crash.txt").write_text("ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 cc\nSTEP\n")
+    code, out, _ = run(["crash-sim", doc, "--script", doc.parent / "crash.txt", "--kill-at-byte", "80",
+                        "--target", "journal"], capsys)
+    assert code == 0 and "crashed=true" in out and "steps_recovered=2" in out
+    assert _elements(doc) == ["00"]
+    code, out, _ = run(["redo", doc], capsys)
+    assert code == 0 and "cursor at 1 of 2" in out
+    assert _elements(doc) == ["00", "aa"]
+    code, out, _ = run(["redo", doc], capsys)
+    assert _elements(doc) == ["00", "aa", "bb"]
+
+
+def test_redo_after_an_aborted_session_replays_its_own_first_step(doc, capsys):
+    _earlier_session(doc, capsys)
+    (doc.parent / "abort.txt").write_text("ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 cc\nSTEP\n")
+    code, out, _ = run(["autosave-run", doc, "--script", doc.parent / "abort.txt", "--interval", "1",
+                        "--abort-after-step", "2"], capsys)
+    assert code == 0 and "aborted after step 2" in out
+    code, out, _ = run(["redo", doc], capsys)
+    assert code == 0 and "cursor at 1 of 2" in out
+    assert _elements(doc) == ["00", "aa"]
+
+
+def test_undo_and_redo_refuse_after_recover_apply(doc, capsys):
+    """A restored autosave is a drawing no journal step leads to: undo and
+    redo exit 3 instead of replaying over it, and history says why."""
+    _earlier_session(doc, capsys)
+    (doc.parent / "abort.txt").write_text("ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 cc\nSTEP\n")
+    run(["autosave-run", doc, "--script", doc.parent / "abort.txt", "--interval", "1",
+         "--abort-after-step", "2"], capsys)
+    code, out, _ = run(["recover", doc, "--apply"], capsys)
+    assert code == 0 and "restored" in out
+    restored = doc.read_bytes()
+    assert _elements(doc) == ["00", "aa", "bb"]
+    for command in ("undo", "redo"):
+        code, _, err = run([command, doc], capsys)
+        assert code == 3 and "cursor is unknown" in err, command
+        assert doc.read_bytes() == restored
+    code, out, _ = run(["history", doc], capsys)
+    assert code == 0 and "cursor unknown" in out
+
+
+class _RefusingJournal(FileIO):
+    """A FileIO that cannot open a journal for writing."""
+
+    def write_file(self, path, data):
+        if str(path).endswith(".journal"):
+            raise PermissionError(13, "Permission denied", str(path))
+        super().write_file(path, data)
+
+
+def test_a_session_that_cannot_start_its_journal_keeps_the_earlier_cursor(doc, capsys):
+    """The sidecar at cursor 0 follows the fresh journal: when the journal
+    cannot be started, the earlier session's journal and cursor stay, and
+    undo and redo go on from them."""
+    _earlier_session(doc, capsys)
+    code = main(["edit", str(doc), "--script", str(doc.parent / "edit.txt")], io=_RefusingJournal())
+    assert code == 2
+    capsys.readouterr()
+    code, out, _ = run(["redo", doc], capsys)
+    assert code == 0 and "nothing to redo" in out
+    code, out, _ = run(["undo", doc], capsys)
+    assert code == 0 and "cursor at 0 of 1" in out
+    assert _elements(doc) == []
+
+
+def test_autosave_failures_do_not_end_the_session(doc, capsys, monkeypatch, caplog):
+    monkeypatch.setenv("DRAFTVAULT_AUTOSAVE_DIR", str(doc.parent / "missing"))
+    code, out, err = run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
+                          "--step-seconds", "2"], capsys)
+    assert code == 0, err
+    assert "committed 3 step(s); cursor at 3 of 3" in out
+    assert "autosave failed 3 time(s)" in out
+    assert caplog.text.count("retrying at the next tick") == 3
+    assert _elements(doc) == ["aacc"]
+    code, out, _ = run(["undo", doc], capsys)
+    assert code == 0 and "cursor at 2 of 3" in out

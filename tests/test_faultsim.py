@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from draftvault import faultsim
-from draftvault.autosave import AutosaveConfig
+from draftvault.autosave import AutosaveConfig, probe_recovery
 from draftvault.faultsim import (
     CrashSimulated,
     FaultPlan,
@@ -63,8 +63,8 @@ def test_faultyio_classifies_streams(tmp_path):
     assert classify(tmp_path / "d.tcgd.journal") == "journal"
     assert classify(tmp_path / "d.tcgd.journal.tmp") == "journal"
     assert classify(tmp_path / "d.tcgd.pp") == "pp-log"
-    assert classify(tmp_path / "d.tcgd.autosave.pp") == "autosave"
-    assert classify(tmp_path / "d.tcgd.autosave.drawing.tmp") == "autosave"
+    assert classify(tmp_path / "d.tcgd.autosave.set") == "autosave"
+    assert classify(tmp_path / "d.tcgd.autosave.set.tmp") == "autosave"
     assert classify(tmp_path / "d.tcgd") == "envelope"
     assert classify(tmp_path / "d.tcgd.tmp") == "envelope"
     assert classify(tmp_path / "d.tcgd.session") == "other"
@@ -167,10 +167,24 @@ def test_sweep_autosave_stream(tmp_path):
     assert total > 200
     outcomes = {r.autosave_outcome for r in reports}
     # the sweep must cross tick commit points in both directions: kills that
-    # leave the previous set ("old") and kills past the marker rename that
-    # leave the interrupted one ("new"), plus pre-first-save offsets ("none")
+    # leave the previous set while a tick is in flight ("old"), kills past the
+    # newest tick's rename that leave its set ("new"), and pre-first-save
+    # offsets ("none")
     assert {"none", "old", "new"} <= outcomes
     assert "violation" not in outcomes
+    # and on both sides of every tick's rename: each set a tick commits is
+    # found by the kills after its rename, up to the next tick's
+    events: list = []
+    (tmp_path / "events").mkdir()
+    ScriptRunner(tmp_path / "events" / "d.tcgd", autosave=AutosaveConfig(1.0, tmp_path / "events"),
+                 step_seconds=2.0, events=events).run(parse_script(script))
+    committed = {(ev[1], ev[2]) for ev in events if ev[0] == "tick_committed"}
+    assert len(committed) >= 4
+    found = set()
+    for offset in range(len(reports)):
+        aset = probe_recovery(tmp_path / f"k{offset}", "d.tcgd")
+        found.add(aset and (aset.drawing_sha, aset.pp_sha))
+    assert found == committed | {None}
 
 
 def test_crash_mid_journal_recovers_prefix(tmp_path):

@@ -1,15 +1,17 @@
-"""Golden-file pinning of the three container layouts, the drawing form and
-the two checked text files (session sidecar and autosave marker).
+"""Golden-file pinning of the four container layouts (journal, blob log,
+envelope, autosave set), the drawing form and the checked text file of the
+session sidecar.
 
 The expected bytes are frozen hex literals, originally produced by an
 independent inline constructor (plain struct + zlib, no engine code); the
 constructor lives here too and must keep agreeing with the literals, so a
 layout regression has to break two independent encoders to slip through.
 """
+import hashlib
 import struct
 import zlib
 
-from draftvault.autosave import AutosaveConfig, AutosaveSession, probe_recovery
+from draftvault.autosave import AutosaveConfig, AutosaveSession, probe_recovery, restore
 from draftvault.fileio import FileIO
 from draftvault.journal import FLAG_ADDED, FLAG_DELETED, Journal, inspect_journal, recover_journal
 from draftvault.model import Drawing, ElementPayload
@@ -40,14 +42,11 @@ GOLD_SIDECAR = (
     b"step=2:0\n"
     b"crc=1a6e35eb\n"
 )
-GOLD_MARKER = (
-    b"draftvault-autosave v1\n"
-    b"doc=plant7.tcgd\n"
-    b"session=5e55\n"
-    b"created=2.5\n"
-    b"drawing=a2d32223d06cbbd62f0f17449e75438dca8602b600f32998586168da235c7263 28\n"
-    b"pp=5a8814ae66ff07179d2c22381da6221f6fe754e6175c47d7d87846080f0a9715 2\n"
-    b"crc=73540048\n"
+GOLD_SET = (
+    "5443474101005c0000000000000000000440021c000000a2d32223d06cbbd62f0f17449e7543"
+    "8dca8602b600f32998586168da235c7263020000005a8814ae66ff07179d2c22381da6221f6f"
+    "e754e6175c47d7d87846080f0a9715706c616e74372e746367642cb4c08d1c00000054434744"
+    "010002000000010004000000706970650200020000000001149416a802000000ccdd83362763"
 )
 
 ELEMENTS = [ElementPayload(1, b"pipe"), ElementPayload(2, b"\x00\x01")]
@@ -165,17 +164,29 @@ def test_sidecar_layout_pinned(tmp_path):
     assert (back.journal_cursor, back.pp_cursor, back.positions) == (2, 1, {1: [0, 1], 2: [0]})
 
 
-def test_autosave_marker_layout_pinned(tmp_path):
+def test_autosave_set_layout_pinned(tmp_path):
     drawing = Drawing(elements=ELEMENTS)
     session = AutosaveSession("plant7.tcgd", drawing, AutosaveConfig(1.0, tmp_path),
-                              FileIO(fsync_enabled=False), session_id="5e55")
+                              FileIO(fsync_enabled=False))
     session.set_current_pp(b"\xcc\xdd")
     assert session.autosave_tick(2.5) is not None
-    assert (tmp_path / "plant7.tcgd.autosave.marker").read_bytes() == GOLD_MARKER
-    body = GOLD_MARKER[: GOLD_MARKER.rindex(b"crc=")]
-    assert body + _text_crc_line(body) == GOLD_MARKER
+    assert (tmp_path / "plant7.tcgd.autosave.set").read_bytes().hex() == GOLD_SET
+
+    def frame(payload):
+        body = struct.pack("<I", len(payload)) + payload
+        return body + _crc(body)
+
+    tcgd, blob = bytes.fromhex(GOLD_TCGD), b"\xcc\xdd"
+    meta = struct.pack("<dB", 2.5, 2)
+    meta += struct.pack("<I", len(tcgd)) + hashlib.sha256(tcgd).digest()
+    meta += struct.pack("<I", len(blob)) + hashlib.sha256(blob).digest()
+    meta += b"plant7.tcgd"
+    raw = b"TCGA" + struct.pack("<H", 1) + frame(meta) + frame(tcgd) + frame(blob)
+    assert raw.hex() == GOLD_SET
 
     aset = probe_recovery(tmp_path, "plant7.tcgd")
     assert aset is not None
-    assert (aset.session_id, aset.created_at, aset.drawing_size, aset.pp_size) == ("5e55", 2.5, 28, 2)
+    assert (aset.created_at, aset.drawing_size, aset.pp_size) == (2.5, 28, 2)
     assert aset.drawing_sha == "a2d32223d06cbbd62f0f17449e75438dca8602b600f32998586168da235c7263"
+    restored, pp = restore(aset)
+    assert restored.canonical_bytes().hex() == GOLD_TCGD and pp.data == blob

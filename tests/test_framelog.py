@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from draftvault.cli import build_parser
 from draftvault.errors import BadHeader
-from draftvault.framelog import HEADER_LEN, read_frames, scan_frames
+from draftvault.framelog import HEADER_LEN, encode_frame, header, read_frames, scan_frames
 from draftvault.journal import FLAG_ADDED, ChangeStep, inspect_journal, parse_journal_bytes, validate_journal
 from draftvault.ppversions import PPVersionLog, recover_pp_log
 from draftvault.sidecar import SidecarState, write_sidecar
 from draftvault.signatures import parse_envelope
 
+V1 = struct.pack("<H", 1)  # the version of every format here
 HEADS = {b"TCGJ": struct.Struct("<IBHI"), b"TCGP": struct.Struct("<I"), b"TCGE": struct.Struct("<BI")}
 
 
@@ -61,11 +62,12 @@ FORMATS = pytest.mark.parametrize("magic", list(STREAMS), ids=["journal", "block
 def test_scan_of_a_cut_is_a_prefix_of_the_full_scan(magic, seed, cut):
     data = STREAMS[magic](random.Random(seed))
     cut = HEADER_LEN + cut % (len(data) - HEADER_LEN + 1)
-    full, full_end = read_frames(data, magic, HEADS[magic])
-    part, part_end = read_frames(data[:cut], magic, HEADS[magic])
+    full, full_end = read_frames(data, magic + V1, HEADS[magic])
+    part, part_end = read_frames(data[:cut], magic + V1, HEADS[magic])
     assert part == full[: len(part)]
     assert part_end <= cut and part_end <= full_end
-    assert list(scan_frames(data, magic, HEADS[magic], cut)) == list(scan_frames(data[:cut], magic, HEADS[magic]))
+    head = HEADS[magic]
+    assert list(scan_frames(data, magic + V1, head, cut)) == list(scan_frames(data[:cut], magic + V1, head))
     if cut == len(data):
         assert part_end == len(data)
 
@@ -79,20 +81,39 @@ def test_a_flipped_byte_yields_no_frame_past_it(magic, seed, flip):
         return
     mutated = bytearray(data)
     mutated[flip] ^= 0xFF
-    frames, valid_end = read_frames(bytes(mutated), magic, HEADS[magic])
+    frames, valid_end = read_frames(bytes(mutated), magic + V1, HEADS[magic])
     assert valid_end <= flip
-    assert frames == read_frames(data, magic, HEADS[magic])[0][: len(frames)]
+    assert frames == read_frames(data, magic + V1, HEADS[magic])[0][: len(frames)]
 
 
 @FORMATS
 def test_bad_magic_wrong_version_and_short_header_raise_bad_header(magic):
     for bad in (b"WRNG\x01\x00", magic + b"\x02\x00", magic + b"\x01", magic[:3], b""):
         with pytest.raises(BadHeader):
-            scan_frames(bad, magic, HEADS[magic])
+            scan_frames(bad, magic + V1, HEADS[magic])
     good = STREAMS[magic](random.Random(3))
     for cut in range(HEADER_LEN):  # a cut inside the header is a torn header
         with pytest.raises(BadHeader):
-            scan_frames(good, magic, HEADS[magic], cut)
+            scan_frames(good, magic + V1, HEADS[magic], cut)
+
+
+def test_each_format_checks_its_own_version():
+    """A scanner accepts only the version of the header it is given: a
+    format can move to version 2 while the others stay at 1."""
+    v2 = header(b"TCGP", 2) + _frame("<I", b"blob")
+    assert header(b"TCGP", 2) == b"TCGP" + struct.pack("<H", 2)
+    assert read_frames(v2, header(b"TCGP", 2), HEADS[b"TCGP"]) == ([((4,), b"blob")], len(v2))
+    with pytest.raises(BadHeader, match="version 2"):
+        scan_frames(v2, header(b"TCGP", 1), HEADS[b"TCGP"])
+    with pytest.raises(BadHeader, match="version 1"):
+        scan_frames(b"TCGP" + V1, header(b"TCGP", 2), HEADS[b"TCGP"])
+
+
+@given(payload=st.binary(max_size=64), fields=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 255),
+                                                        st.integers(0, 2**16 - 1)))
+def test_encode_frame_matches_an_independent_encoder(payload, fields):
+    assert encode_frame(HEADS[b"TCGJ"], payload, *fields) == _frame("<IBHI", *fields, payload)
+    assert encode_frame(HEADS[b"TCGP"], payload) == _frame("<I", payload)
 
 
 def test_format_parsers_reject_bad_headers(tmp_path):
@@ -186,7 +207,7 @@ def test_lazy_blobs_agree_with_read_frames(seed, flip):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.tcgd.pp"
         for cut in list(range(HEADER_LEN, len(data), 7)) + [len(data)]:
-            frames, _ = read_frames(data[:cut], b"TCGP", HEADS[b"TCGP"])
+            frames, _ = read_frames(data[:cut], b"TCGP" + V1, HEADS[b"TCGP"])
             blobs = [blob for _, blob in frames]
             path.write_bytes(data[:cut])
             log = PPVersionLog.open(path)

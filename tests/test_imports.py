@@ -92,3 +92,26 @@ def test_resumed_commands_skip_the_script_machinery(tmp_path, capsys):
         )
         assert rc == 0 and expected_out in out
         assert loaded == []
+
+
+def test_cold_recover_loads_no_uuid(tmp_path):
+    """A cold ``recover`` that finds an autosave set reads one file and
+    loads no ``uuid``: the set carries no session id."""
+    from draftvault.autosave import AutosaveConfig, AutosaveSession
+    from draftvault.model import Drawing, ElementPayload
+
+    saver = AutosaveSession("d.tcgd", Drawing(elements=[ElementPayload(1, b"\xaa")]),
+                            AutosaveConfig(1.0, tmp_path))
+    assert saver.autosave_tick(1.0) is not None  # and never shut down: the set stays behind
+    argv = ["recover", str(tmp_path / "d.tcgd"), "--autosave-dir", str(tmp_path)]
+    rc, out, loaded = _fresh(
+        "import contextlib, io, json, os, sys\n"
+        "os.environ.pop('DRAFTVAULT_AUTOSAVE_DIR', None)\n"
+        "from draftvault.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    rc = main({argv!r})\n"
+        "print(json.dumps([rc, out.getvalue(), [m for m in ['uuid'] if m in sys.modules]]))"
+    )
+    assert rc == 0 and "autosave set found for d.tcgd" in out
+    assert loaded == []

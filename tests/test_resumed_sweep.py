@@ -11,6 +11,11 @@ dies there, and then:
 * the blob log is its old versions or a prefix of the clean run's;
 * no lock file is left behind;
 * a rerun exits 0 and leaves every file as the clean run does.
+
+A second sweep crashes ``edit`` itself, at every offset of its journal
+and document streams, after an earlier session left its cursor at step 1
+or 2, and then runs ``redo -n 4`` or ``undo -n 4``: each must exit 0 with
+a drawing the crashed session reached, or refuse with 2 or 3.
 """
 import shutil
 
@@ -18,7 +23,7 @@ import pytest
 
 from draftvault.autosave import AutosaveConfig, AutosaveSession
 from draftvault.cli import main
-from draftvault.faultsim import CrashSimulated, FaultPlan, FaultyIO
+from draftvault.faultsim import CrashSimulated, FaultPlan, FaultyIO, crash_sim
 from draftvault.fileio import FileIO
 from draftvault.model import Drawing, ElementPayload
 from draftvault.ppversions import PPVersionLog
@@ -107,3 +112,47 @@ def test_crash_at_every_offset_then_rerun(template, tmp_path, monkeypatch, capsy
                              ("pp commit", "pp-log"), ("recover --apply", "envelope"),
                              ("recover --apply", "pp-log"), ("recover --apply", "autosave")}:
         assert offset > 1, "the command writes this stream, so some offsets must crash"
+
+
+EARLIER = "ADD 1 00\nSTEP\nADD 1 01\nSTEP\n"
+CRASHED = "ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nDEL 1 00\nSTEP\nADD 1 cc\nSTEP\n"
+
+
+def _elements(doc) -> tuple:
+    return tuple(e.data for e in Drawing.from_canonical_bytes(doc.read_bytes()).elements)
+
+
+@pytest.mark.parametrize("stream", ["journal", "envelope"])
+@pytest.mark.parametrize("cursor", [1, 2])
+@pytest.mark.parametrize("command", ["redo", "undo"])
+def test_crashed_edit_then_resume(tmp_path, monkeypatch, capsys, stream, cursor, command):
+    monkeypatch.delenv("DRAFTVAULT_AUTOSAVE_DIR", raising=False)
+    io = FileIO(fsync_enabled=False)
+    offset = 0
+    while True:
+        d = tmp_path / f"k{offset}"
+        d.mkdir()
+        doc = d / "d.tcgd"
+        (d / "e.txt").write_text(EARLIER)
+        assert main(["edit", str(doc), "--script", str(d / "e.txt")], io=io) == 0
+        if cursor == 1:
+            assert main(["undo", str(doc)], io=io) == 0
+        reached = [_elements(doc)]
+        for op, data in (("+", b"\xaa"), ("+", b"\xbb"), ("-", b"\x00"), ("+", b"\xcc")):
+            state = list(reached[-1])
+            if op == "+":
+                state.append(data)
+            else:
+                del state[len(state) - 1 - state[::-1].index(data)]
+            reached.append(tuple(state))
+        if not crash_sim(doc, CRASHED, FaultPlan(offset, stream)).crashed:
+            break
+        code = main([command, str(doc), "-n", "4"], io=io)
+        where = f"{stream} offset {offset}: {command} exit {code}"
+        assert code in (0, 2, 3), where
+        if code == 0:
+            assert _elements(doc) in reached, where
+        shutil.rmtree(d)
+        offset += 1
+    capsys.readouterr()
+    assert offset > 1

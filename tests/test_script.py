@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
-from draftvault.autosave import AutosaveConfig, probe_recovery
+from draftvault.autosave import AutosaveConfig, _sha, probe_recovery
 from draftvault.errors import DocumentFrozen, ScriptError
+from draftvault.fileio import FileIO
 from draftvault.journal import FLAG_DELETED, ChangeStep, inspect_journal
 from draftvault.model import Drawing, ElementPayload
 from draftvault.script import Command, ScriptRunner, parse_script
@@ -156,3 +159,43 @@ def test_events_stay_constant_size_per_step(tmp_path):
         # an autosave attempt is recorded only by a tick that writes
         attempts = sum(ev[0] == "tick_attempt" for ev in events)
         assert 0 < attempts == sum(ev[0] == "tick_committed" for ev in events)
+
+
+class _AutosaveWritesFail(FileIO):
+    """A FileIO whose writes to the autosave stream raise, ``failures``
+    times (every time when None)."""
+
+    def __init__(self, failures=None):
+        super().__init__(fsync_enabled=False)
+        self.failures = failures
+
+    def write_file(self, path, data):
+        if ".autosave." in Path(path).name and self.failures != 0:
+            if self.failures is not None:
+                self.failures -= 1
+            raise OSError(28, "No space left on device")
+        super().write_file(path, data)
+
+
+def test_autosave_failures_are_counted_and_the_session_is_saved(tmp_path, caplog):
+    doc = tmp_path / "d.tcgd"
+    runner = ScriptRunner(doc, io=_AutosaveWritesFail(), autosave=AutosaveConfig(1.0, tmp_path),
+                          step_seconds=2.0)
+    result = runner.run(parse_script("ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n"))
+    assert (result.steps_committed, result.autosave_failures) == (2, 2)
+    assert caplog.text.count("autosave failed") == 2
+    assert Drawing.from_canonical_bytes(doc.read_bytes()).elements == [ElementPayload(1, b"\xaa"),
+                                                                       ElementPayload(2, b"\xbb")]
+    assert read_sidecar(doc.with_name("d.tcgd.session")).journal_cursor == 2
+    assert not [p for p in tmp_path.iterdir() if ".autosave." in p.name]
+
+
+def test_a_failed_tick_is_retried_at_the_next(tmp_path):
+    doc = tmp_path / "d.tcgd"
+    runner = ScriptRunner(doc, io=_AutosaveWritesFail(failures=1), autosave=AutosaveConfig(1.0, tmp_path),
+                          step_seconds=2.0)
+    result = runner.run(parse_script("ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n"), abort_after_step=2)
+    assert result.autosave_failures == 1
+    found = probe_recovery(tmp_path, "d.tcgd")
+    after_two = Drawing(elements=[ElementPayload(1, b"\xaa"), ElementPayload(2, b"\xbb")])
+    assert found is not None and found.drawing_sha == _sha(after_two.canonical_bytes())
