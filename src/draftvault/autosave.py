@@ -18,11 +18,13 @@ A tick writes the whole file with ``FileIO.write_atomic``: one write of
 ``<set>.tmp`` and one rename over the set, the single commit point.  A
 crash before the rename leaves the previous set intact, a crash after it
 the new one: at every write offset exactly one complete set, or none
-before the first tick, is recoverable.  Recovery reads the one file and
-accepts it only when every frame is intact, the file ends with the last
-frame, the payloads match their recorded sizes and digests and the
-document name is its own; anything else is logged and collected, and so
-is a leftover ``<set>.tmp``.
+before the first tick, is recoverable; the crash audit checks this
+against the file operations that completed (see ``faultsim``).  Recovery
+reads the one file and accepts it only when every frame is intact, the
+file ends with the last frame, the payloads match their recorded sizes
+and digests and the document name is its own; anything else is logged
+and collected, and so is a leftover ``<set>.tmp``.  The payloads are
+hashed where they lie in the bytes read, without a copy.
 """
 from __future__ import annotations
 
@@ -76,10 +78,6 @@ def _set_path(autosave_dir: Path, doc_name: str) -> Path:
     return Path(autosave_dir) / f"{doc_name}.autosave.set"
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _collect(io: FileIO, path: Path) -> None:
     try:
         io.unlink(path)
@@ -96,12 +94,6 @@ class AutosaveSession:
     exact.  The first save becomes due one full interval after the session
     starts, and further saves one interval after the previous one.  A tick
     that fails raises IoFailure and stays due, so the next tick retries.
-
-    ``events``, when a list is given, receives the progress a crash audit
-    needs (see ``faultsim``): ``("tick_attempt", drawing_sha, pp_sha)`` just
-    before a tick's write and ``("tick_committed", drawing_sha, pp_sha)``
-    right after its rename.  A skipped tick records nothing.  Production
-    passes no list, and nothing is recorded.
     """
 
     def __init__(
@@ -111,7 +103,6 @@ class AutosaveSession:
         config: AutosaveConfig,
         io: FileIO | None = None,
         started_at: float = 0.0,
-        events: list | None = None,
     ):
         self.doc_name = doc_name
         self.drawing = drawing
@@ -121,7 +112,6 @@ class AutosaveSession:
         self.last_save = started_at
         self.current_pp: bytes | None = None
         self._saved_fingerprint: tuple | None = None
-        self.events = events
 
     def set_current_pp(self, data: bytes | None) -> None:
         self.current_pp = data
@@ -150,21 +140,13 @@ class AutosaveSession:
         parts = [HEADER]
         for payload in (meta, *payloads):
             parts.extend(framelog.frame_parts(_FRAME_HEAD, payload))
-        aset = _describe(self.doc_name, self.path, now, payloads, digests)
-
-        events = self.events
-        if events is not None:
-            events.append(("tick_attempt", aset.drawing_sha, aset.pp_sha))
         try:
             self.io.write_atomic(self.path, b"".join(parts))  # the rename commits
         except OSError as exc:
             raise IoFailure(f"autosave failed: {exc}") from exc
-        if events is not None:
-            events.append(("tick_committed", aset.drawing_sha, aset.pp_sha))
-
         self.last_save = now
         self._saved_fingerprint = fingerprint
-        return aset
+        return _describe(self.doc_name, self.path, now, payloads, digests)
 
     def clean_shutdown(self) -> None:
         """Remove the autosave set, then a temp file a failed tick left;
@@ -184,15 +166,16 @@ def _describe(doc_name: str, path: Path, created_at: float, payloads: list, dige
     return AutosaveSet(doc_name, path, created_at, digests[0].hex(), len(payloads[0]), *pp)
 
 
-def _read_set(data: bytes, path: Path) -> tuple[AutosaveSet, list[bytes]]:
-    """The set the bytes of ``path`` hold, and its payloads; Corrupt unless
-    the file is exactly a meta frame and the payload frames it vouches for."""
+def _read_set(data: bytes, path: Path) -> tuple[AutosaveSet, list[memoryview]]:
+    """The set the bytes of ``path`` hold, and its payloads as views of
+    ``data``; Corrupt unless the file is exactly a meta frame and the
+    payload frames it vouches for."""
     try:
-        frames, valid_end = framelog.read_frames(data, HEADER, _FRAME_HEAD)
+        frames, valid_end = framelog.read_frames(memoryview(data), HEADER, _FRAME_HEAD)
         meta, *payloads = [payload for _, payload in frames]
         created_at, count = _META.unpack_from(meta)
         recorded = [_PAYLOAD.unpack_from(meta, _META.size + i * _PAYLOAD.size) for i in range(count)]
-        doc_name = meta[_META.size + count * _PAYLOAD.size :].decode()
+        doc_name = str(meta[_META.size + count * _PAYLOAD.size :], "utf-8")
     except (BadHeader, struct.error, ValueError) as exc:
         raise Corrupt(f"{path.name}: {exc}") from exc
     if valid_end != len(data) or count not in (1, 2) or len(payloads) != count:
@@ -235,5 +218,5 @@ def restore(aset: AutosaveSet, io: FileIO | None = None) -> tuple[Drawing, PPBlo
     found, payloads = _read_set(io.read_bytes(aset.path), aset.path)
     if found != aset:
         raise Corrupt("autosave set changed since it was found")
-    drawing = Drawing.from_canonical_bytes(payloads[0], name=aset.doc_name)
-    return drawing, PPBlob(payloads[1]) if len(payloads) == 2 else None
+    drawing = Drawing.from_canonical_bytes(bytes(payloads[0]), name=aset.doc_name)
+    return drawing, PPBlob(bytes(payloads[1])) if len(payloads) == 2 else None

@@ -13,34 +13,37 @@ handling may intercept it, exactly as no repair code runs when the power
 goes out.  Every lock holder releases its lock whatever the exit, so
 the 'crash' leaves no zombie lock to release.  After it the harness runs
 the normal recovery paths and checks the outcome against what the dead
-session provably achieved - its event log - reporting every invariant
-violation.  A fault sweep runs this once per byte offset of the write
-stream and demands zero violations everywhere.
+session provably achieved, reporting every invariant violation.  A fault
+sweep runs this once per byte offset of the write stream and demands
+zero violations everywhere.
 
-The event log is one list, shared by the script runner and its autosave
-session (see ``script`` and ``autosave``).  Each event is O(1) in session
-length: a journal event carries only the step just appended and a blob
-event only the version just stored, so the audit rebuilds the states the
-session reached from these deltas (:func:`journal_generations`,
-:func:`pp_generations`).  An autosave set has one commit point, the
-rename that ``FileIO.write_atomic`` ends its one write with, and the
-tick records its commit right after it, so the audit admits exactly the
-last committed set.  An autosave attempt is recorded only by a tick that
-writes.  Outside this harness no list is passed and nothing is recorded.
+The audit watches from outside the engine, which records nothing for
+it.  ``FaultyIO`` records every file operation that completed, in order,
+and :func:`reached_states` interprets the script on its own, with linear
+history, to list every journal and blob-log state the session would pass
+through.  The states the dead session reached are those of its completed
+appends: one per append to the journal or the blob log.  The document,
+and the autosave set a probe finds, must hold exactly the bytes that the
+completed operations left at their paths (see ``FaultyIO.left_at``):
+the bytes from before the run, or those the last rename moved in, or
+nothing after an unlink.  A write torn at the final name shows as a
+difference.  A run that ended without a crash shut down cleanly, so no
+autosave set may be left after it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .autosave import AutosaveConfig, probe_recovery, restore
+from .autosave import AutosaveConfig, _set_path, probe_recovery, restore
 from .errors import BadHeader, Corrupt, DraftVaultError
 from .fileio import FileIO
-from .journal import ChangeStep, recover_journal
+from .journal import FLAG_ADDED, FLAG_DELETED, recover_journal
 from .model import Drawing
 from .paths import STREAMS as TARGETS, for_doc
 from .ppversions import PPVersionLog, recover_pp_log
 from .script import Command, ScriptRunner, parse_script
+from .sidecar import read_sidecar
 from .signatures import load_document
 
 
@@ -66,6 +69,12 @@ class FaultyIO(FileIO):
     Streams are classified by name: ``*.journal``, ``*.autosave.*``,
     ``*.pp``, and the document file itself ("envelope").  fsync is a
     no-op here; the simulated disk is simply what was written.
+
+    ``total_written`` is the budget the target stream spent: its bytes
+    plus one per metadata operation.  ``ops`` lists every operation that
+    completed, in order, as ``(op, path, data)``: the bytes written,
+    appended or moved into place by a rename, the new size of a truncate,
+    None for an unlink.
     """
 
     def __init__(self, plan: FaultPlan, doc: Path):
@@ -74,6 +83,7 @@ class FaultyIO(FileIO):
         self.doc = Path(doc)
         self.budget_left = plan.kill_at_byte
         self.total_written = 0
+        self.ops: list[tuple[str, Path, bytes | int | None]] = []
 
     def classify(self, path: Path) -> str:
         name = Path(path).name
@@ -88,64 +98,76 @@ class FaultyIO(FileIO):
             return "envelope"
         return "other"
 
-    def _spend_bytes(self, stream: str, data: bytes) -> bytes:
+    def _spend_bytes(self, path: Path, data: bytes) -> bytes:
         """Portion of ``data`` that survives; raises after a partial write."""
-        if stream != self.plan.target:
-            self.total_written += len(data)
-            return data
-        if self.budget_left >= len(data):
-            self.budget_left -= len(data)
-            self.total_written += len(data)
+        if self.classify(path) != self.plan.target:
             return data
         survived = data[: self.budget_left]
-        self.total_written += self.budget_left
-        self.budget_left = 0
+        self.budget_left -= len(survived)
+        self.total_written += len(survived)
         return survived
 
-    def _spend_tick(self, stream: str) -> bool:
+    def _spend_tick(self, path: Path) -> bool:
         """One budget unit for a metadata operation; False means crash now,
         before the operation happens."""
-        if stream != self.plan.target:
+        if self.classify(path) != self.plan.target:
             return True
-        if self.budget_left >= 1:
-            self.budget_left -= 1
-            self.total_written += 1
-            return True
-        return False
+        if self.budget_left < 1:
+            return False
+        self.budget_left -= 1
+        self.total_written += 1
+        return True
 
     # -- interposed operations ------------------------------------------
 
     def write_file(self, path: Path, data: bytes) -> None:
-        stream = self.classify(path)
-        survived = self._spend_bytes(stream, data)
+        survived = self._spend_bytes(path, data)
         super().write_file(path, survived)
         if len(survived) != len(data):
             raise CrashSimulated(f"write of {path} torn at {len(survived)}/{len(data)}")
+        self.ops.append(("write", Path(path), data))
 
     def append(self, path: Path, data: bytes) -> None:
-        stream = self.classify(path)
-        survived = self._spend_bytes(stream, data)
+        survived = self._spend_bytes(path, data)
         super().append(path, survived)
         if len(survived) != len(data):
             raise CrashSimulated(f"append to {path} torn at {len(survived)}/{len(data)}")
+        self.ops.append(("append", Path(path), data))
 
     def truncate(self, path: Path, size: int) -> None:
-        stream = self.classify(path)
-        if not self._spend_tick(stream):
+        if not self._spend_tick(path):
             raise CrashSimulated(f"died before truncate of {path}")
         super().truncate(path, size)
+        self.ops.append(("truncate", Path(path), size))
 
     def replace(self, src: Path, dst: Path) -> None:
-        stream = self.classify(dst)
-        if not self._spend_tick(stream):
+        if not self._spend_tick(dst):
             raise CrashSimulated(f"died before rename onto {dst}")
+        moved = self.read_bytes(src)
         super().replace(src, dst)
+        self.ops.append(("replace", Path(dst), moved))
 
     def unlink(self, path: Path) -> None:
-        stream = self.classify(path)
-        if not self._spend_tick(stream):
+        if not self._spend_tick(path):
             raise CrashSimulated(f"died before unlink of {path}")
         super().unlink(path)
+        self.ops.append(("unlink", Path(path), None))
+
+    def left_at(self, path: Path, before: bytes | None) -> bytes | None:
+        """The bytes the completed operations left at ``path``, which held
+        ``before`` when the run began (None: no file); for a path that is
+        never renamed away, as no final name is."""
+        data = before
+        for op, target, arg in self.ops:
+            if target != path:
+                continue
+            if op == "append":
+                data = (data or b"") + arg
+            elif op == "truncate":
+                data = data[:arg]
+            else:  # a write, the bytes a rename moved in, or None for an unlink
+                data = arg
+        return data
 
 
 @dataclass
@@ -162,7 +184,8 @@ class CrashReport:
 
     def lines(self) -> list[str]:
         return [
-            f"crashed={str(self.crashed).lower()} target={self.target} kill_at_byte={self.kill_at_byte}",
+            f"crashed={str(self.crashed).lower()} target={self.target} kill_at_byte={self.kill_at_byte}"
+            f" written={self.total_written}",
             f"steps_recovered={self.steps_recovered} journal_truncated={str(self.journal_truncated).lower()}",
             f"pp_versions_recovered={self.pp_versions_recovered}",
             f"autosave={self.autosave_outcome}",
@@ -175,31 +198,48 @@ def _is_prefix(candidate: tuple, generations: list[tuple]) -> bool:
     return any(candidate == gen[: len(candidate)] for gen in generations)
 
 
-def _step_key(step: ChangeStep) -> tuple:
-    return (step.step_no, tuple((flag, p.kind, p.data) for flag, p in step.changes))
+def reached_states(
+    commands: list[Command], blobs_before: tuple = (), pp_cursor: int | None = None
+) -> tuple[list[tuple], list[tuple]]:
+    """Every journal state and every blob-log state a run of ``commands``
+    passes through, oldest first, worked out from the script alone.
 
-
-def journal_generations(events: list) -> list[tuple]:
-    """Every journal state the session reached, oldest first, each a tuple
-    of step keys.  A step numbered n is appended after the first n - 1
-    steps, so a commit after an undo cuts off the redo tail."""
-    gens = [()]
-    for ev in events:
-        if ev[0] == "journal_gen":
-            step = ev[1]
-            gens.append(gens[-1][: step.step_no - 1] + (_step_key(step),))
-    return gens
-
-
-def pp_generations(events: list, base: tuple = ()) -> list[tuple]:
-    """Every blob log state the session reached from ``base``, oldest
-    first, each a tuple of blobs; the same cut as the journal's."""
-    gens = [base]
-    for ev in events:
-        if ev[0] == "pp_gen":
-            _, version, blob = ev
-            gens.append(gens[-1][: version - 1] + (blob,))
-    return gens
+    A journal state is a tuple of steps, each the tuple of its changes; a
+    blob-log state is a tuple of blobs, starting from ``blobs_before`` at
+    version ``pp_cursor`` (None: the newest).  Each append adds one state:
+    pending changes commit at STEP, UNDO, REDO and the end of the script,
+    and PPCOMMIT stores a blob.  History is linear: an append first drops
+    whatever lies past the cursor."""
+    steps, cursor, pending = (), 0, []
+    journal = [steps]
+    blobs = tuple(blobs_before)
+    pp = len(blobs) if pp_cursor is None else max(0, min(pp_cursor, len(blobs)))
+    pp_states = [blobs]
+    for command in [*commands, Command("STEP")]:
+        op, args = command.op, command.args
+        if op == "ADD":
+            pending.append((FLAG_ADDED, args[0]))
+        elif op == "DEL":
+            pending.append((FLAG_DELETED, args[0]))
+        elif op == "MOD":
+            pending += [(FLAG_DELETED, args[0]), (FLAG_ADDED, args[1])]
+        elif op == "PPCOMMIT":
+            blobs = blobs[:pp] + (args[0],)
+            pp = len(blobs)
+            pp_states.append(blobs)
+        elif op == "PPJUMP":
+            pp = args[0]
+        else:  # STEP, UNDO, REDO: commit what is pending, then move
+            if pending:
+                steps = steps[:cursor] + (tuple(pending),)
+                cursor = len(steps)
+                journal.append(steps)
+                pending = []
+            if op == "UNDO":
+                cursor = max(0, cursor - 1)
+            elif op == "REDO":
+                cursor = min(len(steps), cursor + 1)
+    return journal, pp_states
 
 
 def _blobs_before(path: Path, io: FileIO) -> tuple:
@@ -230,15 +270,15 @@ def crash_sim(
     commands = parse_script(script_text) if isinstance(script_text, str) else script_text
     paths = for_doc(doc)
     clean_io = FileIO()
-    base_doc_bytes = clean_io.read_bytes(paths.doc) if paths.doc.exists() else None
-    base_pp = _blobs_before(paths.pp_log, clean_io)
-
-    events: list = []
-    fio = FaultyIO(plan, paths.doc)
-    runner = ScriptRunner(
-        doc, io=fio, autosave=autosave, start_time=start_time, step_seconds=step_seconds,
-        events=events,
+    base_doc_bytes = _bytes_or_none(paths.doc)
+    set_path = autosave and _set_path(autosave.autosave_dir, paths.name)
+    base_set = _bytes_or_none(set_path)
+    journal_states, pp_states = reached_states(
+        commands, _blobs_before(paths.pp_log, clean_io), read_sidecar(paths.sidecar, clean_io).pp_cursor
     )
+
+    fio = FaultyIO(plan, paths.doc)
+    runner = ScriptRunner(doc, io=fio, autosave=autosave, start_time=start_time, step_seconds=step_seconds)
     crashed = False
     try:
         runner.run(commands)
@@ -249,16 +289,17 @@ def crash_sim(
         crashed=crashed, target=plan.target, kill_at_byte=plan.kill_at_byte,
         total_written=fio.total_written,
     )
+    # The states the dead session reached: one per append that completed.
+    appended = [path for op, path, _ in fio.ops if op == "append"]
 
     # Journal: recovered steps must be a prefix of a state the session
     # actually reached, and must replay cleanly over the base drawing.
-    journal_gens = journal_generations(events)
+    journal_gens = journal_states[: 1 + appended.count(paths.journal)]
     try:
         journal, truncated = recover_journal(paths.journal)
         report.steps_recovered = journal.step_count
         report.journal_truncated = truncated
-        recovered_key = tuple(_step_key(s) for s in journal.steps)
-        if not _is_prefix(recovered_key, journal_gens):
+        if not _is_prefix(tuple(tuple(s.changes) for s in journal.steps), journal_gens):
             report.violations.append("recovered journal is not a prefix of any reached state")
         journal2, truncated2 = recover_journal(paths.journal)
         if truncated2 or journal2.step_count != journal.step_count:
@@ -284,7 +325,7 @@ def crash_sim(
         report.violations.append(f"journal recovery failed: {exc}")
 
     # Parametric log: same prefix rule.
-    pp_gens = pp_generations(events, base_pp)
+    pp_gens = pp_states[: 1 + appended.count(paths.pp_log)]
     if paths.pp_log.exists():
         try:
             pp_log, _ = recover_pp_log(paths.pp_log)
@@ -297,67 +338,49 @@ def crash_sim(
         except DraftVaultError as exc:
             report.violations.append(f"blob log recovery failed: {exc}")
 
-    # Autosave: what probe finds must be the last set the dead session
-    # committed, or nothing if it committed none (or shutdown had begun).
     if autosave is not None:
-        report.autosave_outcome = _audit_autosave(paths.name, autosave, events, report)
+        # a run that did not crash shut down cleanly, which leaves no set
+        expected = fio.left_at(set_path, base_set) if crashed else None
+        report.autosave_outcome = _audit_autosave(autosave.autosave_dir, paths.name, expected, report)
 
-    # Document file: atomic replacement means old or new, parseable, never torn.
+    # Document file: atomic replacement means old or new, parseable, never
+    # torn: exactly what the completed operations left under its name.
+    expected = fio.left_at(paths.doc, base_doc_bytes)
     if paths.doc.exists():
         try:
-            env = load_document(paths.doc)
-            from .autosave import _sha
-
-            doc_sha = _sha(env.document)
-            admissible = {ev[1] for ev in events if ev[0] == "doc_saved"}
-            if base_doc_bytes is not None:
-                admissible.add(_sha(base_doc_bytes))
-            if doc_sha not in admissible:
-                report.violations.append("document bytes are neither the old nor the saved state")
+            load_document(paths.doc)
+            if clean_io.read_bytes(paths.doc) != expected:
+                report.violations.append("document bytes are not what the completed operations left")
         except DraftVaultError as exc:
             report.violations.append(f"document file is unreadable: {exc}")
-    elif base_doc_bytes is not None:
-        report.violations.append("pre-existing document file vanished")
+    elif expected is not None:
+        report.violations.append("document file vanished")
 
     return report
 
 
-def _audit_autosave(
-    doc_name: str, config: AutosaveConfig, events: list, report: CrashReport
-) -> str:
-    """Check the set a probe finds against the ticks the dead session
-    committed.  No I/O runs between a tick's rename and its
-    ``tick_committed`` event, so the one admissible set is the last
-    committed one (None when no tick committed); once shutdown has started,
-    None as well, and only None once it has finished.  The outcome says on
-    which side of the newest tick's commit point the kill came: "old" when
-    that tick was still in flight, so the previous set was found, "new"
-    when its rename was done and its own set was found, "none" when
-    nothing was found."""
-    committed: tuple | None = None
-    in_flight = shutdown_started = shutdown_finished = False
-    for ev in events:
-        if ev[0] == "tick_attempt":
-            in_flight = True
-        elif ev[0] == "tick_committed":
-            committed, in_flight = (ev[1], ev[2]), False
-        elif ev[0] == "shutdown_started":
-            shutdown_started = True
-        elif ev[0] == "clean_shutdown":
-            shutdown_finished = True
-    if shutdown_finished:
-        admissible = {None}
-    elif shutdown_started:
-        admissible = {None, committed}
-    else:
-        admissible = {committed}
+def _bytes_or_none(path: Path | None) -> bytes | None:
+    return path.read_bytes() if path is not None and path.exists() else None
 
-    aset = probe_recovery(config.autosave_dir, doc_name)
-    found = (aset.drawing_sha, aset.pp_sha) if aset is not None else None
-    if found not in admissible:
-        report.violations.append(
-            f"autosave probe found {found!r}, admissible: {sorted(map(repr, admissible))}"
-        )
+
+def _audit_autosave(autosave_dir: Path, doc_name: str, expected: bytes | None, report: CrashReport) -> str:
+    """Check the set a probe finds against the ``expected`` bytes: what
+    the completed operations left at its path, which for a tick is what
+    its rename moved in.  The outcome says on which side of the newest
+    tick's commit point the kill came: "old" when a tick was still in
+    flight (its temp file is on disk), so the previous set was found, "new"
+    when no tick was in flight and the newest set was found, "none" when
+    nothing was found."""
+    path = _set_path(autosave_dir, doc_name)
+    in_flight = path.with_name(path.name + ".tmp").exists()
+    aset = probe_recovery(autosave_dir, doc_name)
+    found = _bytes_or_none(aset and aset.path)
+    if found != expected:
+        if expected is None:
+            report.violations.append("autosave probe found a set where none may be left")
+        else:
+            report.violations.append(f"autosave probe found {'no' if found is None else 'another'} set, "
+                                     "not the one the completed operations left")
         return "violation"
     if aset is None:
         return "none"

@@ -98,7 +98,8 @@ def _frames(data: bytes, head: struct.Struct, pos: int, n: int) -> Iterator[tupl
 
 def read_frames(data: bytes, header: bytes, head: struct.Struct) -> tuple[list[tuple[tuple, bytes]], int]:
     """Every intact frame as ``(fields, payload)``, and the offset where
-    the intact prefix ends."""
+    the intact prefix ends.  Each payload is a slice of ``data``: a view,
+    not a copy, when ``data`` is a memoryview."""
     frames = []
     valid_end = HEADER_LEN
     for fields, start, frame_end in scan_frames(data, header, head):

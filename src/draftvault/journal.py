@@ -355,15 +355,6 @@ def index_journal(data: bytes) -> tuple[list[ChangeStep], list[int], int]:
     return indexed, [stop for _, stop, _ in steps], valid_end
 
 
-def parse_journal_bytes(data: bytes) -> tuple[list[ChangeStep], int]:
-    """The complete steps of the longest valid prefix of ``data``, every
-    step decoded, and the offset where the prefix ends."""
-    steps, _, valid_end = index_journal(data)
-    for step in steps:
-        step.changes  # decodes the step
-    return steps, valid_end
-
-
 def recover_journal(path: Path, io: FileIO | None = None) -> tuple[Journal, bool]:
     """Parse the longest prefix of complete steps and physically truncate
     the file to it.

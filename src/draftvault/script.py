@@ -24,17 +24,9 @@ step, so a failed autosave does not end the session.  The blob log opens
 at the version the sidecar remembers; a script that never touches it
 leaves that version remembered.
 
-A crash audit passes an ``events`` list, which it shares with its
-write-interposition layer and the autosave session (see ``faultsim``).
-The runner appends one event per thing the process reached, each O(1)
-in session length and drawing size:
-
-    ("journal_gen", step)             the ChangeStep the journal appended
-    ("pp_gen", version, blob)         the blob just stored as ``version``
-    ("doc_saved", sha)                digest of the drawing saved at the end
-    ("shutdown_started",) / ("clean_shutdown",)
-
-Production passes no list, and nothing is recorded.
+The runner reports nothing to the crash audit: ``faultsim`` works out
+the states a run reaches from the script itself and checks them against
+the file operations that completed.
 """
 from __future__ import annotations
 
@@ -42,7 +34,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .autosave import AutosaveConfig, AutosaveSession, _sha
+from .autosave import AutosaveConfig, AutosaveSession
 from .errors import IoFailure, NothingToRedo, NothingToUndo, ScriptError
 from .fileio import FileIO
 from .journal import FLAG_ADDED, FLAG_DELETED, Change, make_modify
@@ -116,10 +108,6 @@ class _AbortRun(Exception):
     pass
 
 
-def _ignore(event: tuple) -> None:
-    """Where a run records events when no list was given."""
-
-
 class ScriptRunner:
     """Execute an edit script as one document session."""
 
@@ -130,22 +118,18 @@ class ScriptRunner:
         autosave: AutosaveConfig | None = None,
         start_time: float = 0.0,
         step_seconds: float = 1.0,
-        events: list | None = None,
     ):
         self.doc = Path(doc)
         self.io = io or FileIO()
         self.autosave_config = autosave
         self.clock = start_time
         self.step_seconds = step_seconds
-        self.events = events
 
     def run(
         self,
         commands: list[Command],
         abort_after_step: int | None = None,
     ) -> RunResult:
-        events = self.events
-        record = events.append if events is not None else _ignore
         result = RunResult()
         with Session(self.doc, self.io) as session:
             drawing = session.load()
@@ -153,7 +137,7 @@ class ScriptRunner:
             saver: AutosaveSession | None = None
             if self.autosave_config is not None:
                 saver = AutosaveSession(self.doc.name, drawing, self.autosave_config, self.io,
-                                        started_at=self.clock, events=events)
+                                        started_at=self.clock)
 
             pending: list[Change] = []
 
@@ -172,7 +156,6 @@ class ScriptRunner:
                 journal.commit_step(drawing, list(pending))
                 pending.clear()
                 result.steps_committed += 1
-                record(("journal_gen", journal.steps[-1]))
                 tick()
                 if abort_after_step is not None and result.steps_committed >= abort_after_step:
                     raise _AbortRun()
@@ -203,8 +186,7 @@ class ScriptRunner:
                         tick()
                     elif command.op == "PPCOMMIT":
                         blob = command.args[0]
-                        version = session.open_pp_log().commit_pp(blob)
-                        record(("pp_gen", version, blob))
+                        session.open_pp_log().commit_pp(blob)
                         if saver is not None:
                             saver.set_current_pp(blob)
                         tick()
@@ -227,12 +209,7 @@ class ScriptRunner:
                 # stay as they are; the process lives on, so the locks go.
                 return result
 
-            document = drawing.canonical_bytes()
-            session.save(document)
-            if events is not None:  # the digest is only for an audit
-                events.append(("doc_saved", _sha(document)))
+            session.save(drawing.canonical_bytes())
             if saver is not None:
-                record(("shutdown_started",))
                 saver.clean_shutdown()
-                record(("clean_shutdown",))
         return result

@@ -27,7 +27,7 @@ from draftvault.journal import (
     FLAG_DELETED,
     HEADER_LEN,
     Journal,
-    parse_journal_bytes,
+    index_journal,
     recover_journal,
     validate_journal,
 )
@@ -151,7 +151,7 @@ def test_crash_sweep_journal(tmp_path):
                 next_boundary += 1
             if cut < HEADER_LEN:
                 with pytest.raises(BadHeader):
-                    parse_journal_bytes(data[:cut])
+                    index_journal(data[:cut])
                 continue
             count, valid_end = validate_journal(data, cut)
             assert count == expected_step_count
@@ -162,7 +162,7 @@ def test_crash_sweep_journal(tmp_path):
         for b in boundaries:
             content_offsets.update(x for x in (b - 1, b, b + 1) if HEADER_LEN <= x <= len(data))
         for cut in sorted(content_offsets):
-            steps, valid_end = parse_journal_bytes(data[:cut])
+            steps, _, valid_end = index_journal(data[:cut])
             expected = max(i for i, end in enumerate(boundaries) if end <= cut)
             assert len(steps) == expected
             assert valid_end == boundaries[expected]
@@ -456,7 +456,7 @@ def test_format_stability(tmp_path):
         assert encode_envelope(env).hex() == GOLD_TCGE
 
         # re-encoding decoded files is byte-identical
-        steps, _ = parse_journal_bytes(bytes.fromhex(GOLD_TCGJ))
+        steps, _, _ = index_journal(bytes.fromhex(GOLD_TCGJ))
         redrawn = Drawing()
         rejournal = Journal.begin_session(redrawn, tmp_path / "j2")
         for step in steps:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from draftvault import framelog
@@ -290,3 +292,23 @@ def test_loss_window_bounded_by_interval(tmp_path):
     assert found is not None
     assert last_saved_revision_time is not None
     assert mutation_times[-1] - last_saved_revision_time <= interval
+
+
+def test_probe_hashes_the_payloads_without_copying_them(tmp_path):
+    """Probing holds the file's bytes and hashes views of them: the peak
+    stays well below the file read plus a copy of every payload."""
+    drawing = Drawing(name="plant7", elements=[ElementPayload(1, bytes([i]) * 1_000_000) for i in range(4)])
+    session = AutosaveSession(DOC, drawing, AutosaveConfig(1.0, tmp_path), started_at=0.0)
+    session.set_current_pp(b"\xbb" * 1_000_000)
+    assert session.autosave_tick(1.0) is not None
+    size = (tmp_path / SET).stat().st_size
+    tracemalloc.start()
+    try:
+        found = probe_recovery(tmp_path, DOC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None and found.drawing_size + found.pp_size < size
+    assert peak < 1.5 * size, f"peak {peak} B for a set of {size} B"
+    restored, blob = restore(found)
+    assert restored.elements == drawing.elements and blob.data == b"\xbb" * 1_000_000

@@ -356,6 +356,23 @@ def test_crash_sim_cli(doc, capsys):
     assert "steps_recovered=" in out
 
 
+def test_crash_sim_cli_prints_what_the_target_stream_spent(doc, capsys):
+    """A sweep from the shell stops at ``written + 1``: the offset
+    ``written`` is the first one that runs without a crash."""
+
+    def first_line(offset):
+        code, out, _ = run(["crash-sim", doc.parent / f"k{offset}.tcgd", "--script", doc.parent / "edit.txt",
+                            "--kill-at-byte", offset, "--target", "journal", "--interval", "1"], capsys)
+        assert code == 0 and "violations=0" in out
+        return out.splitlines()[0]
+
+    line = first_line(10**9)
+    written = int(line.rpartition(" written=")[2])
+    assert line == f"crashed=false target=journal kill_at_byte={10**9} written={written}" and written > 0
+    assert first_line(written).startswith("crashed=false")
+    assert first_line(written - 1).startswith("crashed=true")
+
+
 def test_usage_errors_exit_1(doc, capsys):
     assert run(["bogus-command"], capsys)[0] == 1
     assert run(["edit"], capsys)[0] == 1

@@ -10,18 +10,11 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from draftvault import faultsim
-from draftvault.autosave import AutosaveConfig, probe_recovery
-from draftvault.faultsim import (
-    CrashSimulated,
-    FaultPlan,
-    FaultyIO,
-    crash_sim,
-    journal_generations,
-    pp_generations,
-)
-from draftvault.journal import FLAG_ADDED, HEADER, Journal, encode_step
-from draftvault.model import ElementPayload
+from draftvault import faultsim, journal
+from draftvault.autosave import AutosaveConfig, AutosaveSession, probe_recovery
+from draftvault.faultsim import CrashSimulated, FaultPlan, FaultyIO, crash_sim, reached_states
+from draftvault.journal import FLAG_ADDED, FLAG_COMMIT, HEADER, Journal, encode_step
+from draftvault.model import Drawing, ElementPayload
 from draftvault.ppversions import PPVersionLog
 from draftvault.script import ScriptRunner, parse_script
 from draftvault.sidecar import SidecarState, write_sidecar
@@ -91,8 +84,25 @@ def test_faultyio_untargeted_stream_passes_through(tmp_path):
     fio = FaultyIO(FaultPlan(0, "envelope"), tmp_path / "d.tcgd")
     fio.write_file(tmp_path / "d.tcgd.journal", b"freely written")
     assert (tmp_path / "d.tcgd.journal").read_bytes() == b"freely written"
+    assert fio.total_written == 0  # only the target stream spends the budget
     with pytest.raises(CrashSimulated):
         fio.write_file(tmp_path / "d.tcgd", b"!")
+
+
+def test_faultyio_records_the_operations_that_completed(tmp_path):
+    fio = FaultyIO(FaultPlan(3, "journal"), tmp_path / "d.tcgd")
+    journal_path, doc = tmp_path / "d.tcgd.journal", tmp_path / "d.tcgd"
+    fio.write_atomic(doc, b"doc")
+    fio.append(journal_path, b"ab")
+    fio.truncate(journal_path, 1)
+    with pytest.raises(CrashSimulated):
+        fio.append(journal_path, b"cd")  # torn: not recorded
+    assert fio.ops == [
+        ("write", tmp_path / "d.tcgd.tmp", b"doc"),
+        ("replace", doc, b"doc"),  # a rename records the bytes it moved into place
+        ("append", journal_path, b"ab"),
+        ("truncate", journal_path, 1),
+    ]
 
 
 def test_no_fault_beyond_total_writes(tmp_path):
@@ -135,7 +145,16 @@ def _sweep(tmp_path, script, target, autosave=None, step_seconds=1.0):
         if report.violations:
             failures.append((offset, report.violations))
     assert failures == [], f"violations at {len(failures)} offsets: {failures[:5]}"
+    # the budget counts the target stream alone, so every offset below it crashes
+    assert [r.crashed for r in reports] == [True] * total + [False, False]
     return total, reports
+
+
+def test_only_the_last_two_offsets_of_a_sweep_run_without_a_crash(tmp_path):
+    """An offset past what the target stream spends buys no crash state:
+    only ``total`` and ``total + 1`` run to the end."""
+    total, reports = _sweep(tmp_path, "ADD 1 aa\nSTEP\nPPCOMMIT beef\nADD 2 bb\nSTEP\n", "envelope")
+    assert [offset for offset, r in enumerate(reports) if not r.crashed] == [total, total + 1]
 
 
 def test_sweep_journal_stream(tmp_path):
@@ -174,17 +193,37 @@ def test_sweep_autosave_stream(tmp_path):
     assert "violation" not in outcomes
     # and on both sides of every tick's rename: each set a tick commits is
     # found by the kills after its rename, up to the next tick's
-    events: list = []
-    (tmp_path / "events").mkdir()
-    ScriptRunner(tmp_path / "events" / "d.tcgd", autosave=AutosaveConfig(1.0, tmp_path / "events"),
-                 step_seconds=2.0, events=events).run(parse_script(script))
-    committed = {(ev[1], ev[2]) for ev in events if ev[0] == "tick_committed"}
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    fio = FaultyIO(FaultPlan(10**9, "autosave"), clean / "d.tcgd")
+    ScriptRunner(clean / "d.tcgd", io=fio, autosave=AutosaveConfig(1.0, clean),
+                 step_seconds=2.0).run(parse_script(script))
+    committed = {data for op, path, data in fio.ops if op == "replace" and path.name == "d.tcgd.autosave.set"}
     assert len(committed) >= 4
     found = set()
     for offset in range(len(reports)):
         aset = probe_recovery(tmp_path / f"k{offset}", "d.tcgd")
-        found.add(aset and (aset.drawing_sha, aset.pp_sha))
+        found.add(aset and aset.path.read_bytes())
     assert found == committed | {None}
+
+
+def test_a_set_an_earlier_session_left_is_found_until_the_first_tick(tmp_path):
+    """A crashed earlier session's autosave set is what a probe finds until
+    this session's first tick replaces it; a clean end removes it."""
+
+    def crash(offset):
+        workdir = tmp_path / f"k{offset}"
+        workdir.mkdir()
+        earlier = AutosaveSession("d.tcgd", Drawing(elements=[ElementPayload(7, b"\x07")]),
+                                  AutosaveConfig(1.0, workdir))
+        assert earlier.autosave_tick(1.0) is not None  # and never shut down
+        return crash_sim(workdir / "d.tcgd", "ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n", FaultPlan(offset, "journal"),
+                         autosave=AutosaveConfig(1.0, workdir))
+
+    total = crash(10**9).total_written
+    reports = [crash(offset) for offset in range(total + 2)]
+    assert [r.violations for r in reports if r.violations] == []
+    assert [r.autosave_outcome for r in reports] == ["new"] * total + ["none", "none"]
 
 
 def test_crash_mid_journal_recovers_prefix(tmp_path):
@@ -195,15 +234,7 @@ def test_crash_mid_journal_recovers_prefix(tmp_path):
     assert 0 <= report.steps_recovered <= 4
 
 
-# -- reached states rebuilt from per-step events ------------------------------
-
-
-def _journal_key(journal) -> tuple:
-    """The full-snapshot rule the audit's deltas replace: every record of
-    every step the journal holds."""
-    return tuple(
-        (s.step_no, tuple((flag, p.kind, p.data) for flag, p in s.changes)) for s in journal.steps
-    )
+# -- reached states worked out from the script -------------------------------
 
 
 @st.composite
@@ -250,12 +281,14 @@ def session_scripts(draw) -> str:
 @given(script=session_scripts())
 @settings(max_examples=60, deadline=None)
 def test_rebuilt_generations_equal_full_snapshots(script):
+    """The states the script interpreter lists are the full snapshots the
+    engine's logs hold after each of their commits."""
     journal_snaps, pp_snaps = [()], [()]
     commit_step, commit_pp = Journal.commit_step, PPVersionLog.commit_pp
 
     def snapshot_commit_step(self, drawing, changes):
         step_no = commit_step(self, drawing, changes)
-        journal_snaps.append(_journal_key(self))
+        journal_snaps.append(tuple(tuple(s.changes) for s in self.steps))
         return step_no
 
     def snapshot_commit_pp(self, blob):
@@ -263,13 +296,11 @@ def test_rebuilt_generations_equal_full_snapshots(script):
         pp_snaps.append(tuple(self.versions))
         return version
 
-    events: list = []
     with tempfile.TemporaryDirectory() as tmp, \
             patch.object(Journal, "commit_step", snapshot_commit_step), \
             patch.object(PPVersionLog, "commit_pp", snapshot_commit_pp):
-        ScriptRunner(Path(tmp) / "d.tcgd", events=events).run(parse_script(script))
-    assert journal_generations(events) == journal_snaps
-    assert pp_generations(events) == pp_snaps
+        ScriptRunner(Path(tmp) / "d.tcgd").run(parse_script(script))
+    assert reached_states(parse_script(script)) == (journal_snaps, pp_snaps)
 
 
 DROPPED_STEP_SCRIPT = "ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 cc\nSTEP\nUNDO\nUNDO\nADD 1 dd\nSTEP\n"
@@ -316,3 +347,55 @@ def test_sweep_pp_log_that_existed_before_the_session(tmp_path):
     reports = [crash(tmp_path / f"k{offset}", offset) for offset in range(probe.total_written + 2)]
     assert [r.violations for r in reports if r.violations] == []
     assert {r.pp_versions_recovered for r in reports} == {1, 2, 3}
+
+
+# -- the audit catches injected faults ----------------------------------------
+
+MUTATION_SCRIPT = "ADD 1 aa\nADD 2 bb\nSTEP\nPPCOMMIT beef\nMOD 1 aa -> 1 cc\nSTEP\n"
+
+
+def _drop_last_record():
+    """The runner commits each multi-record step without its last record."""
+    commit_step = Journal.commit_step
+    return patch.object(Journal, "commit_step",
+                        lambda self, drawing, changes: commit_step(self, drawing, changes[:-1] or changes))
+
+
+def _wrong_kind():
+    """The journal encodes every element record with the next kind."""
+    encode_record = journal.encode_record
+    return patch.object(journal, "encode_record", lambda step_no, flag, kind, payload: encode_record(
+        step_no, flag, kind if flag == FLAG_COMMIT else kind + 1, payload))
+
+
+def _in_place(stream):
+    """Whole-file replacements of ``stream`` written over the file itself."""
+    write_atomic = FaultyIO.write_atomic
+
+    def patched(self, path, data):
+        if self.classify(path) == stream:
+            self.write_file(path, data)
+        else:
+            write_atomic(self, path, data)
+
+    return patch.object(FaultyIO, "write_atomic", patched)
+
+
+@pytest.mark.parametrize("fault, target", [
+    (_drop_last_record, "journal"),
+    (_wrong_kind, "journal"),
+    (lambda: _in_place("autosave"), "autosave"),
+    (lambda: _in_place("envelope"), "envelope"),
+    (lambda: patch.object(AutosaveSession, "clean_shutdown", lambda self: None), "autosave"),
+], ids=["step-differs", "wrong-kind", "set-in-place", "document-in-place", "shutdown-leaves-set"])
+def test_audit_catches_an_injected_fault(tmp_path, fault, target):
+    def run(offset):
+        workdir = tmp_path / f"k{offset}"
+        workdir.mkdir()
+        return crash_sim(workdir / "d.tcgd", MUTATION_SCRIPT, FaultPlan(offset, target),
+                         autosave=AutosaveConfig(1.0, workdir), step_seconds=2.0)
+
+    with fault():
+        total = run(10**9).total_written
+        violating = [offset for offset in range(total + 2) if run(offset).violations]
+    assert violating, "the audit saw nothing wrong"

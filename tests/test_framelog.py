@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from draftvault.cli import build_parser
 from draftvault.errors import BadHeader
 from draftvault.framelog import HEADER_LEN, encode_frame, header, read_frames, scan_frames
-from draftvault.journal import FLAG_ADDED, ChangeStep, inspect_journal, parse_journal_bytes, validate_journal
+from draftvault.journal import FLAG_ADDED, ChangeStep, index_journal, inspect_journal, validate_journal
 from draftvault.ppversions import PPVersionLog, recover_pp_log
 from draftvault.sidecar import SidecarState, write_sidecar
 from draftvault.signatures import parse_envelope
@@ -119,7 +119,7 @@ def test_encode_frame_matches_an_independent_encoder(payload, fields):
 def test_format_parsers_reject_bad_headers(tmp_path):
     for bad in (b"WRNG\x01\x00", b"TCGJ\x02\x00", b"TCG"):
         with pytest.raises(BadHeader):
-            parse_journal_bytes(bad)
+            index_journal(bad)
         with pytest.raises(BadHeader):
             validate_journal(bad)
     for bad in (b"WRNG\x01\x00", b"TCGE\x02\x00", b"TCGE\x01"):
@@ -140,7 +140,7 @@ def test_journal_validator_agrees_with_parse_at_strided_cuts(seed, flip):
         mutated[flip] ^= 0xFF
         data = bytes(mutated)
     for cut in list(range(HEADER_LEN, len(data), 7)) + [len(data)]:
-        steps, valid_end = parse_journal_bytes(data[:cut])
+        steps, _, valid_end = index_journal(data[:cut])
         assert validate_journal(data, cut) == (len(steps), valid_end)
         assert validate_journal(data[:cut]) == (len(steps), valid_end)
 
@@ -172,8 +172,9 @@ def _history_from_decoded(steps, cursor, torn: bool) -> str:
 @settings(max_examples=60, deadline=None)
 def test_lazy_journal_steps_agree_with_eager_decoding(seed, flip, cursor):
     """At strided cuts, steps indexed from a file and decoded on first use
-    equal parse_journal_bytes, their frame-head figures equal the counts of
-    the decoded records, and ``history`` prints what the decoded steps say."""
+    equal the same steps all decoded at once, their frame-head figures
+    equal the counts of the decoded records, and ``history`` prints what
+    the decoded steps say."""
     data = _flipped(_journal_bytes(random.Random(seed)), flip)
     with tempfile.TemporaryDirectory() as tmp:
         doc = Path(tmp) / "d.tcgd"
@@ -181,7 +182,9 @@ def test_lazy_journal_steps_agree_with_eager_decoding(seed, flip, cursor):
         write_sidecar(Path(tmp) / "d.tcgd.session", SidecarState(journal_cursor=cursor))
         history = build_parser().parse_args(["history", str(doc)])
         for cut in list(range(HEADER_LEN, len(data), 7)) + [len(data)]:
-            eager, valid_end = parse_journal_bytes(data[:cut])
+            eager, _, valid_end = index_journal(data[:cut])
+            for step in eager:
+                step.changes  # decodes every step before the lazy journal is read
             journal_path.write_bytes(data[:cut])
             lazy, torn = inspect_journal(journal_path)
             assert torn == (valid_end < cut)

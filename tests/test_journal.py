@@ -19,8 +19,8 @@ from draftvault.journal import (
     encode_record,
     encode_step,
     inspect_journal,
+    index_journal,
     make_modify,
-    parse_journal_bytes,
     recover_journal,
 )
 from draftvault.model import _HASH, Drawing, ElementPayload, _last_index, _packed_hashes
@@ -650,7 +650,7 @@ def test_parsers_build_exact_payloads():
     built = [ElementPayload(1, b"alpha"), ElementPayload(0xFFFF, b""), ElementPayload(0, bytes(range(256)))]
     parsed = Drawing.from_canonical_bytes(Drawing(elements=built).canonical_bytes()).elements
     data = HEADER + encode_step(1, [(FLAG_ADDED, p) for p in built])
-    steps, _ = parse_journal_bytes(data)
+    steps, _, _ = index_journal(data)
     for elements in (parsed, [p for _, p in steps[0].changes]):
         assert [type(p) for p in elements] == [ElementPayload] * len(built)
         assert elements == built
