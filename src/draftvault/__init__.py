@@ -35,7 +35,7 @@ _EXPORTS = {
     "faultsim": ("CrashReport", "CrashSimulated", "FaultPlan", "FaultyIO", "crash_sim"),
     "journal": ("ChangeStep", "Journal", "inspect_journal", "make_modify", "recover_journal"),
     "model": ("Drawing", "ElementPayload"),
-    "ppversions": ("PPBlob", "PPVersionLog", "recover_pp_log"),
+    "ppversions": ("PPVersionLog", "recover_pp_log"),
     "signatures": (
         "AuthResult",
         "EditGuard",

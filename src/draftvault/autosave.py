@@ -38,7 +38,6 @@ from . import framelog
 from .errors import BadHeader, Corrupt, IoFailure
 from .fileio import FileIO
 from .model import Drawing
-from .ppversions import PPBlob
 
 logger = logging.getLogger(__name__)
 
@@ -210,7 +209,7 @@ def probe_recovery(autosave_dir: Path, doc_name: str, io: FileIO | None = None) 
     return aset
 
 
-def restore(aset: AutosaveSet, io: FileIO | None = None) -> tuple[Drawing, PPBlob | None]:
+def restore(aset: AutosaveSet, io: FileIO | None = None) -> tuple[Drawing, bytes | None]:
     """Load the autosaved state; the set stays on disk (restoring is
     non-destructive, the caller decides when to drop it).  Corrupt when the
     file no longer holds the set ``aset`` describes."""
@@ -219,4 +218,4 @@ def restore(aset: AutosaveSet, io: FileIO | None = None) -> tuple[Drawing, PPBlo
     if found != aset:
         raise Corrupt("autosave set changed since it was found")
     drawing = Drawing.from_canonical_bytes(bytes(payloads[0]), name=aset.doc_name)
-    return drawing, PPBlob(bytes(payloads[1])) if len(payloads) == 2 else None
+    return drawing, bytes(payloads[1]) if len(payloads) == 2 else None

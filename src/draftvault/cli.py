@@ -1,14 +1,19 @@
 """draftvault command line.
 
 Exit codes: 0 success (including graceful no-ops like "nothing to
-undo"), 1 usage error, 2 I/O abort or busy document, 3 verification or
-integrity failure (tampered signature, frozen document, corrupt file).
+undo"), 1 usage error (a bad option value among them), 2 I/O abort or
+busy document, 3 verification or integrity failure (tampered signature,
+frozen document, corrupt file).  Each error class carries its own code
+(``DraftVaultError.exit_code``).
 
-All time-dependent behaviour accepts injected clocks (``--now``,
-``--today``) so runs are reproducible; without them the real clock is
-used.  Environment: DRAFTVAULT_AUTOSAVE_DIR overrides the autosave
-directory, DRAFTVAULT_PASSWORD supplies the signing password
-non-interactively (meant for tests and scripting).
+Option values are converted by the parser: a bad one (``--now
+yesterday``, ``--data zz``, ``--interval 0``) is a usage error before
+any command runs, so no lock is taken and no file touched.  All
+time-dependent behaviour accepts injected clocks (``--now``,
+``--today``) so runs are reproducible; without them the clock read when
+the parser is built is used.  Environment: DRAFTVAULT_AUTOSAVE_DIR names the autosave directory
+when ``--autosave-dir`` does not, DRAFTVAULT_PASSWORD supplies the
+signing password non-interactively (meant for tests and scripting).
 """
 from __future__ import annotations
 
@@ -18,22 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import (
-    BadHeader,
-    Corrupt,
-    DocumentFrozen,
-    DraftVaultError,
-    DuplicateSigner,
-    IoFailure,
-    Locked,
-    NoSuchSigner,
-    NothingToRedo,
-    NothingToUndo,
-    NotFound,
-    OutOfRange,
-    ScriptError,
-    WeakPassword,
-)
+from .errors import DraftVaultError, NothingToRedo, NothingToUndo
 from .fileio import FileIO
 from .paths import STREAMS, for_doc
 
@@ -49,15 +39,55 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_now(text: str | None) -> float:
-    if text is None:
-        return time.time()
+# -- option values ------------------------------------------------------------
+#
+# The ``type=`` functions of the parser.  A ValueError from one is a usage
+# error, which argparse reports as "invalid <function name> value".
+
+
+def iso_time(text: str) -> float:
+    """An ISO 8601 moment, UTC unless it names a zone, not before 1970."""
     import datetime as dt
 
     moment = dt.datetime.fromisoformat(text)
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=dt.timezone.utc)
-    return moment.timestamp()
+    stamp = moment.timestamp()
+    if stamp < 0:
+        raise ValueError(text)
+    return stamp
+
+
+def iso_date(text: str):
+    import datetime as dt
+
+    return dt.date.fromisoformat(text)
+
+
+def hex_bytes(text: str) -> bytes:
+    return bytes.fromhex(text)
+
+
+def positive(text: str) -> float:
+    """A number above zero, as an autosave interval must be."""
+    value = float(text)
+    if not value > 0:
+        raise ValueError(text)
+    return value
+
+
+def offset(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def signer_id(text: str) -> str:
+    """Non-empty UTF-8 that fits the signature record's u16 length."""
+    if not 0 < len(text.encode()) <= 0xFFFF:
+        raise ValueError(text)
+    return text
 
 
 def _iso(now: float) -> str:
@@ -87,18 +117,14 @@ def cmd_edit(args) -> int:
     _log_warnings()
     paths = for_doc(args.doc)
     autosave_cfg = None
-    if getattr(args, "interval", None):
+    if args.interval:
         autosave_cfg = AutosaveConfig(args.interval, paths.autosave_dir())
     runner = ScriptRunner(paths.doc, io=args.io, autosave=autosave_cfg,
-                          start_time=_parse_now(args.now), step_seconds=args.step_seconds)
-    result = runner.run(parse_script(Path(args.script).read_text()),
-                        abort_after_step=getattr(args, "abort_after_step", None))
+                          start_time=args.now, step_seconds=args.step_seconds)
+    result = runner.run(parse_script(Path(args.script).read_text()))
     for notice in result.notices:
         print(notice)
-    if result.aborted:
-        print(f"aborted after step {result.steps_committed} (session left as-is)")
-    else:
-        print(f"committed {result.steps_committed} step(s); cursor at {result.cursor} of {result.step_count}")
+    print(f"committed {result.steps_committed} step(s); cursor at {result.cursor} of {result.step_count}")
     if result.pp_cursor is not None:
         print(f"pp at version {result.pp_cursor} of {result.pp_count}")
     if result.autosave_failures:
@@ -106,9 +132,11 @@ def cmd_edit(args) -> int:
     return 0
 
 
-def _move_cursor(args, direction: str) -> int:
+def cmd_move(args) -> int:
+    """``undo`` or ``redo``, by the command's name."""
     from .session import Session
 
+    direction = args.command
     paths = for_doc(args.doc)
     if not args.io.exists(paths.journal):
         print(f"nothing to {direction}")
@@ -131,14 +159,6 @@ def _move_cursor(args, direction: str) -> int:
     else:
         print(f"nothing to {direction}")
     return 0
-
-
-def cmd_undo(args) -> int:
-    return _move_cursor(args, "undo")
-
-
-def cmd_redo(args) -> int:
-    return _move_cursor(args, "redo")
 
 
 def cmd_history(args) -> int:
@@ -177,11 +197,11 @@ def cmd_pp(args) -> int:
     with Session(args.doc, args.io) as session:
         log = session.open_pp_log()
         if args.pp_op == "commit":
-            print(f"committed version {log.commit_pp(bytes.fromhex(args.data))}")
+            print(f"committed version {log.commit_pp(args.data)}")
         else:
             try:
                 blob = log.jump_pp(args.to) if args.pp_op == "jump" else getattr(log, f"{args.pp_op}_pp")()
-                print(f"at version {log.cursor} of {log.version_count}: {blob.data.hex()}")
+                print(f"at version {log.cursor} of {log.version_count}: {blob.hex()}")
             except (NothingToUndo, NothingToRedo):
                 print(f"nothing to {args.pp_op}")
         session.save()
@@ -197,7 +217,7 @@ def cmd_recover(args) -> int:
     _log_warnings()
     paths = for_doc(args.doc)
     io = args.io
-    autosave_dir = paths.autosave_dir(Path(args.autosave_dir) if args.autosave_dir else None)
+    autosave_dir = paths.autosave_dir(args.autosave_dir)
     with Session(paths.doc, io) as session:
         aset = probe_recovery(autosave_dir, paths.name, io)
         if aset is None:
@@ -219,7 +239,7 @@ def cmd_recover(args) -> int:
             if pp is not None:
                 session.remembered().pp_cursor = None
                 log = session.open_pp_log()
-                if not log.version_count or log.current().data != pp.data:
+                if not log.version_count or log.current() != pp:
                     log.commit_pp(pp)
             session.restore(drawing.canonical_bytes())
             io.unlink(aset.path)
@@ -230,18 +250,15 @@ def cmd_recover(args) -> int:
 
 
 def cmd_backup(args) -> int:
-    import datetime as dt
-
     from . import backup as backup_mod
 
     _log_warnings()
     config = backup_mod.parse_config(Path(args.config))
     manifest = backup_mod.load_manifest(config.vault_root)
-    today = dt.date.fromisoformat(args.today) if args.today else dt.date.today()
-    if not backup_mod.backup_due(config, manifest, today):
+    if not backup_mod.backup_due(config, manifest, args.today):
         print("backup not due")
         return 0
-    backup_set, _ = backup_mod.run_backup(config, manifest, today, args.io)
+    backup_set, _ = backup_mod.run_backup(config, manifest, args.today, args.io)
     if backup_set.dir is None:
         print("nothing changed since last backup; date recorded")
     else:
@@ -259,14 +276,16 @@ def _password() -> str:
 
 
 def cmd_sign(args) -> int:
+    """The password is read before the lock is taken: a prompt must not
+    keep other writers out."""
     from .locks import SessionLock
     from .signatures import load_document, save_document, sign
 
     paths = for_doc(args.doc)
-    now = _parse_now(args.now)
+    password = _password()
     with SessionLock(paths.doc):
         env = load_document(paths.doc, args.io)
-        env = sign(env, args.signer, _password(), signed_at=int(now))
+        env = sign(env, args.signer, password, signed_at=int(args.now))
         save_document(paths.doc, env, args.io)
     print(f"signed by {args.signer}; {len(env.signatures)} signature(s) now on {paths.name}")
     return 0
@@ -277,12 +296,11 @@ def cmd_unsign(args) -> int:
     from .signatures import append_audit, load_document, remove_signature, save_document
 
     paths = for_doc(args.doc)
-    now = _parse_now(args.now)
     with SessionLock(paths.doc):
         env = load_document(paths.doc, args.io)
         env = remove_signature(env, args.signer)
         save_document(paths.doc, env, args.io)
-        append_audit(paths.siglog, _iso(now), args.signer, len(env.signatures), args.io)
+        append_audit(paths.siglog, _iso(args.now), args.signer, len(env.signatures), args.io)
     print(f"signature of {args.signer} removed; {len(env.signatures)} remain")
     if not env.signatures:
         print(f"{paths.name} is now visibly unsigned and editable")
@@ -319,7 +337,7 @@ def cmd_crash_sim(args) -> int:
         Path(args.script).read_text(),
         FaultPlan(args.kill_at_byte, args.target),
         autosave=autosave_cfg,
-        start_time=_parse_now(args.now),
+        start_time=args.now,
         step_seconds=args.step_seconds,
     )
     for line in report.lines():
@@ -335,8 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(io=FileIO())
     sub = parser.add_subparsers(dest="command", required=True)
 
+    now = time.time()
+
     def add_now(p):
-        p.add_argument("--now", help="inject the clock (ISO 8601)", default=None)
+        p.add_argument("--now", type=iso_time, default=now, help="inject the clock (ISO 8601)")
 
     p = sub.add_parser("edit", help="run an edit script as one session")
     p.add_argument("doc")
@@ -345,11 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_now(p)
     p.set_defaults(func=cmd_edit, interval=None)
 
-    for name, func in (("undo", cmd_undo), ("redo", cmd_redo)):
+    for name in ("undo", "redo"):
         p = sub.add_parser(name, help=f"{name} committed steps of the last session")
         p.add_argument("doc")
         p.add_argument("-n", dest="count", type=int, default=1)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_move)
 
     p = sub.add_parser("history", help="list the session's committed steps")
     p.add_argument("doc")
@@ -361,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = pp_sub.add_parser(op)
         q.add_argument("doc")
         if op == "commit":
-            q.add_argument("--data", required=True, help="blob bytes as hex")
+            q.add_argument("--data", type=hex_bytes, required=True, help="blob bytes as hex")
         if op == "jump":
             q.add_argument("--to", type=int, required=True)
         q.set_defaults(func=cmd_pp)
@@ -369,10 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("autosave-run", help="scripted session with timed autosave")
     p.add_argument("doc")
     p.add_argument("--script", required=True)
-    p.add_argument("--interval", type=float, required=True)
+    p.add_argument("--interval", type=positive, required=True)
     p.add_argument("--step-seconds", type=float, default=1.0)
-    p.add_argument("--abort-after-step", type=int, default=None,
-                   help="simulate abnormal termination after N committed steps")
     add_now(p)
     p.set_defaults(func=cmd_edit)
 
@@ -380,23 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("doc")
     p.add_argument("--apply", action="store_true")
     p.add_argument("--discard", action="store_true")
-    p.add_argument("--autosave-dir", default=None)
+    p.add_argument("--autosave-dir", type=Path, default=None)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("backup", help="incremental backup per config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--today", default=None, help="inject the date (YYYY-MM-DD)")
+    # a string default goes through ``type`` too, and only when backup runs
+    p.add_argument("--today", type=iso_date, default=time.strftime("%Y-%m-%d"),
+                   help="inject the date (YYYY-MM-DD)")
     p.set_defaults(func=cmd_backup)
 
     p = sub.add_parser("sign", help="add a password-protected signature (freezes the doc)")
     p.add_argument("doc")
-    p.add_argument("--signer", required=True)
+    p.add_argument("--signer", type=signer_id, required=True)
     add_now(p)
     p.set_defaults(func=cmd_sign)
 
     p = sub.add_parser("unsign", help="remove a signature (no password; audit-logged)")
     p.add_argument("doc")
-    p.add_argument("--signer", required=True)
+    p.add_argument("--signer", type=signer_id, required=True)
     add_now(p)
     p.set_defaults(func=cmd_unsign)
 
@@ -407,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crash-sim", help="run a script under fault injection and audit recovery")
     p.add_argument("doc")
     p.add_argument("--script", required=True)
-    p.add_argument("--kill-at-byte", type=int, required=True)
+    p.add_argument("--kill-at-byte", type=offset, required=True)
     p.add_argument("--target", choices=STREAMS, required=True)
-    p.add_argument("--interval", type=float, default=None)
+    p.add_argument("--interval", type=positive, default=None)
     p.add_argument("--step-seconds", type=float, default=1.0)
     add_now(p)
     p.set_defaults(func=cmd_crash_sim)
@@ -430,21 +450,12 @@ def main(argv=None, io=None) -> int:
         args.io = io
     try:
         return args.func(args)
-    except (ScriptError, WeakPassword, DuplicateSigner, NoSuchSigner, OutOfRange) as exc:
+    except DraftVaultError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (Locked, IoFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DocumentFrozen, Corrupt, BadHeader, NotFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DraftVaultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

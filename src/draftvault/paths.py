@@ -41,12 +41,11 @@ class DocPaths:
         return self.doc.with_name(self.doc.name + ".siglog")
 
     def autosave_dir(self, configured: Path | None = None) -> Path:
-        env = os.environ.get(AUTOSAVE_DIR_ENV)
-        if env:
-            return Path(env)
+        """The directory given by the caller, else the one the environment
+        names, else the document's own."""
         if configured is not None:
             return Path(configured)
-        return self.doc.parent
+        return Path(os.environ.get(AUTOSAVE_DIR_ENV) or self.doc.parent)
 
 
 def for_doc(doc: str | Path) -> DocPaths:

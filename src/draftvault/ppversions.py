@@ -10,35 +10,22 @@ Log file layout: the ``framelog`` container (magic "TCGP", u16 version,
 CRC-32 per frame) with one frame per stored blob, little-endian:
 
     u32 len | blob bytes | u32 crc
-
-The file stores blob bytes only; ``task_tag`` identifies the producing
-extension in memory and is supplied when a log is opened.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import framelog
 from .errors import NothingToRedo, NothingToUndo, OutOfRange
 from .fileio import FileIO
 from .framelog import CRC_LEN, HEADER_LEN, FramedLog
-from .locks import SessionLock
 
 MAGIC = b"TCGP"
 VERSION = 1
 HEADER = framelog.header(MAGIC, VERSION)
 
 _BLOCK_HEAD = struct.Struct("<I")
-
-
-@dataclass(frozen=True)
-class PPBlob:
-    """One complete parametric representation; any byte string is valid."""
-
-    data: bytes
-    task_tag: str = ""
 
 
 class PPVersionLog(FramedLog):
@@ -50,10 +37,6 @@ class PPVersionLog(FramedLog):
     """
 
     HEADER = HEADER
-
-    def __init__(self, path: Path, io: FileIO, lock: SessionLock | None, task_tag: str = ""):
-        super().__init__(path, io, lock)
-        self.task_tag = task_tag
 
     @classmethod
     def _parse(cls, data: bytes) -> tuple[list[bytes | None], list[int], int]:
@@ -76,22 +59,18 @@ class PPVersionLog(FramedLog):
     # -- lifecycle -------------------------------------------------------
 
     @classmethod
-    def create(cls, path: Path, task_tag: str = "", io: FileIO | None = None) -> "PPVersionLog":
-        log = cls._create(Path(path), io or FileIO())
-        log.task_tag = task_tag
-        return log
+    def create(cls, path: Path, io: FileIO | None = None) -> "PPVersionLog":
+        return cls._create(Path(path), io or FileIO())
 
     @classmethod
-    def open(cls, path: Path, task_tag: str = "", io: FileIO | None = None) -> "PPVersionLog":
+    def open(cls, path: Path, io: FileIO | None = None) -> "PPVersionLog":
         """Reopen an existing log, repairing a torn tail; missing file is
         created fresh.  The cursor is at the newest version."""
         io = io or FileIO()
         path = Path(path)
         if not io.exists(path):
-            return cls.create(path, task_tag, io)
-        log = cls._open(path, io)
-        log.task_tag = task_tag
-        return log
+            return cls.create(path, io)
+        return cls._open(path, io)
 
     # -- operations --------------------------------------------------------
 
@@ -106,31 +85,32 @@ class PPVersionLog(FramedLog):
     def version_count(self) -> int:
         return len(self._entries)
 
-    def current(self) -> PPBlob:
+    def current(self) -> bytes:
+        """The blob at the cursor; any byte string is a valid blob."""
         if self.cursor < 1:
             raise OutOfRange("no version committed yet")
-        return PPBlob(self._blob(self.cursor - 1), self.task_tag)
+        return self._blob(self.cursor - 1)
 
-    def commit_pp(self, blob: PPBlob | bytes) -> int:
+    def commit_pp(self, blob: bytes) -> int:
         """Store a new version, dropping any redo tail; returns its index."""
-        data = blob.data if isinstance(blob, PPBlob) else bytes(blob)
+        data = bytes(blob)
         self._append(framelog.encode_frame(_BLOCK_HEAD, data), data)
         return self.cursor
 
-    def undo_pp(self) -> PPBlob:
+    def undo_pp(self) -> bytes:
         """Step back one version and return it, bit-exact."""
         if self.cursor < 2:
             raise NothingToUndo("already at the first version")
         self.cursor -= 1
         return self.current()
 
-    def redo_pp(self) -> PPBlob:
+    def redo_pp(self) -> bytes:
         if self.cursor >= self.version_count:
             raise NothingToRedo("already at the newest version")
         self.cursor += 1
         return self.current()
 
-    def jump_pp(self, target: int) -> PPBlob:
+    def jump_pp(self, target: int) -> bytes:
         """Go directly to any stored version; order of steps plays no role."""
         if not 1 <= target <= self.version_count:
             raise OutOfRange(f"version {target} outside 1..{self.version_count}")

@@ -18,7 +18,11 @@ The runner drives a whole session on a ``session.Session``: it takes the
 document lock itself (a caller that holds it gets Locked), starts a
 fresh journal, executes commands, ticks autosave on a synthetic clock
 that advances ``step_seconds`` per executed operation, then saves the
-document and the sidecar and cleans up.  A tick that fails is logged
+document and the sidecar and cleans up.  It has no way to stop early:
+a session that dies mid-run is made by a crash, through
+``faultsim.FaultyIO`` (``crash-sim`` on the command line), which leaves
+the journal, the sidecar and the autosave set the way a power cut would.
+A tick that fails is logged
 and counted, and the next tick retries: the journal already holds every
 step, so a failed autosave does not end the session.  The blob log opens
 at the version the sidecar remembers; a script that never touches it
@@ -100,12 +104,7 @@ class RunResult:
     pp_cursor: int | None = None
     pp_count: int = 0
     notices: list[str] = field(default_factory=list)
-    aborted: bool = False
     autosave_failures: int = 0
-
-
-class _AbortRun(Exception):
-    pass
 
 
 class ScriptRunner:
@@ -125,11 +124,7 @@ class ScriptRunner:
         self.clock = start_time
         self.step_seconds = step_seconds
 
-    def run(
-        self,
-        commands: list[Command],
-        abort_after_step: int | None = None,
-    ) -> RunResult:
+    def run(self, commands: list[Command]) -> RunResult:
         result = RunResult()
         with Session(self.doc, self.io) as session:
             drawing = session.load()
@@ -157,58 +152,48 @@ class ScriptRunner:
                 pending.clear()
                 result.steps_committed += 1
                 tick()
-                if abort_after_step is not None and result.steps_committed >= abort_after_step:
-                    raise _AbortRun()
 
-            try:
-                for command in commands:
-                    if command.op == "ADD":
-                        pending.append((FLAG_ADDED, command.args[0]))
-                    elif command.op == "DEL":
-                        pending.append((FLAG_DELETED, command.args[0]))
-                    elif command.op == "MOD":
-                        pending.extend(make_modify(*command.args))
-                    elif command.op == "STEP":
-                        flush()
-                    elif command.op == "UNDO":
-                        flush()
-                        try:
-                            journal.undo_step(drawing)
-                        except NothingToUndo:
-                            result.notices.append("nothing to undo")
-                        tick()
-                    elif command.op == "REDO":
-                        flush()
-                        try:
-                            journal.redo_step(drawing)
-                        except NothingToRedo:
-                            result.notices.append("nothing to redo")
-                        tick()
-                    elif command.op == "PPCOMMIT":
-                        blob = command.args[0]
-                        session.open_pp_log().commit_pp(blob)
-                        if saver is not None:
-                            saver.set_current_pp(blob)
-                        tick()
-                    elif command.op == "PPJUMP":
-                        blob = session.open_pp_log().jump_pp(command.args[0])
-                        if saver is not None:
-                            saver.set_current_pp(blob.data)
-                        tick()
-                flush()
-            except _AbortRun:
-                result.aborted = True
+            for command in commands:
+                if command.op == "ADD":
+                    pending.append((FLAG_ADDED, command.args[0]))
+                elif command.op == "DEL":
+                    pending.append((FLAG_DELETED, command.args[0]))
+                elif command.op == "MOD":
+                    pending.extend(make_modify(*command.args))
+                elif command.op == "STEP":
+                    flush()
+                elif command.op == "UNDO":
+                    flush()
+                    try:
+                        journal.undo_step(drawing)
+                    except NothingToUndo:
+                        result.notices.append("nothing to undo")
+                    tick()
+                elif command.op == "REDO":
+                    flush()
+                    try:
+                        journal.redo_step(drawing)
+                    except NothingToRedo:
+                        result.notices.append("nothing to redo")
+                    tick()
+                elif command.op == "PPCOMMIT":
+                    blob = command.args[0]
+                    session.open_pp_log().commit_pp(blob)
+                    if saver is not None:
+                        saver.set_current_pp(blob)
+                    tick()
+                elif command.op == "PPJUMP":
+                    blob = session.open_pp_log().jump_pp(command.args[0])
+                    if saver is not None:
+                        saver.set_current_pp(blob)
+                    tick()
+            flush()
 
             result.cursor = journal.cursor
             result.step_count = journal.step_count
             if session.pp_log is not None:
                 result.pp_cursor = session.pp_log.cursor
                 result.pp_count = session.pp_log.version_count
-            if result.aborted:
-                # Simulated abnormal end: journal, sidecar and autosave set
-                # stay as they are; the process lives on, so the locks go.
-                return result
-
             session.save(drawing.canonical_bytes())
             if saver is not None:
                 saver.clean_shutdown()

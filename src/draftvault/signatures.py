@@ -63,8 +63,6 @@ TAG_LEN = 32
 _SECTION_HEAD = struct.Struct("<BI")
 _SIG_FIXED = struct.Struct("<Q16s32s32s")
 
-SALT_ENV = "DRAFTVAULT_SALT"  # test hook: hex-encoded fixed salt
-
 
 class EditGuard(enum.Enum):
     ALLOWED = "allowed"
@@ -111,15 +109,6 @@ def _compute_tag(key: bytes, doc_digest: bytes, signer_id: str, signed_at: int) 
     return hmac.new(key, message, hashlib.sha256).digest()
 
 
-def _pick_salt(salt: bytes | None) -> bytes:
-    if salt is not None:
-        return salt
-    env = os.environ.get(SALT_ENV)
-    if env:
-        return bytes.fromhex(env)
-    return os.urandom(SALT_LEN)
-
-
 def sign(
     env: SignedEnvelope,
     signer_id: str,
@@ -130,7 +119,8 @@ def sign(
     """Add a signature over the current document bytes.
 
     The document itself is untouched; from now on (or still) every edit is
-    rejected until all signatures are removed.
+    rejected until all signatures are removed.  The salt is 16 fresh bytes
+    from ``os.urandom`` unless the caller passes one.
     """
     if not password:
         raise WeakPassword("empty password")
@@ -138,7 +128,8 @@ def sign(
         raise ValueError("signer id must be non-empty")
     if signer_id in env.signer_ids():
         raise DuplicateSigner(f"{signer_id!r} already signed this document")
-    salt = _pick_salt(salt)
+    if salt is None:
+        salt = os.urandom(SALT_LEN)
     if len(salt) != SALT_LEN:
         raise ValueError(f"salt must be {SALT_LEN} bytes")
     if any(record.salt == salt for record in env.signatures):

@@ -1,13 +1,18 @@
-"""Shared fixtures: payload factories and the full-copy snapshot oracle."""
+"""Shared fixtures: payload factories, the full-copy snapshot oracle, and
+sessions that die after a given step."""
 from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
-from draftvault.journal import FLAG_ADDED, FLAG_DELETED, _apply_forward
+from draftvault.faultsim import CrashSimulated, FaultPlan, FaultyIO, reached_states
+from draftvault.journal import FLAG_ADDED, FLAG_DELETED, HEADER, _apply_forward, encode_step
 from draftvault.model import Drawing, ElementPayload, _packed_hashes
+from draftvault.script import parse_script
+from draftvault.sidecar import read_sidecar
 
 
 def make_payload(rng: random.Random, kinds: int = 8, max_len: int = 32) -> ElementPayload:
@@ -92,3 +97,29 @@ class SnapshotOracle:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xD0CFA11)
+
+
+def plan_after_step(script: str, step: int) -> FaultPlan:
+    """The crash that ends a fresh session of the linear ``script`` right
+    after its step ``step``: a journal kill at the byte where the next
+    step starts or, after the last step, a kill at the document save,
+    before the autosave set is cleaned up."""
+    journal_states, _ = reached_states(parse_script(script))
+    if step == len(journal_states) - 1:
+        return FaultPlan(0, "envelope")
+    steps = journal_states[step]
+    return FaultPlan(len(HEADER) + sum(len(encode_step(n, list(c))) for n, c in enumerate(steps, 1)),
+                     "journal")
+
+
+@contextmanager
+def dies_after_step(doc, script: str, step: int):
+    """Yield the FaultyIO for one session of ``script`` on ``doc`` that dies
+    right after its step ``step`` (see plan_after_step), and check that it
+    died and left what a dead session leaves: the document as it was and
+    the sidecar at the cursor the session started from, 0."""
+    before = doc.read_bytes() if doc.exists() else None
+    with pytest.raises(CrashSimulated):
+        yield FaultyIO(plan_after_step(script, step), doc)
+    assert (doc.read_bytes() if doc.exists() else None) == before
+    assert read_sidecar(doc.with_name(doc.name + ".session")).journal_cursor == 0

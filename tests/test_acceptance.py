@@ -47,7 +47,7 @@ from draftvault.signatures import (
     verify_integrity,
 )
 
-from conftest import SnapshotOracle, payload_pool, random_step
+from conftest import SnapshotOracle, dies_after_step, payload_pool, random_step
 from test_formats import GOLD_TCGD, GOLD_TCGE, GOLD_TCGJ, GOLD_TCGP
 
 
@@ -240,12 +240,11 @@ def test_autosave_lifecycle(tmp_path):
         steps = 10
         interval, step_seconds = 10.0, 3.0
         script = "".join(f"ADD 1 {i:02x}\nSTEP\n" for i in range(steps))
-        runner = ScriptRunner(
-            loss_dir / "d.tcgd", autosave=AutosaveConfig(interval, loss_dir),
-            start_time=0.0, step_seconds=step_seconds,
-        )
-        result = runner.run(parse_script(script), abort_after_step=steps)
-        assert result.aborted
+        with dies_after_step(loss_dir / "d.tcgd", script, steps) as io:
+            ScriptRunner(
+                loss_dir / "d.tcgd", io=io, autosave=AutosaveConfig(interval, loss_dir),
+                start_time=0.0, step_seconds=step_seconds,
+            ).run(parse_script(script))
         found = probe_recovery(loss_dir, "d.tcgd")
         assert found is not None, "a tick must have saved within the window"
         recovered_drawing, _ = restore(found)
@@ -279,16 +278,16 @@ def test_pp_version_walks(tmp_path):
                 log.commit_pp(blob)
                 cursor = len(oracle)
             elif move < 0.5 and cursor > 1:
-                assert log.undo_pp().data == oracle[cursor - 2]
+                assert log.undo_pp() == oracle[cursor - 2]
                 cursor -= 1
             elif move < 0.75 and cursor < len(oracle):
-                assert log.redo_pp().data == oracle[cursor]
+                assert log.redo_pp() == oracle[cursor]
                 cursor += 1
             else:
                 target = rng.randint(1, len(oracle))
                 moves = abs(log.cursor - target)
                 expected_blob = oracle[target - 1]
-                assert log.jump_pp(target).data == expected_blob
+                assert log.jump_pp(target) == expected_blob
                 # jump == |cursor - target| single steps on a twin cursor
                 twin = cursor
                 for _ in range(moves):
@@ -302,7 +301,7 @@ def test_pp_version_walks(tmp_path):
         reopened = PPVersionLog.open(path)
         assert reopened.versions == oracle
         for target in rng.sample(range(1, len(oracle) + 1), min(25, len(oracle))):
-            assert reopened.jump_pp(target).data == oracle[target - 1]
+            assert reopened.jump_pp(target) == oracle[target - 1]
         reopened.close()
 
 

@@ -134,7 +134,7 @@ def test_pp_copy_written_and_removed_with_set(tmp_path):
     assert session.autosave_tick(301.0) is not None
     found = probe_recovery(tmp_path, DOC)
     assert found.pp_size == len(b"profile-v1")
-    assert restore(found)[1].data == b"profile-v1"
+    assert restore(found)[1] == b"profile-v1"
     apply_changes(drawing, [(FLAG_ADDED, ElementPayload(9, b"x"))])
     session.set_current_pp(None)  # task closed: next set has no blob
     assert session.autosave_tick(602.0) is not None
@@ -152,7 +152,7 @@ def test_probe_after_crash_finds_set(tmp_path):
     assert found == saved
     restored, pp = restore(found)
     assert restored.canonical_bytes() == drawing.canonical_bytes()
-    assert pp.data == b"pp-bytes"
+    assert pp == b"pp-bytes"
 
 
 def test_restore_without_pp(tmp_path):
@@ -311,4 +311,4 @@ def test_probe_hashes_the_payloads_without_copying_them(tmp_path):
     assert found is not None and found.drawing_size + found.pp_size < size
     assert peak < 1.5 * size, f"peak {peak} B for a set of {size} B"
     restored, blob = restore(found)
-    assert restored.elements == drawing.elements and blob.data == b"\xbb" * 1_000_000
+    assert restored.elements == drawing.elements and blob == b"\xbb" * 1_000_000

@@ -1,6 +1,8 @@
 import importlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from draftvault.model import Drawing
 from draftvault.ppversions import recover_pp_log
 from draftvault.sidecar import SidecarState, write_sidecar
 
+from conftest import dies_after_step
 from test_signatures import envelope_with_raw_signer
 
 SCRIPT = """\
@@ -34,8 +37,8 @@ def doc(tmp_path, monkeypatch):
     return tmp_path / "d.tcgd"
 
 
-def run(argv, capsys):
-    code = main([str(a) for a in argv])
+def run(argv, capsys, io=None):
+    code = main([str(a) for a in argv], io=io)
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -110,7 +113,6 @@ def test_edit_keeps_the_remembered_blob_version(doc, capsys):
 
 def test_sign_verify_unsign_flow(doc, capsys, monkeypatch):
     monkeypatch.setenv("DRAFTVAULT_PASSWORD", "pw-secret")
-    monkeypatch.setenv("DRAFTVAULT_SALT", "11" * 16)
     run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
     code, out, _ = run(["sign", doc, "--signer", "ivanov", "--now", "2026-08-08T10:00:00"], capsys)
     assert code == 0 and "1 signature(s)" in out
@@ -164,9 +166,10 @@ def test_verify_detects_tamper(doc, capsys, monkeypatch):
 
 def test_signed_doc_rejects_undo(doc, capsys, monkeypatch):
     monkeypatch.setenv("DRAFTVAULT_PASSWORD", "pw")
-    # an aborted session leaves an autosave set for recover --apply to offer
-    run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
-         "--step-seconds", "2", "--abort-after-step", "1"], capsys)
+    # a dead session leaves an autosave set for recover --apply to offer
+    with dies_after_step(doc, SCRIPT, 1) as io:
+        run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
+             "--step-seconds", "2"], capsys, io)
     run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
     run(["undo", doc], capsys)  # leaves a step to redo
     run(["sign", doc, "--signer", "ivanov"], capsys)
@@ -272,14 +275,12 @@ def test_a_lock_file_left_by_a_crash_does_not_hold(doc, capsys):
 
 
 def test_autosave_run_and_recover_cycle(doc, capsys):
-    code, out, _ = run(
-        ["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
-         "--step-seconds", "2", "--now", "2026-08-08T00:00:00", "--abort-after-step", "2"],
-        capsys,
-    )
-    assert code == 0 and "aborted after step 2" in out
+    with dies_after_step(doc, SCRIPT, 2) as io:
+        run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
+             "--step-seconds", "2", "--now", "2026-08-08T00:00:00"], capsys, io)
     code, out, _ = run(["recover", doc], capsys)
     assert code == 0 and "autosave set found" in out
+    assert "saved at t=1786147204.0" in out  # the tick after step 2, on the injected clock
     code, out, _ = run(["recover", doc, "--apply"], capsys)
     assert code == 0 and "restored" in out
     drawing = Drawing.from_canonical_bytes(doc.read_bytes())
@@ -319,11 +320,9 @@ def test_clean_run_offers_no_recovery(doc, capsys):
 
 
 def test_recover_discard(doc, capsys):
-    run(
-        ["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
-         "--step-seconds", "2", "--abort-after-step", "1"],
-        capsys,
-    )
+    with dies_after_step(doc, SCRIPT, 1) as io:
+        run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
+             "--step-seconds", "2"], capsys, io)
     code, out, _ = run(["recover", doc, "--discard"], capsys)
     assert code == 0 and "discarded" in out
     code, out, _ = run(["recover", doc], capsys)
@@ -386,7 +385,7 @@ def test_missing_doc_exits_2(tmp_path, capsys):
 
 def test_edit_and_sign_reproducible_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DRAFTVAULT_PASSWORD", "pw-repro")
-    monkeypatch.setenv("DRAFTVAULT_SALT", "ab" * 16)
+    monkeypatch.setattr(os, "urandom", lambda n: b"\xab" * n)  # the signature's salt
     outputs = []
     for run_dir in ("one", "two"):
         base = tmp_path / run_dir
@@ -430,10 +429,10 @@ def test_recover_apply_stores_the_blob_after_every_version(doc, capsys):
     version, not after the one the sidecar remembers: no version is lost."""
     for data in ("aa", "bb", "cc"):
         run(["pp", "commit", doc, "--data", data], capsys)
-    (doc.parent / "jump.txt").write_text("ADD 1 aa\nSTEP\nPPJUMP 1\nADD 1 bb\nSTEP\n")
-    code, out, _ = run(["autosave-run", doc, "--script", doc.parent / "jump.txt", "--interval", "1",
-                        "--abort-after-step", "2"], capsys)
-    assert code == 0 and "aborted after step 2" in out
+    jump = "ADD 1 aa\nSTEP\nPPJUMP 1\nADD 1 bb\nSTEP\n"
+    (doc.parent / "jump.txt").write_text(jump)
+    with dies_after_step(doc, jump, 2) as io:
+        run(["autosave-run", doc, "--script", doc.parent / "jump.txt", "--interval", "1"], capsys, io)
     run(["pp", "jump", doc, "--to", "2"], capsys)
     code, out, _ = run(["recover", doc, "--apply"], capsys)
     assert code == 0 and "and pp" in out
@@ -524,12 +523,14 @@ def test_redo_after_a_crashed_session_replays_its_own_first_step(doc, capsys):
     assert _elements(doc) == ["00", "aa", "bb"]
 
 
+DIES = "ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 cc\nSTEP\n"
+
+
 def test_redo_after_an_aborted_session_replays_its_own_first_step(doc, capsys):
     _earlier_session(doc, capsys)
-    (doc.parent / "abort.txt").write_text("ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 cc\nSTEP\n")
-    code, out, _ = run(["autosave-run", doc, "--script", doc.parent / "abort.txt", "--interval", "1",
-                        "--abort-after-step", "2"], capsys)
-    assert code == 0 and "aborted after step 2" in out
+    (doc.parent / "dies.txt").write_text(DIES)
+    with dies_after_step(doc, DIES, 2) as io:
+        run(["autosave-run", doc, "--script", doc.parent / "dies.txt", "--interval", "1"], capsys, io)
     code, out, _ = run(["redo", doc], capsys)
     assert code == 0 and "cursor at 1 of 2" in out
     assert _elements(doc) == ["00", "aa"]
@@ -539,9 +540,9 @@ def test_undo_and_redo_refuse_after_recover_apply(doc, capsys):
     """A restored autosave is a drawing no journal step leads to: undo and
     redo exit 3 instead of replaying over it, and history says why."""
     _earlier_session(doc, capsys)
-    (doc.parent / "abort.txt").write_text("ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 cc\nSTEP\n")
-    run(["autosave-run", doc, "--script", doc.parent / "abort.txt", "--interval", "1",
-         "--abort-after-step", "2"], capsys)
+    (doc.parent / "dies.txt").write_text(DIES)
+    with dies_after_step(doc, DIES, 2) as io:
+        run(["autosave-run", doc, "--script", doc.parent / "dies.txt", "--interval", "1"], capsys, io)
     code, out, _ = run(["recover", doc, "--apply"], capsys)
     assert code == 0 and "restored" in out
     restored = doc.read_bytes()
@@ -589,3 +590,58 @@ def test_autosave_failures_do_not_end_the_session(doc, capsys, monkeypatch, capl
     assert _elements(doc) == ["aacc"]
     code, out, _ = run(["undo", doc], capsys)
     assert code == 0 and "cursor at 2 of 3" in out
+
+
+def test_recover_autosave_dir_wins_over_the_environment(doc, capsys):
+    """The autosave directory is the flag's, then DRAFTVAULT_AUTOSAVE_DIR's
+    (the fixture sets it), then the document's."""
+    flagged = doc.parent / "flagged"
+    flagged.mkdir()
+    saver = AutosaveSession("d.tcgd", Drawing(), AutosaveConfig(1.0, flagged))
+    assert saver.autosave_tick(1.0) is not None  # and never shut down: the set stays behind
+    code, out, _ = run(["recover", doc, "--autosave-dir", flagged], capsys)
+    assert code == 0 and "autosave set found for d.tcgd" in out
+    code, out, _ = run(["recover", doc], capsys)
+    assert code == 0 and "no autosave found" in out
+
+
+def test_sign_reads_the_password_before_it_takes_the_lock(doc, capsys, monkeypatch):
+    """A user sitting at the password prompt keeps no other writer out."""
+    from draftvault import cli
+
+    run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+
+    def password():
+        with SessionLock(doc):  # another writer, while the prompt waits
+            pass
+        return "pw"
+
+    monkeypatch.setattr(cli, "_password", password)
+    code, out, err = run(["sign", doc, "--signer", "ivanov"], capsys)
+    assert code == 0, err
+    assert "signed by ivanov" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["edit", "d.tcgd", "--script", "edit.txt", "--now", "yesterday"],
+    ["backup", "--config", "backup.cfg", "--today", "2026-13-01"],
+    ["pp", "commit", "d.tcgd", "--data", "zz"],
+    ["sign", "d.tcgd", "--signer", ""],
+    ["autosave-run", "d.tcgd", "--script", "edit.txt", "--interval", "0"],
+    ["crash-sim", "d.tcgd", "--script", "edit.txt", "--kill-at-byte", "-1", "--target", "journal"],
+], ids=["now", "today", "data", "signer", "interval", "kill-at-byte"])
+def test_a_bad_option_value_is_a_usage_error(tmp_path, argv):
+    """The parser refuses the value: one ``error:`` line, exit 1, and no
+    file of the directory is touched."""
+    (tmp_path / "edit.txt").write_text(SCRIPT)
+    assert main(["edit", str(tmp_path / "d.tcgd"), "--script", str(tmp_path / "edit.txt")]) == 0
+    (tmp_path / "backup.cfg").write_text(f"weekdays = mon\nwatch_root = {tmp_path}\n"
+                                         f"vault_root = {tmp_path / 'vault'}\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    src = str(Path(model.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "draftvault", *argv], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src, "DRAFTVAULT_PASSWORD": "pw"})
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: argument ") and proc.stderr.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

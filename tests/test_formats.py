@@ -189,4 +189,4 @@ def test_autosave_set_layout_pinned(tmp_path):
     assert (aset.created_at, aset.drawing_size, aset.pp_size) == (2.5, 28, 2)
     assert aset.drawing_sha == "a2d32223d06cbbd62f0f17449e75438dca8602b600f32998586168da235c7263"
     restored, pp = restore(aset)
-    assert restored.canonical_bytes().hex() == GOLD_TCGD and pp.data == blob
+    assert restored.canonical_bytes().hex() == GOLD_TCGD and pp == blob

@@ -105,8 +105,7 @@ def test_cold_recover_loads_no_uuid(tmp_path):
     assert saver.autosave_tick(1.0) is not None  # and never shut down: the set stays behind
     argv = ["recover", str(tmp_path / "d.tcgd"), "--autosave-dir", str(tmp_path)]
     rc, out, loaded = _fresh(
-        "import contextlib, io, json, os, sys\n"
-        "os.environ.pop('DRAFTVAULT_AUTOSAVE_DIR', None)\n"
+        "import contextlib, io, json, sys\n"
         "from draftvault.cli import main\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"

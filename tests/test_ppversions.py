@@ -2,12 +2,12 @@ import pytest
 
 from draftvault.errors import BadHeader, Locked, NothingToRedo, NothingToUndo, OutOfRange
 from draftvault.fileio import FileIO
-from draftvault.ppversions import HEADER, PPBlob, PPVersionLog, recover_pp_log
+from draftvault.ppversions import HEADER, PPVersionLog, recover_pp_log
 
 
 @pytest.fixture
 def log(tmp_path):
-    log = PPVersionLog.create(tmp_path / "doc.pp", task_tag="water-profile")
+    log = PPVersionLog.create(tmp_path / "doc.pp")
     yield log
     log.close()
 
@@ -15,8 +15,7 @@ def log(tmp_path):
 def test_commit_to_empty_log(log):
     assert log.commit_pp(b"v1") == 1
     assert log.cursor == 1
-    assert log.current().data == b"v1"
-    assert log.current().task_tag == "water-profile"
+    assert log.current() == b"v1"
 
 
 def test_commit_extends(log):
@@ -38,12 +37,12 @@ def test_commit_after_undo_drops_redo_tail(log, tmp_path):
 def test_undo_redo_walk(log):
     for n in range(1, 4):
         log.commit_pp(f"v{n}".encode())
-    assert log.undo_pp().data == b"v2"
-    assert log.undo_pp().data == b"v1"
+    assert log.undo_pp() == b"v2"
+    assert log.undo_pp() == b"v1"
     with pytest.raises(NothingToUndo):
         log.undo_pp()
-    assert log.redo_pp().data == b"v2"
-    assert log.redo_pp().data == b"v3"
+    assert log.redo_pp() == b"v2"
+    assert log.redo_pp() == b"v3"
     with pytest.raises(NothingToRedo):
         log.redo_pp()
 
@@ -51,9 +50,9 @@ def test_undo_redo_walk(log):
 def test_jump_semantics(log):
     for n in range(1, 6):
         log.commit_pp(f"v{n}".encode())
-    assert log.jump_pp(2).data == b"v2"
+    assert log.jump_pp(2) == b"v2"
     assert log.cursor == 2
-    assert log.jump_pp(2).data == b"v2"  # identity jump
+    assert log.jump_pp(2) == b"v2"  # identity jump
     with pytest.raises(OutOfRange):
         log.jump_pp(0)
     with pytest.raises(OutOfRange):
@@ -69,7 +68,7 @@ def test_jump_equals_repeated_single_steps(tmp_path):
     jumped = a.jump_pp(2)
     b.undo_pp(), b.undo_pp()
     stepped = b.undo_pp()
-    assert jumped.data == stepped.data and a.cursor == b.cursor
+    assert jumped == stepped and a.cursor == b.cursor
     a.close(), b.close()
 
 
@@ -79,10 +78,10 @@ def test_round_trip_reopen_allows_any_jump(tmp_path, rng):
     for blob in blobs:
         log.commit_pp(blob)
     log.close()
-    again = PPVersionLog.open(tmp_path / "doc.pp", task_tag="t")
+    again = PPVersionLog.open(tmp_path / "doc.pp")
     assert again.versions == blobs
     for target in (3, 10, 1, 7):
-        assert again.jump_pp(target).data == blobs[target - 1]
+        assert again.jump_pp(target) == blobs[target - 1]
     again.close()
 
 
@@ -99,14 +98,14 @@ def test_random_walk_matches_list_oracle(tmp_path, rng):
             log.commit_pp(blob)
             cursor = len(oracle)
         elif move < 0.6 and cursor > 1:
-            assert log.undo_pp().data == oracle[cursor - 2]
+            assert log.undo_pp() == oracle[cursor - 2]
             cursor -= 1
         elif move < 0.8 and cursor < len(oracle):
-            assert log.redo_pp().data == oracle[cursor]
+            assert log.redo_pp() == oracle[cursor]
             cursor += 1
         else:
             target = rng.randint(1, len(oracle))
-            assert log.jump_pp(target).data == oracle[target - 1]
+            assert log.jump_pp(target) == oracle[target - 1]
             cursor = target
         assert log.cursor == cursor
         assert log.versions == oracle
@@ -118,9 +117,9 @@ def test_returned_bytes_are_bit_exact(tmp_path, rng):
     blobs = [rng.randbytes(33), rng.randbytes(0), rng.randbytes(129)]
     for blob in blobs:
         log.commit_pp(blob)
-    assert log.jump_pp(1).data == blobs[0]
-    assert log.redo_pp().data == blobs[1]
-    assert log.redo_pp().data == blobs[2]
+    assert log.jump_pp(1) == blobs[0]
+    assert log.redo_pp() == blobs[1]
+    assert log.redo_pp() == blobs[2]
     log.close()
 
 
@@ -152,7 +151,9 @@ def test_recover_bad_header(tmp_path):
         recover_pp_log(tmp_path / "x.pp")
 
 
-def test_blob_dataclass_is_value_like():
-    assert PPBlob(b"x") == PPBlob(b"x")
-    with pytest.raises(Exception):
-        PPBlob(b"x").data = b"y"
+def test_blob_is_value_like(log):
+    """A blob is plain bytes: a copy of what was committed, equal by value."""
+    source = bytearray(b"x")
+    log.commit_pp(source)
+    source[0] = ord("y")
+    assert type(log.current()) is bytes and log.current() == b"x"

@@ -5,12 +5,14 @@ import pytest
 
 from draftvault.autosave import AutosaveConfig, probe_recovery
 from draftvault.errors import DocumentFrozen, ScriptError
-from draftvault.fileio import FileIO
+from draftvault.faultsim import FaultPlan, FaultyIO
 from draftvault.journal import FLAG_DELETED, inspect_journal
 from draftvault.model import Drawing, ElementPayload
 from draftvault.script import Command, ScriptRunner, parse_script
 from draftvault.sidecar import read_sidecar
 from draftvault.signatures import SignedEnvelope, save_document, sign
+
+from conftest import dies_after_step
 
 SCRIPT = """
 # build two elements, then reshape one
@@ -110,23 +112,26 @@ def test_runner_with_autosave_cleans_up_on_completion(tmp_path):
     assert probe_recovery(tmp_path, "d.tcgd") is None  # clean shutdown removed the set
 
 
+TWO_STEPS = "ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n"
+
+
 def test_runner_abort_leaves_autosave_set(tmp_path):
     doc = tmp_path / "d.tcgd"
     cfg = AutosaveConfig(interval=1.0, autosave_dir=tmp_path)
-    runner = ScriptRunner(doc, autosave=cfg, start_time=0.0, step_seconds=2.0)
-    result = runner.run(parse_script("ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n"), abort_after_step=1)
-    assert result.aborted and result.steps_committed == 1
+    with dies_after_step(doc, TWO_STEPS, 1) as io:
+        ScriptRunner(doc, io=io, autosave=cfg, start_time=0.0, step_seconds=2.0).run(parse_script(TWO_STEPS))
     found = probe_recovery(tmp_path, "d.tcgd")
-    assert found is not None
+    after_one = Drawing(elements=[ElementPayload(1, b"\xaa")])
+    assert found is not None and found.drawing_sha == hashlib.sha256(after_one.canonical_bytes()).hexdigest()
     assert not doc.exists()  # abnormal end: no final save
 
 
-class _AutosaveWritesFail(FileIO):
-    """A FileIO whose writes to the autosave stream raise, ``failures``
-    times (every time when None)."""
+class _AutosaveWritesFail(FaultyIO):
+    """A FaultyIO whose writes to the autosave stream raise, ``failures``
+    times (every time when None); it dies by ``plan``, by default never."""
 
-    def __init__(self, failures=None):
-        super().__init__(fsync_enabled=False)
+    def __init__(self, doc, failures=None, plan=FaultPlan(10**9, "journal")):
+        super().__init__(plan, doc)
         self.failures = failures
 
     def write_file(self, path, data):
@@ -139,9 +144,9 @@ class _AutosaveWritesFail(FileIO):
 
 def test_autosave_failures_are_counted_and_the_session_is_saved(tmp_path, caplog):
     doc = tmp_path / "d.tcgd"
-    runner = ScriptRunner(doc, io=_AutosaveWritesFail(), autosave=AutosaveConfig(1.0, tmp_path),
+    runner = ScriptRunner(doc, io=_AutosaveWritesFail(doc), autosave=AutosaveConfig(1.0, tmp_path),
                           step_seconds=2.0)
-    result = runner.run(parse_script("ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n"))
+    result = runner.run(parse_script(TWO_STEPS))
     assert (result.steps_committed, result.autosave_failures) == (2, 2)
     assert caplog.text.count("autosave failed") == 2
     assert Drawing.from_canonical_bytes(doc.read_bytes()).elements == [ElementPayload(1, b"\xaa"),
@@ -152,10 +157,11 @@ def test_autosave_failures_are_counted_and_the_session_is_saved(tmp_path, caplog
 
 def test_a_failed_tick_is_retried_at_the_next(tmp_path):
     doc = tmp_path / "d.tcgd"
-    runner = ScriptRunner(doc, io=_AutosaveWritesFail(failures=1), autosave=AutosaveConfig(1.0, tmp_path),
-                          step_seconds=2.0)
-    result = runner.run(parse_script("ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n"), abort_after_step=2)
-    assert result.autosave_failures == 1
+    with dies_after_step(doc, TWO_STEPS, 2) as crash:
+        io = _AutosaveWritesFail(doc, failures=1, plan=crash.plan)
+        ScriptRunner(doc, io=io, autosave=AutosaveConfig(1.0, tmp_path), step_seconds=2.0).run(
+            parse_script(TWO_STEPS))
+    assert io.failures == 0  # the first tick failed, the second wrote the set
     found = probe_recovery(tmp_path, "d.tcgd")
     after_two = Drawing(elements=[ElementPayload(1, b"\xaa"), ElementPayload(2, b"\xbb")])
     assert found is not None and found.drawing_sha == hashlib.sha256(after_two.canonical_bytes()).hexdigest()
