@@ -65,11 +65,18 @@ def parse_weekdays(text: str) -> frozenset[int]:
     return frozenset(days)
 
 
+def _text_lines(path: Path) -> list[str]:
+    try:
+        return path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise Corrupt(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def parse_config(path: Path) -> BackupConfig:
     weekdays: frozenset[int] = frozenset()
     roots: list[Path] = []
     vault: Path | None = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_text_lines(Path(path)), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -78,7 +85,10 @@ def parse_config(path: Path) -> BackupConfig:
             raise Corrupt(f"{path}:{lineno}: expected key = value")
         key, value = key.strip(), value.strip()
         if key == "weekdays":
-            weekdays = parse_weekdays(value)
+            try:
+                weekdays = parse_weekdays(value)
+            except ValueError as exc:
+                raise Corrupt(f"{path}:{lineno}: {exc}") from None
         elif key == "watch_root":
             roots.append(Path(value))
         elif key == "vault_root":
@@ -95,12 +105,15 @@ def load_manifest(vault_root: Path) -> BackupManifest:
     manifest = BackupManifest()
     if not path.exists():
         return manifest
-    for raw in path.read_text().splitlines():
+    for raw in _text_lines(path):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("last_backup="):
-            manifest.last_backup_date = dt.date.fromisoformat(line.split("=", 1)[1])
+            try:
+                manifest.last_backup_date = dt.date.fromisoformat(line.split("=", 1)[1])
+            except ValueError:
+                raise Corrupt(f"malformed manifest line: {raw!r}") from None
         else:
             digest, _, relpath = line.partition("\t")
             if not relpath:

@@ -76,6 +76,14 @@ def positive(text: str) -> float:
     return value
 
 
+def count(text: str) -> int:
+    """A number of steps to move: one or more."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def offset(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -110,17 +118,22 @@ def _log_warnings() -> None:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
 
 
-def cmd_edit(args) -> int:
+def _autosave_config(args):
+    """The autosave of ``--interval`` into the document's autosave
+    directory, or None without one."""
     from .autosave import AutosaveConfig
+
+    if args.interval is None:
+        return None
+    return AutosaveConfig(args.interval, for_doc(args.doc).autosave_dir())
+
+
+def cmd_edit(args) -> int:
+    """``edit``, or ``autosave-run`` when ``--interval`` is given."""
     from .script import ScriptRunner, parse_script
 
     _log_warnings()
-    paths = for_doc(args.doc)
-    autosave_cfg = None
-    if args.interval:
-        autosave_cfg = AutosaveConfig(args.interval, paths.autosave_dir())
-    runner = ScriptRunner(paths.doc, io=args.io, autosave=autosave_cfg,
-                          start_time=args.now, step_seconds=args.step_seconds)
+    runner = ScriptRunner(Path(args.doc), io=args.io, autosave=_autosave_config(args), start_time=args.now)
     result = runner.run(parse_script(Path(args.script).read_text()))
     for notice in result.notices:
         print(notice)
@@ -324,22 +337,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crash_sim(args) -> int:
-    from .autosave import AutosaveConfig
     from .faultsim import FaultPlan, crash_sim
 
     _log_warnings()
-    autosave_cfg = None
-    if args.interval:
-        paths = for_doc(args.doc)
-        autosave_cfg = AutosaveConfig(args.interval, paths.autosave_dir())
-    report = crash_sim(
-        Path(args.doc),
-        Path(args.script).read_text(),
-        FaultPlan(args.kill_at_byte, args.target),
-        autosave=autosave_cfg,
-        start_time=args.now,
-        step_seconds=args.step_seconds,
-    )
+    report = crash_sim(Path(args.doc), Path(args.script).read_text(),
+                       FaultPlan(args.kill_at_byte, args.target),
+                       autosave=_autosave_config(args), start_time=args.now)
     for line in report.lines():
         print(line)
     return 0
@@ -361,14 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("edit", help="run an edit script as one session")
     p.add_argument("doc")
     p.add_argument("--script", required=True)
-    p.add_argument("--step-seconds", type=float, default=1.0)
-    add_now(p)
-    p.set_defaults(func=cmd_edit, interval=None)
+    p.set_defaults(func=cmd_edit, interval=None, now=0.0)  # no autosave, so no clock
 
     for name in ("undo", "redo"):
         p = sub.add_parser(name, help=f"{name} committed steps of the last session")
         p.add_argument("doc")
-        p.add_argument("-n", dest="count", type=int, default=1)
+        p.add_argument("-n", dest="count", type=count, default=1)
         p.set_defaults(func=cmd_move)
 
     p = sub.add_parser("history", help="list the session's committed steps")
@@ -390,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("doc")
     p.add_argument("--script", required=True)
     p.add_argument("--interval", type=positive, required=True)
-    p.add_argument("--step-seconds", type=float, default=1.0)
     add_now(p)
     p.set_defaults(func=cmd_edit)
 
     p = sub.add_parser("recover", help="look for (and optionally restore) an autosave set")
     p.add_argument("doc")
-    p.add_argument("--apply", action="store_true")
-    p.add_argument("--discard", action="store_true")
+    action = p.add_mutually_exclusive_group()
+    action.add_argument("--apply", action="store_true")
+    action.add_argument("--discard", action="store_true")
     p.add_argument("--autosave-dir", type=Path, default=None)
     p.set_defaults(func=cmd_recover)
 
@@ -430,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kill-at-byte", type=offset, required=True)
     p.add_argument("--target", choices=STREAMS, required=True)
     p.add_argument("--interval", type=positive, default=None)
-    p.add_argument("--step-seconds", type=float, default=1.0)
     add_now(p)
     p.set_defaults(func=cmd_crash_sim)
 

@@ -67,8 +67,9 @@ class FaultyIO(FileIO):
     """FileIO that dies at an exact offset of one file stream.
 
     Streams are classified by name: ``*.journal``, ``*.autosave.*``,
-    ``*.pp``, and the document file itself ("envelope").  fsync is a
-    no-op here; the simulated disk is simply what was written.
+    ``*.pp``, and the document file itself ("envelope").  ``_sync`` is a
+    no-op here, so no fsync is issued: the simulated disk is simply what
+    was written.
 
     ``total_written`` is the budget the target stream spent: its bytes
     plus one per metadata operation.  ``ops`` lists every operation that
@@ -78,7 +79,6 @@ class FaultyIO(FileIO):
     """
 
     def __init__(self, plan: FaultPlan, doc: Path):
-        super().__init__(fsync_enabled=False)
         self.plan = plan
         self.doc = Path(doc)
         self.budget_left = plan.kill_at_byte
@@ -119,6 +119,9 @@ class FaultyIO(FileIO):
         return True
 
     # -- interposed operations ------------------------------------------
+
+    def _sync(self, fh) -> None:
+        pass
 
     def write_file(self, path: Path, data: bytes) -> None:
         survived = self._spend_bytes(path, data)
@@ -256,18 +259,17 @@ def _blobs_before(path: Path, io: FileIO) -> tuple:
 
 def crash_sim(
     doc: Path,
-    script_text: str | list[Command],
+    script_text: str,
     plan: FaultPlan,
     autosave: AutosaveConfig | None = None,
     start_time: float = 0.0,
-    step_seconds: float = 1.0,
 ) -> CrashReport:
     """Run a script under fault injection, then recover and audit.
 
     The report's ``violations`` list must stay empty for every kill
     offset; the test suite sweeps offsets and fails on any entry.
     """
-    commands = parse_script(script_text) if isinstance(script_text, str) else script_text
+    commands = parse_script(script_text)
     paths = for_doc(doc)
     clean_io = FileIO()
     base_doc_bytes = _bytes_or_none(paths.doc)
@@ -278,7 +280,7 @@ def crash_sim(
     )
 
     fio = FaultyIO(plan, paths.doc)
-    runner = ScriptRunner(doc, io=fio, autosave=autosave, start_time=start_time, step_seconds=step_seconds)
+    runner = ScriptRunner(doc, io=fio, autosave=autosave, start_time=start_time)
     crashed = False
     try:
         runner.run(commands)

@@ -3,10 +3,13 @@
 Every byte the engine persists goes through a :class:`FileIO` instance so
 that the crash-fault harness can interpose on writes.  The default
 implementation talks to the real filesystem and follows the usual
-durability discipline: whole-file replacements go through a temp file in
-the same directory, fsync, then an atomic rename, so a crash can never
-expose a torn file under its final name.  The checked text codec of the
-small key=value files (the session sidecar) lives here too.
+durability discipline: every write, append and truncate is fsynced before
+it returns, and whole-file replacements go through a temp file in the
+same directory, fsync, then an atomic rename, so a crash can never expose
+a torn file under its final name.  The fsync is one method, ``_sync``,
+which the fault harness overrides; no setting turns it off.  The checked
+text codec of the small key=value files (the session sidecar) lives here
+too.
 """
 from __future__ import annotations
 
@@ -38,14 +41,12 @@ def decode_checked_text(data: bytes, banner: str) -> list[tuple[str, str]]:
 
 
 class FileIO:
-    """Passthrough filesystem operations; subclassed by the fault harness.
+    """Passthrough filesystem operations; subclassed by the fault harness."""
 
-    ``fsync_enabled`` exists for bulk test runs where durability is not the
-    property under test; production callers leave it on.
-    """
-
-    def __init__(self, fsync_enabled: bool = True):
-        self.fsync_enabled = fsync_enabled
+    def _sync(self, fh) -> None:
+        """Make what ``fh`` wrote durable before the operation returns."""
+        fh.flush()
+        os.fsync(fh.fileno())
 
     # -- primitive operations -------------------------------------------
 
@@ -56,23 +57,17 @@ class FileIO:
         """Plain create/truncate write (used for temp files)."""
         with open(path, "wb") as fh:
             fh.write(data)
-            if self.fsync_enabled:
-                fh.flush()
-                os.fsync(fh.fileno())
+            self._sync(fh)
 
     def append(self, path: Path, data: bytes) -> None:
         with open(path, "ab") as fh:
             fh.write(data)
-            if self.fsync_enabled:
-                fh.flush()
-                os.fsync(fh.fileno())
+            self._sync(fh)
 
     def truncate(self, path: Path, size: int) -> None:
         with open(path, "r+b") as fh:
             fh.truncate(size)
-            if self.fsync_enabled:
-                fh.flush()
-                os.fsync(fh.fileno())
+            self._sync(fh)
 
     def replace(self, src: Path, dst: Path) -> None:
         os.replace(src, dst)

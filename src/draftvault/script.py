@@ -17,8 +17,10 @@ step; a trailing group without a closing STEP commits at end of script.
 The runner drives a whole session on a ``session.Session``: it takes the
 document lock itself (a caller that holds it gets Locked), starts a
 fresh journal, executes commands, ticks autosave on a synthetic clock
-that advances ``step_seconds`` per executed operation, then saves the
-document and the sidecar and cleans up.  It has no way to stop early:
+that advances one second per executed operation (a committed step, an
+undo, a redo, a blob commit or jump), then saves the document and the
+sidecar and cleans up.  So an autosave interval of N seconds writes at
+most one set every N operations.  It has no way to stop early:
 a session that dies mid-run is made by a crash, through
 ``faultsim.FaultyIO`` (``crash-sim`` on the command line), which leaves
 the journal, the sidecar and the autosave set the way a power cut would.
@@ -116,13 +118,11 @@ class ScriptRunner:
         io: FileIO | None = None,
         autosave: AutosaveConfig | None = None,
         start_time: float = 0.0,
-        step_seconds: float = 1.0,
     ):
         self.doc = Path(doc)
         self.io = io or FileIO()
         self.autosave_config = autosave
         self.clock = start_time
-        self.step_seconds = step_seconds
 
     def run(self, commands: list[Command]) -> RunResult:
         result = RunResult()
@@ -137,7 +137,7 @@ class ScriptRunner:
             pending: list[Change] = []
 
             def tick() -> None:
-                self.clock += self.step_seconds
+                self.clock += 1.0
                 if saver is not None:
                     try:
                         saver.autosave_tick(self.clock)

@@ -128,7 +128,7 @@ def test_crash_sweep_journal(tmp_path):
         rng = random.Random(0x50AB)
         pool = payload_pool(rng, 30, max_len=64)
         drawing = Drawing()
-        journal = Journal.begin_session(drawing, tmp_path / "doc.journal", FileIO(fsync_enabled=False))
+        journal = Journal.begin_session(drawing, tmp_path / "doc.journal", FileIO())
         present: list = []
         boundaries = [HEADER_LEN]
         committed = []
@@ -210,7 +210,7 @@ def test_autosave_lifecycle(tmp_path):
         probe_dir.mkdir()
         baseline = crash_sim(
             probe_dir / "d.tcgd", ACCEPT_AUTOSAVE_SCRIPT, FaultPlan(10**9, "autosave"),
-            autosave=AutosaveConfig(1.0, probe_dir), step_seconds=2.0,
+            autosave=AutosaveConfig(1.0, probe_dir),
         )
         assert baseline.violations == []
         assert not baseline.crashed
@@ -221,35 +221,34 @@ def test_autosave_lifecycle(tmp_path):
             workdir.mkdir()
             report = crash_sim(
                 workdir / "d.tcgd", ACCEPT_AUTOSAVE_SCRIPT, FaultPlan(offset, "autosave"),
-                autosave=AutosaveConfig(1.0, workdir), step_seconds=2.0,
+                autosave=AutosaveConfig(1.0, workdir),
             )
             assert report.violations == [], f"offset {offset}: {report.violations}"
 
         # clean shutdown leaves no recovery offer
         clean_dir = tmp_path / "clean"
         clean_dir.mkdir()
-        runner = ScriptRunner(
-            clean_dir / "d.tcgd", autosave=AutosaveConfig(1.0, clean_dir), step_seconds=2.0
-        )
+        runner = ScriptRunner(clean_dir / "d.tcgd", autosave=AutosaveConfig(1.0, clean_dir))
         runner.run(parse_script(ACCEPT_AUTOSAVE_SCRIPT))
         assert probe_recovery(clean_dir, "d.tcgd") is None
 
-        # loss window: interval 10, one mutation every 3s, die after step 10
+        # loss window: interval 4 on the script clock of one second per
+        # step, so a tick every 4th step; die after step 10
         loss_dir = tmp_path / "loss"
         loss_dir.mkdir()
         steps = 10
-        interval, step_seconds = 10.0, 3.0
+        interval = 4.0
         script = "".join(f"ADD 1 {i:02x}\nSTEP\n" for i in range(steps))
         with dies_after_step(loss_dir / "d.tcgd", script, steps) as io:
             ScriptRunner(
                 loss_dir / "d.tcgd", io=io, autosave=AutosaveConfig(interval, loss_dir),
-                start_time=0.0, step_seconds=step_seconds,
+                start_time=0.0,
             ).run(parse_script(script))
         found = probe_recovery(loss_dir, "d.tcgd")
         assert found is not None, "a tick must have saved within the window"
         recovered_drawing, _ = restore(found)
         recovered_steps = len(recovered_drawing.elements)  # one ADD per step
-        lost_seconds = (steps - recovered_steps) * step_seconds
+        lost_seconds = steps - recovered_steps  # one second per step
         assert 0 <= lost_seconds <= interval
 
 
@@ -260,7 +259,7 @@ def test_pp_version_walks(tmp_path):
     with criterion("pp versions (500-version walks vs list oracle, round-trip)"):
         rng = random.Random(500)
         path = tmp_path / "doc.pp"
-        log = PPVersionLog.create(path, io=FileIO(fsync_enabled=False))
+        log = PPVersionLog.create(path, io=FileIO())
         oracle: list[bytes] = []
         cursor = 0
         for _ in range(500):

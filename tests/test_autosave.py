@@ -38,7 +38,6 @@ class CountingIO(FileIO):
     """Records each operation on a file of the autosave stream."""
 
     def __init__(self, fail_writes: bool = False):
-        super().__init__(fsync_enabled=False)
         self.ops: list[tuple[str, str]] = []
         self.fail_writes = fail_writes
 

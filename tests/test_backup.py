@@ -256,7 +256,7 @@ def test_manifest_records_the_digest_of_the_copied_bytes(setup):
                 source.write_bytes(b"v2")
             return super().read_bytes(path)
 
-    _, manifest = run_backup(config, BackupManifest(), MON, RewritingIO(fsync_enabled=False))
+    _, manifest = run_backup(config, BackupManifest(), MON, RewritingIO())
     assert vault_snapshot(vault)[f"{MON.isoformat()}/work/a.tcgd"] == b"v2"
     assert manifest.entries == {"work/a.tcgd": hashlib.sha256(b"v2").hexdigest()}
     source.write_bytes(b"v1")

@@ -168,8 +168,8 @@ def test_signed_doc_rejects_undo(doc, capsys, monkeypatch):
     monkeypatch.setenv("DRAFTVAULT_PASSWORD", "pw")
     # a dead session leaves an autosave set for recover --apply to offer
     with dies_after_step(doc, SCRIPT, 1) as io:
-        run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
-             "--step-seconds", "2"], capsys, io)
+        run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1"],
+            capsys, io)
     run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
     run(["undo", doc], capsys)  # leaves a step to redo
     run(["sign", doc, "--signer", "ivanov"], capsys)
@@ -277,10 +277,10 @@ def test_a_lock_file_left_by_a_crash_does_not_hold(doc, capsys):
 def test_autosave_run_and_recover_cycle(doc, capsys):
     with dies_after_step(doc, SCRIPT, 2) as io:
         run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
-             "--step-seconds", "2", "--now", "2026-08-08T00:00:00"], capsys, io)
+             "--now", "2026-08-08T00:00:00"], capsys, io)
     code, out, _ = run(["recover", doc], capsys)
     assert code == 0 and "autosave set found" in out
-    assert "saved at t=1786147204.0" in out  # the tick after step 2, on the injected clock
+    assert "saved at t=1786147202.0" in out  # the tick after step 2, on the injected clock
     code, out, _ = run(["recover", doc, "--apply"], capsys)
     assert code == 0 and "restored" in out
     drawing = Drawing.from_canonical_bytes(doc.read_bytes())
@@ -311,7 +311,7 @@ def test_recover_leaves_a_live_session_alone(doc, capsys, flags):
 def test_clean_run_offers_no_recovery(doc, capsys):
     code, out, _ = run(
         ["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
-         "--step-seconds", "2", "--now", "2026-08-08T00:00:00"],
+         "--now", "2026-08-08T00:00:00"],
         capsys,
     )
     assert code == 0
@@ -321,12 +321,55 @@ def test_clean_run_offers_no_recovery(doc, capsys):
 
 def test_recover_discard(doc, capsys):
     with dies_after_step(doc, SCRIPT, 1) as io:
-        run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
-             "--step-seconds", "2"], capsys, io)
+        run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1"],
+            capsys, io)
     code, out, _ = run(["recover", doc, "--discard"], capsys)
     assert code == 0 and "discarded" in out
     code, out, _ = run(["recover", doc], capsys)
     assert "no autosave found" in out
+
+
+def _files(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_recover_refuses_apply_with_discard(doc, capsys):
+    """Two actions at once are a usage error, not a silent discard."""
+    with dies_after_step(doc, SCRIPT, 1) as io:
+        run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1"],
+            capsys, io)
+    before = _files(doc.parent)
+    assert doc.parent / "autosaves" / "d.tcgd.autosave.set" in before
+    code, out, err = run(["recover", doc, "--apply", "--discard"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument ") and err.count("\n") == 1
+    assert _files(doc.parent) == before
+
+
+@pytest.mark.parametrize("damage", [
+    ("manifest", b"last_backup=garbage\n", "malformed manifest line: 'last_backup=garbage'"),
+    ("config", b"weekdays = funday\n", "backup.cfg:1: unknown weekday 'funday'"),
+    ("manifest", b"\xff\n", "manifest.txt: not UTF-8 text (invalid start byte at byte 0)"),
+    ("config", b"\xff\n", "backup.cfg: not UTF-8 text (invalid start byte at byte 0)"),
+], ids=["manifest-date", "config-weekday", "manifest-bytes", "config-bytes"])
+def test_a_damaged_backup_text_file_is_one_error_line(tmp_path, capsys, damage):
+    """A bad line in the manifest or the config, or bytes that are not
+    text, is named in one error line and exits 3 (a damaged file), with no
+    traceback and the vault as it was."""
+    which, line, message = damage
+    work, vault = tmp_path / "work", tmp_path / "vault"
+    work.mkdir()
+    (work / "a.tcgd").write_bytes(b"content-a")
+    cfg = tmp_path / "backup.cfg"
+    cfg.write_text(f"weekdays = fri\nwatch_root = {work}\nvault_root = {vault}\n")
+    assert run(["backup", "--config", cfg, "--today", "2026-08-07"], capsys)[0] == 0
+    target = vault / "manifest.txt" if which == "manifest" else cfg
+    target.write_bytes(line + target.read_bytes())
+    before = _files(tmp_path)
+    code, out, err = run(["backup", "--config", cfg, "--today", "2026-08-14"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert _files(tmp_path) == before
 
 
 def test_backup_cli(tmp_path, capsys):
@@ -376,6 +419,10 @@ def test_usage_errors_exit_1(doc, capsys):
     assert run(["bogus-command"], capsys)[0] == 1
     assert run(["edit"], capsys)[0] == 1
     assert run(["crash-sim", doc, "--script", "x", "--kill-at-byte", "1", "--target", "nope"], capsys)[0] == 1
+    # edit runs no autosave, so it reads no clock and takes no --now
+    code, _, err = run(["edit", doc, "--script", doc.parent / "edit.txt", "--now", "2026-01-01T00:00:00"], capsys)
+    assert code == 1 and err == "error: unrecognized arguments: --now 2026-01-01T00:00:00\n"
+    assert not doc.exists()
 
 
 def test_missing_doc_exits_2(tmp_path, capsys):
@@ -392,8 +439,7 @@ def test_edit_and_sign_reproducible_byte_identical(tmp_path, capsys, monkeypatch
         base.mkdir()
         monkeypatch.setenv("DRAFTVAULT_AUTOSAVE_DIR", str(base))
         (base / "s.txt").write_text(SCRIPT)
-        code, _, _ = run(["edit", base / "d.tcgd", "--script", base / "s.txt",
-                          "--now", "2026-01-01T00:00:00"], capsys)
+        code, _, _ = run(["edit", base / "d.tcgd", "--script", base / "s.txt"], capsys)
         assert code == 0
         code, _, _ = run(["sign", base / "d.tcgd", "--signer", "ivanov",
                           "--now", "2026-01-01T01:00:00"], capsys)
@@ -581,8 +627,8 @@ def test_a_session_that_cannot_start_its_journal_keeps_the_earlier_cursor(doc, c
 
 def test_autosave_failures_do_not_end_the_session(doc, capsys, monkeypatch, caplog):
     monkeypatch.setenv("DRAFTVAULT_AUTOSAVE_DIR", str(doc.parent / "missing"))
-    code, out, err = run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1",
-                          "--step-seconds", "2"], capsys)
+    code, out, err = run(["autosave-run", doc, "--script", doc.parent / "edit.txt", "--interval", "1"],
+                         capsys)
     assert code == 0, err
     assert "committed 3 step(s); cursor at 3 of 3" in out
     assert "autosave failed 3 time(s)" in out
@@ -623,13 +669,15 @@ def test_sign_reads_the_password_before_it_takes_the_lock(doc, capsys, monkeypat
 
 
 @pytest.mark.parametrize("argv", [
-    ["edit", "d.tcgd", "--script", "edit.txt", "--now", "yesterday"],
+    ["autosave-run", "d.tcgd", "--script", "edit.txt", "--interval", "1", "--now", "yesterday"],
     ["backup", "--config", "backup.cfg", "--today", "2026-13-01"],
     ["pp", "commit", "d.tcgd", "--data", "zz"],
     ["sign", "d.tcgd", "--signer", ""],
     ["autosave-run", "d.tcgd", "--script", "edit.txt", "--interval", "0"],
     ["crash-sim", "d.tcgd", "--script", "edit.txt", "--kill-at-byte", "-1", "--target", "journal"],
-], ids=["now", "today", "data", "signer", "interval", "kill-at-byte"])
+    ["undo", "d.tcgd", "-n", "0"],
+    ["redo", "d.tcgd", "-n", "-1"],
+], ids=["now", "today", "data", "signer", "interval", "kill-at-byte", "undo-count", "redo-count"])
 def test_a_bad_option_value_is_a_usage_error(tmp_path, argv):
     """The parser refuses the value: one ``error:`` line, exit 1, and no
     file of the directory is touched."""

@@ -121,12 +121,11 @@ def test_report_lines_are_printable(tmp_path):
     assert "steps_recovered=" in text and "violations=0" in text
 
 
-def _sweep(tmp_path, script, target, autosave=None, step_seconds=1.0):
+def _sweep(tmp_path, script, target, autosave=None):
     (tmp_path / "probe").mkdir()
     probe = crash_sim(
         tmp_path / "probe" / "d.tcgd", script, FaultPlan(10**9, target),
         autosave=autosave and AutosaveConfig(autosave.interval, tmp_path / "probe"),
-        step_seconds=step_seconds,
     )
     assert probe.violations == []
     total = probe.total_written
@@ -137,10 +136,7 @@ def _sweep(tmp_path, script, target, autosave=None, step_seconds=1.0):
         workdir = tmp_path / f"k{offset}"
         workdir.mkdir()
         cfg = autosave and AutosaveConfig(autosave.interval, workdir)
-        report = crash_sim(
-            workdir / "d.tcgd", script, FaultPlan(offset, target),
-            autosave=cfg, step_seconds=step_seconds,
-        )
+        report = crash_sim(workdir / "d.tcgd", script, FaultPlan(offset, target), autosave=cfg)
         reports.append(report)
         if report.violations:
             failures.append((offset, report.violations))
@@ -182,7 +178,7 @@ def test_sweep_envelope_stream(tmp_path):
 def test_sweep_autosave_stream(tmp_path):
     autosave = AutosaveConfig(interval=1.0, autosave_dir=tmp_path)
     script = "ADD 1 aa\nSTEP\nPPCOMMIT beef\nADD 2 bb\nSTEP\nUNDO\nADD 3 cc\nSTEP\n"
-    total, reports = _sweep(tmp_path, script, "autosave", autosave=autosave, step_seconds=2.0)
+    total, reports = _sweep(tmp_path, script, "autosave", autosave=autosave)
     assert total > 200
     outcomes = {r.autosave_outcome for r in reports}
     # the sweep must cross tick commit points in both directions: kills that
@@ -196,8 +192,7 @@ def test_sweep_autosave_stream(tmp_path):
     clean = tmp_path / "clean"
     clean.mkdir()
     fio = FaultyIO(FaultPlan(10**9, "autosave"), clean / "d.tcgd")
-    ScriptRunner(clean / "d.tcgd", io=fio, autosave=AutosaveConfig(1.0, clean),
-                 step_seconds=2.0).run(parse_script(script))
+    ScriptRunner(clean / "d.tcgd", io=fio, autosave=AutosaveConfig(1.0, clean)).run(parse_script(script))
     committed = {data for op, path, data in fio.ops if op == "replace" and path.name == "d.tcgd.autosave.set"}
     assert len(committed) >= 4
     found = set()
@@ -393,7 +388,7 @@ def test_audit_catches_an_injected_fault(tmp_path, fault, target):
         workdir = tmp_path / f"k{offset}"
         workdir.mkdir()
         return crash_sim(workdir / "d.tcgd", MUTATION_SCRIPT, FaultPlan(offset, target),
-                         autosave=AutosaveConfig(1.0, workdir), step_seconds=2.0)
+                         autosave=AutosaveConfig(1.0, workdir))
 
     with fault():
         total = run(10**9).total_written

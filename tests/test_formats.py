@@ -155,7 +155,7 @@ def _text_crc_line(body: bytes) -> bytes:
 
 def test_sidecar_layout_pinned(tmp_path):
     state = SidecarState(journal_cursor=2, pp_cursor=1, positions={2: [0], 1: [0, 1]})
-    write_sidecar(tmp_path / "s", state, FileIO(fsync_enabled=False))
+    write_sidecar(tmp_path / "s", state, FileIO())
     assert (tmp_path / "s").read_bytes() == GOLD_SIDECAR
     body = GOLD_SIDECAR[: GOLD_SIDECAR.rindex(b"crc=")]
     assert body + _text_crc_line(body) == GOLD_SIDECAR
@@ -167,7 +167,7 @@ def test_sidecar_layout_pinned(tmp_path):
 def test_autosave_set_layout_pinned(tmp_path):
     drawing = Drawing(elements=ELEMENTS)
     session = AutosaveSession("plant7.tcgd", drawing, AutosaveConfig(1.0, tmp_path),
-                              FileIO(fsync_enabled=False))
+                              FileIO())
     session.set_current_pp(b"\xcc\xdd")
     assert session.autosave_tick(2.5) is not None
     assert (tmp_path / "plant7.tcgd.autosave.set").read_bytes().hex() == GOLD_SET

@@ -260,7 +260,7 @@ def test_undo_redo_inverse_pair(session):
 
 def test_walk_matches_snapshot_oracle(tmp_path, rng):
     drawing = Drawing()
-    journal = Journal.begin_session(drawing, tmp_path / "j", FileIO(fsync_enabled=False))
+    journal = Journal.begin_session(drawing, tmp_path / "j", FileIO())
     oracle = SnapshotOracle(drawing)
     pool = payload_pool(rng, 20)
     present: list = []
@@ -313,7 +313,7 @@ def test_reverse_order_within_distinct_step_matches_any_order(rng):
 
 def build_journal_file(tmp_path, rng, steps=12, max_changes=4):
     drawing = Drawing()
-    journal = Journal.begin_session(drawing, tmp_path / "j", FileIO(fsync_enabled=False))
+    journal = Journal.begin_session(drawing, tmp_path / "j", FileIO())
     pool = payload_pool(rng, 12, max_len=16)
     present: list = []
     boundaries = [len(HEADER)]
@@ -534,7 +534,7 @@ def test_append_failure_rolls_back_the_same_objects(tmp_path):
                 raise OSError("disk gone")
             return super().append(path, data)
 
-    io = FailingAppend(fsync_enabled=False)
+    io = FailingAppend()
     first, last = ElementPayload(1, b"dup"), ElementPayload(1, b"dup")
     drawing = Drawing(elements=[first, A, last, B])
     journal = Journal.begin_session(drawing, tmp_path / "j", io)
@@ -575,7 +575,7 @@ def test_journal_matches_the_list_reference_with_duplicates(tmp_path_factory, le
     reference gives."""
     path = tmp_path_factory.mktemp("j") / "j"
     drawing = Drawing(elements=[_fresh(x) for x in letters])
-    journal = Journal.begin_session(drawing, path, FileIO(fsync_enabled=False))
+    journal = Journal.begin_session(drawing, path, FileIO())
     work = list(drawing.elements)
     steps, positions, cursor = [], [], 0  # the reference's history
     try:
@@ -668,7 +668,7 @@ class JournalMachine(RuleBasedStateMachine):
         self.dir = tempfile.TemporaryDirectory()
         self.drawing = Drawing()
         self.journal = Journal.begin_session(
-            self.drawing, f"{self.dir.name}/j", FileIO(fsync_enabled=False)
+            self.drawing, f"{self.dir.name}/j", FileIO()
         )
         self.oracle = SnapshotOracle(self.drawing)
         self.pool = payload_pool(self.rng, 10, max_len=8)

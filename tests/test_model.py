@@ -150,7 +150,7 @@ def test_revision_counts_mutations(tmp_path):
     """One bump per step the journal applies, whatever its record count,
     and none for a step it refuses."""
     d = Drawing(elements=[E1])
-    journal = Journal.begin_session(d, tmp_path / "j", FileIO(fsync_enabled=False))
+    journal = Journal.begin_session(d, tmp_path / "j", FileIO())
     r0 = d.revision
     journal.commit_step(d, [(FLAG_ADDED, E2), (FLAG_DELETED, E1), (FLAG_ADDED, E1)])
     assert d.revision == r0 + 1

@@ -86,7 +86,7 @@ def test_round_trip_reopen_allows_any_jump(tmp_path, rng):
 
 
 def test_random_walk_matches_list_oracle(tmp_path, rng):
-    log = PPVersionLog.create(tmp_path / "doc.pp", io=FileIO(fsync_enabled=False))
+    log = PPVersionLog.create(tmp_path / "doc.pp", io=FileIO())
     oracle: list[bytes] = []
     cursor = 0
     for _ in range(400):

@@ -1,5 +1,7 @@
 """The README's promises about the program, checked against the code: the
-exit code of every error class, and the environment variables read."""
+exit code of every error class, the environment variables read, and every
+long option of the command line."""
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -47,3 +49,21 @@ def test_the_package_reads_only_documented_environment_variables():
                 read.add(node.value)
     documented = set(re.findall(r"`(DRAFTVAULT_[A-Z_]+)`", _paragraph("Environment:")))
     assert read == documented
+
+
+def _long_options(parser: argparse.ArgumentParser):
+    """Every long option of ``parser`` and of the subcommands below it."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _long_options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            yield from (option for option in action.option_strings if option.startswith("--"))
+
+
+def test_every_long_option_is_documented():
+    """An option the README never names is a setting no user knows of."""
+    readme = (ROOT / "README.md").read_text()
+    options = set(_long_options(cli.build_parser()))
+    assert "--script" in options and "--kill-at-byte" in options
+    assert [o for o in sorted(options) if not re.search(re.escape(o) + r"(?![\w-])", readme)] == []

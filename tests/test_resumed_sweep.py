@@ -46,7 +46,7 @@ def template(tmp_path_factory):
     session.mkdir()
     doc = session / "d.tcgd"
     (root / "s.txt").write_text(SCRIPT)
-    io = FileIO(fsync_enabled=False)
+    io = FileIO()
     for argv in (
         ["edit", doc, "--script", root / "s.txt"],
         ["undo", doc],
@@ -82,7 +82,7 @@ def test_crash_at_every_offset_then_rerun(template, tmp_path, monkeypatch, capsy
     old_versions = _versions(template)
     clean_dir = tmp_path / "clean"
     shutil.copytree(template, clean_dir)
-    assert _run(clean_dir, command, FileIO(fsync_enabled=False)) == 0
+    assert _run(clean_dir, command, FileIO()) == 0
     clean = _files(clean_dir)
     clean_versions = _versions(clean_dir)
 
@@ -103,7 +103,7 @@ def test_crash_at_every_offset_then_rerun(template, tmp_path, monkeypatch, capsy
         versions = _versions(d)
         assert versions == old_versions or versions == clean_versions[: len(versions)], where
         assert not list(d.glob("*.lock")), where
-        assert _run(d, command, FileIO(fsync_enabled=False)) == 0, where
+        assert _run(d, command, FileIO()) == 0, where
         assert _files(d) == clean, where
         shutil.rmtree(d)
         offset += 1
@@ -127,7 +127,7 @@ def _elements(doc) -> tuple:
 @pytest.mark.parametrize("command", ["redo", "undo"])
 def test_crashed_edit_then_resume(tmp_path, monkeypatch, capsys, stream, cursor, command):
     monkeypatch.delenv("DRAFTVAULT_AUTOSAVE_DIR", raising=False)
-    io = FileIO(fsync_enabled=False)
+    io = FileIO()
     offset = 0
     while True:
         d = tmp_path / f"k{offset}"

@@ -106,7 +106,7 @@ def test_runner_rejects_signed_document(tmp_path):
 def test_runner_with_autosave_cleans_up_on_completion(tmp_path):
     doc = tmp_path / "d.tcgd"
     cfg = AutosaveConfig(interval=1.0, autosave_dir=tmp_path)
-    runner = ScriptRunner(doc, autosave=cfg, start_time=0.0, step_seconds=2.0)
+    runner = ScriptRunner(doc, autosave=cfg, start_time=0.0)
     result = runner.run(parse_script("ADD 1 aa\nSTEP\nADD 2 bb\nSTEP\n"))
     assert result.steps_committed == 2
     assert probe_recovery(tmp_path, "d.tcgd") is None  # clean shutdown removed the set
@@ -119,7 +119,7 @@ def test_runner_abort_leaves_autosave_set(tmp_path):
     doc = tmp_path / "d.tcgd"
     cfg = AutosaveConfig(interval=1.0, autosave_dir=tmp_path)
     with dies_after_step(doc, TWO_STEPS, 1) as io:
-        ScriptRunner(doc, io=io, autosave=cfg, start_time=0.0, step_seconds=2.0).run(parse_script(TWO_STEPS))
+        ScriptRunner(doc, io=io, autosave=cfg, start_time=0.0).run(parse_script(TWO_STEPS))
     found = probe_recovery(tmp_path, "d.tcgd")
     after_one = Drawing(elements=[ElementPayload(1, b"\xaa")])
     assert found is not None and found.drawing_sha == hashlib.sha256(after_one.canonical_bytes()).hexdigest()
@@ -144,8 +144,7 @@ class _AutosaveWritesFail(FaultyIO):
 
 def test_autosave_failures_are_counted_and_the_session_is_saved(tmp_path, caplog):
     doc = tmp_path / "d.tcgd"
-    runner = ScriptRunner(doc, io=_AutosaveWritesFail(doc), autosave=AutosaveConfig(1.0, tmp_path),
-                          step_seconds=2.0)
+    runner = ScriptRunner(doc, io=_AutosaveWritesFail(doc), autosave=AutosaveConfig(1.0, tmp_path))
     result = runner.run(parse_script(TWO_STEPS))
     assert (result.steps_committed, result.autosave_failures) == (2, 2)
     assert caplog.text.count("autosave failed") == 2
@@ -159,8 +158,7 @@ def test_a_failed_tick_is_retried_at_the_next(tmp_path):
     doc = tmp_path / "d.tcgd"
     with dies_after_step(doc, TWO_STEPS, 2) as crash:
         io = _AutosaveWritesFail(doc, failures=1, plan=crash.plan)
-        ScriptRunner(doc, io=io, autosave=AutosaveConfig(1.0, tmp_path), step_seconds=2.0).run(
-            parse_script(TWO_STEPS))
+        ScriptRunner(doc, io=io, autosave=AutosaveConfig(1.0, tmp_path)).run(parse_script(TWO_STEPS))
     assert io.failures == 0  # the first tick failed, the second wrote the set
     found = probe_recovery(tmp_path, "d.tcgd")
     after_two = Drawing(elements=[ElementPayload(1, b"\xaa"), ElementPayload(2, b"\xbb")])
