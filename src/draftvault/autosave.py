@@ -37,6 +37,7 @@ from . import framelog
 from .errors import BadHeader, Corrupt, IoFailure
 from .fileio import FileIO
 from .model import Drawing
+from .paths import AUTOSAVE_SET_SUFFIX
 
 MAGIC = b"TCGA"
 VERSION = 1
@@ -64,7 +65,7 @@ class AutosaveSet(namedtuple("AutosaveSet", "doc_name path created_at drawing_sh
 
 
 def _set_path(autosave_dir: Path, doc_name: str) -> Path:
-    return Path(autosave_dir) / f"{doc_name}.autosave.set"
+    return Path(autosave_dir) / (doc_name + AUTOSAVE_SET_SUFFIX)
 
 
 def _collect(io: FileIO, path: Path) -> None:

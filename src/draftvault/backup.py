@@ -29,13 +29,14 @@ from types import SimpleNamespace
 from .errors import Corrupt, IoFailure, Locked
 from .fileio import FileIO
 from .locks import SessionLock, LOCK_SUFFIX
+from .paths import AUTOSAVE_SET_SUFFIX
 
 WEEKDAY_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 MANIFEST_NAME = "manifest.txt"
 
-# Transient engine files never worth backing up.
-_SKIP_SUFFIXES = (LOCK_SUFFIX, ".tmp")
-_SKIP_MARKERS = (".autosave.",)
+# Transient engine files never worth backing up: only these suffixes, so
+# a drawing whose name merely contains one of them is still copied.
+_SKIP_SUFFIXES = (LOCK_SUFFIX, ".tmp", AUTOSAVE_SET_SUFFIX)
 
 
 class BackupConfig(SimpleNamespace):
@@ -183,7 +184,7 @@ def _walk_files(root: Path, vault_root: Path) -> list[Path]:
         if path.resolve().is_relative_to(vault_root):
             continue
         name = path.name
-        if name.endswith(_SKIP_SUFFIXES) or any(m in name for m in _SKIP_MARKERS):
+        if name.endswith(_SKIP_SUFFIXES):
             continue
         files.append(path)
     return files

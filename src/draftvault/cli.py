@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import DraftVaultError, NothingToRedo, NothingToUndo
+from .errors import DraftVaultError, NothingToRedo, NothingToUndo, OutOfRange
 from .fileio import FileIO
 from .paths import STREAMS, for_doc
 
@@ -213,9 +213,18 @@ def cmd_history(args) -> int:
 
 
 def cmd_pp(args) -> int:
+    """Only ``commit`` creates a blob log: without one, ``undo`` and
+    ``redo`` have nothing to move and ``jump`` no version to reach, and
+    neither makes a file."""
     from .session import Session
 
-    with Session(args.doc, args.io) as session:
+    paths = for_doc(args.doc)
+    if args.pp_op != "commit" and not args.io.exists(paths.pp_log):
+        if args.pp_op == "jump":
+            raise OutOfRange(f"version {args.to} outside 1..0")
+        print(f"nothing to {args.pp_op}")
+        return 0
+    with Session(paths.doc, args.io) as session:
         log = session.open_pp_log()
         if args.pp_op == "commit":
             print(f"committed version {log.commit_pp(args.data)}")

@@ -41,7 +41,7 @@ from .errors import BadHeader, Corrupt, DraftVaultError
 from .fileio import FileIO
 from .journal import FLAG_ADDED, FLAG_DELETED, recover_journal
 from .model import Drawing
-from .paths import STREAMS as TARGETS, for_doc
+from .paths import AUTOSAVE_SET_SUFFIX, STREAMS as TARGETS, for_doc
 from .ppversions import PPVersionLog, recover_pp_log
 from .script import Command, ScriptRunner, parse_script
 from .sidecar import read_sidecar
@@ -69,7 +69,7 @@ class FaultPlan(namedtuple("FaultPlan", "kill_at_byte target")):
 class FaultyIO(FileIO):
     """FileIO that dies at an exact offset of one file stream.
 
-    Streams are classified by name: ``*.journal``, ``*.autosave.*``,
+    Streams are classified by name: ``*.journal``, ``*.autosave.set``,
     ``*.pp``, and the document file itself ("envelope").  ``_sync`` is a
     no-op here, so no fsync is issued: the simulated disk is simply what
     was written.
@@ -90,9 +90,9 @@ class FaultyIO(FileIO):
 
     def classify(self, path: Path) -> str:
         name = Path(path).name
-        if ".autosave." in name:
-            return "autosave"
         stripped = name[:-4] if name.endswith(".tmp") else name
+        if stripped.endswith(AUTOSAVE_SET_SUFFIX):
+            return "autosave"
         if stripped.endswith(".journal"):
             return "journal"
         if stripped.endswith(".pp"):

@@ -23,11 +23,13 @@ an added element is removed again, a deleted element is reinserted at the
 position it was removed from.  Record order within a step matters whenever
 the same payload appears twice (delete x then add x), which is why the
 reverse discipline is unconditional.  Positions are session memory: they
-are captured while applying forward and are not part of the file format.
-The cursor (count of applied steps) is session memory as well.  A step
-reloaded from disk without the positions its session recorded cannot be
-undone: undo refuses it with NotFound rather than guess where its deleted
-elements stood.  Redoing a step records its positions afresh.
+are captured while applying forward, kept in ``Journal.positions`` by
+step number, and are not part of the file format.  The cursor (count of
+applied steps) is session memory as well.  A step reloaded from disk
+without the positions its session recorded, or with a list of the wrong
+length or a negative index, cannot be undone: undo refuses it with
+NotFound rather than guess where its deleted elements stood.  Redoing a
+step records its positions afresh.
 
 Commit, undo and redo change the drawing in place, one record at a time,
 through ``Drawing``'s primitives; no copy of the element list is made.  A
@@ -66,37 +68,23 @@ Change = tuple[int, ElementPayload]
 
 
 class ChangeStep:
-    """One committed step: its records plus (when known) the list index each
-    record touched, parallel to ``changes``.  Positions exist only in session
-    memory; a step parsed back from disk has ``positions = None``.
+    """One committed step: its number and its records."""
 
-    ``figures`` is ``(records, added, payload_bytes)``: how many element
-    records the step has, how many of them are adds, and their payload
-    bytes."""
-
-    def __init__(self, step_no: int, changes: list[Change], positions: list[int] | None = None):
+    def __init__(self, step_no: int, changes: list[Change]):
         self.step_no = step_no
         self.changes = changes
-        self.positions = positions
-
-    @cached_property
-    def figures(self) -> tuple[int, int, int]:
-        return (
-            len(self.changes),
-            sum(1 for flag, _ in self.changes if flag == FLAG_ADDED),
-            sum(len(p.data) for _, p in self.changes),
-        )
 
 
 class IndexedStep(ChangeStep):
-    """A step indexed from a file: its figures come from its frame heads,
-    and ``changes`` is decoded from its frame range ``data[start:end]`` on
+    """A step indexed from a file.  ``figures`` is ``(records, added,
+    payload_bytes)``, read from its frame heads: how many element records
+    the step has, how many of them are adds, and their payload bytes.
+    ``changes`` is decoded from its frame range ``data[start:end]`` on
     first use, by the frame scanner (CRCs checked again).  A subclass, so
     that the steps a session commits keep ``changes`` a plain attribute."""
 
     def __init__(self, step_no: int, data: bytes, start: int, end: int, figures: tuple[int, int, int]):
         self.step_no = step_no
-        self.positions = None
         self.figures = figures
         self._frames = (data, start, end)
 
@@ -170,8 +158,9 @@ def _apply_reverse(drawing: Drawing, changes: list[Change], positions: list[int]
     """Invert a step on the drawing in place, strictly last record first, at
     the positions recorded when it was applied: the pre-step list exactly.
     NotFound leaves the drawing unchanged; it is raised when the step has
-    no recorded positions or they do not match the list."""
-    if positions is None:
+    no recorded positions, a list of the wrong length or a negative index,
+    or when they do not match the drawing."""
+    if positions is None or len(positions) != len(changes) or min(positions) < 0:
         raise NotFound("undo refused: the step's recorded positions are unknown")
     log = []
     try:
@@ -200,6 +189,10 @@ class Journal(FramedLog):
 
     HEADER = HEADER
 
+    def __init__(self, path: Path, io: FileIO, lock):
+        super().__init__(path, io, lock)
+        self.positions: dict[int, list[int]] = {}  # by step number; see _apply_reverse
+
     @classmethod
     def _parse(cls, data: bytes) -> tuple[list[ChangeStep], list[int], int]:
         return index_journal(data)
@@ -223,21 +216,15 @@ class Journal(FramedLog):
         """Reopen an existing work file as a continuation of its session.
 
         Parses the valid prefix (repairing a torn tail), re-applies session
-        memory (cursor, clamped to 0..step_count, and per-step positions)
-        captured by the previous process, and takes the session lock.  A
-        step whose positions are missing, miscounted or negative gets none,
-        and undo refuses it."""
+        memory (cursor, clamped to 0..step_count, and per-step positions,
+        minus those of steps the file does not hold) captured by the
+        previous process, and takes the session lock.  Undo refuses a step
+        whose positions are missing, miscounted or negative."""
         journal = cls._open(Path(path), io or FileIO(), cursor)
         if positions:
-            for step in journal.steps:
-                pos = positions.get(step.step_no)
-                if pos is not None and len(pos) == step.figures[0] and min(pos) >= 0:
-                    step.positions = pos
+            count = journal.step_count
+            journal.positions = {n: p for n, p in positions.items() if 1 <= n <= count}
         return journal
-
-    def session_positions(self) -> dict[int, list[int]]:
-        """Per-step positions by step number, as ``resume`` takes them back."""
-        return {s.step_no: s.positions for s in self.steps if s.positions is not None}
 
     def _require_session(self) -> None:
         if self._lock is None or not self._lock.held:
@@ -278,12 +265,15 @@ class Journal(FramedLog):
             if not isinstance(payload, ElementPayload):
                 raise TypeError(f"a change carries an ElementPayload, not {type(payload).__name__}")
         log = _apply_forward(drawing, changes, build_mirror=True)
-        step_no = self.cursor + 1
+        step_no, replaced = self.cursor + 1, self.step_count
         try:
-            self._append(encode_step(step_no, changes), ChangeStep(step_no, list(changes), [i for i, _ in log]))
+            self._append(encode_step(step_no, changes), ChangeStep(step_no, list(changes)))
         except BaseException:
             _roll_back(drawing, log)
             raise
+        for dropped in range(step_no + 1, replaced + 1):  # the redo tail, now gone
+            self.positions.pop(dropped, None)
+        self.positions[step_no] = [i for i, _ in log]
         drawing.revision += 1
         return step_no
 
@@ -291,8 +281,7 @@ class Journal(FramedLog):
         """Take back the latest applied step; the file is not touched."""
         if self.cursor < 1:
             raise NothingToUndo("cursor is at the session start")
-        step = self.steps[self.cursor - 1]
-        _apply_reverse(drawing, step.changes, step.positions)
+        _apply_reverse(drawing, self.steps[self.cursor - 1].changes, self.positions.get(self.cursor))
         self.cursor -= 1
         drawing.revision += 1
 
@@ -300,17 +289,16 @@ class Journal(FramedLog):
         """Re-apply the first step of the redo tail."""
         if self.cursor >= len(self.steps):
             raise NothingToRedo("no steps beyond the cursor")
-        step = self.steps[self.cursor]
-        log = _apply_forward(drawing, step.changes, build_mirror=False)
-        step.positions = [i for i, _ in log]
+        log = _apply_forward(drawing, self.steps[self.cursor].changes, build_mirror=False)
         self.cursor += 1
+        self.positions[self.cursor] = [i for i, _ in log]
         drawing.revision += 1
 
 
 def _scan_steps(data: bytes, end: int | None) -> tuple[list[tuple[int, int, tuple[int, int, int]]], int]:
     """The recovery brain: the complete steps of the longest valid prefix
     of ``data[:end]``, each as its ``(start, end, figures)`` read from its
-    frame heads (see ChangeStep), and the offset where that prefix ends.
+    frame heads (see IndexedStep), and the offset where that prefix ends.
 
     On top of the frame CRCs, a step must carry the next step number,
     consist of element records and end in a commit record with zero kind

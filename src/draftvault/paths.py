@@ -5,6 +5,9 @@ import os
 from pathlib import Path
 
 AUTOSAVE_DIR_ENV = "DRAFTVAULT_AUTOSAVE_DIR"
+# The autosave set of a document is ``<doc>`` plus this, in the autosave
+# directory; backup skips such files, and only such files, as transient.
+AUTOSAVE_SET_SUFFIX = ".autosave.set"
 
 # The file streams of a document that the crash harness can cut, by the
 # names ``crash-sim --target`` takes (see faultsim.FaultyIO.classify).

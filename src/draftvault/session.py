@@ -129,7 +129,7 @@ class Session:
         state = self.remembered()
         if self.journal is not None:
             state.journal_cursor = self.journal.cursor
-            state.positions = self.journal.session_positions()
+            state.positions = self.journal.positions
         if self.pp_log is not None:
             state.pp_cursor = self.pp_log.cursor
         write_sidecar(self.paths.sidecar, state, self.io)

@@ -12,16 +12,35 @@ the session refuses to resume its journal from that: undo and redo fail
 rather than guess.  A crash between a save's two writes still leaves a
 cursor that no longer matches the document (see the ROADMAP item
 "Session memory bound to the document").
+
+File layout: the ``framelog`` container (magic "TCGS", u16 version,
+CRC-32 per frame) with exactly two frames, each ``u32 len | payload |
+u32 crc``, little-endian:
+
+    cursors    u8 has_journal | u8 has_pp | i64 journal | i64 pp
+    positions  per step, by ascending step number:
+               u32 step_no | u32 count | count x u32 position
+
+A file that is not exactly two intact frames reads as missing, and so
+does a sidecar of the earlier text layout (``key=value`` lines under a
+banner, then a CRC line).
 """
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import Corrupt
-from .fileio import FileIO, decode_checked_text, encode_checked_text
+from . import framelog
+from .errors import BadHeader
+from .fileio import FileIO
 
-BANNER = "draftvault-session v1"
+MAGIC = b"TCGS"
+VERSION = 1
+HEADER = framelog.header(MAGIC, VERSION)
+
+_FRAME_HEAD = struct.Struct("<I")  # payload length
+_CURSORS = struct.Struct("<BBqq")
 
 
 class SidecarState(SimpleNamespace):
@@ -34,30 +53,31 @@ class SidecarState(SimpleNamespace):
 
 
 def write_sidecar(path: Path, state: SidecarState, io: FileIO | None = None) -> None:
-    io = io or FileIO()
-    lines = []
-    if state.journal_cursor is not None:
-        lines.append(f"journal_cursor={state.journal_cursor}")
-    if state.pp_cursor is not None:
-        lines.append(f"pp_cursor={state.pp_cursor}")
+    journal, pp = state.journal_cursor, state.pp_cursor
+    flat = []
     for step_no in sorted(state.positions):
-        joined = ",".join(str(p) for p in state.positions[step_no])
-        lines.append(f"step={step_no}:{joined}")
-    io.write_atomic(path, encode_checked_text(BANNER, lines))
+        flat += (step_no, len(state.positions[step_no]), *state.positions[step_no])
+    payloads = (_CURSORS.pack(journal is not None, pp is not None, journal or 0, pp or 0),
+                struct.pack(f"<{len(flat)}I", *flat))
+    data = HEADER + b"".join(framelog.encode_frame(_FRAME_HEAD, payload) for payload in payloads)
+    (io or FileIO()).write_atomic(path, data)
 
 
 def read_sidecar(path: Path, io: FileIO | None = None) -> SidecarState:
-    io = io or FileIO()
-    state = SidecarState()
     try:
-        for key, value in decode_checked_text(io.read_bytes(path), BANNER):
-            if key == "journal_cursor":
-                state.journal_cursor = int(value)
-            elif key == "pp_cursor":
-                state.pp_cursor = int(value)
-            elif key == "step":
-                step_no, _, rest = value.partition(":")
-                state.positions[int(step_no)] = [int(p) for p in rest.split(",") if p]
-    except (OSError, Corrupt, ValueError):
+        data = (io or FileIO()).read_bytes(path)
+        frames, valid_end = framelog.read_frames(data, HEADER, _FRAME_HEAD)
+        # two intact frames that end the file, or ValueError
+        ((_, cursors), (_, packed)) = frames if valid_end == len(data) else ()
+        has_journal, has_pp, journal, pp = _CURSORS.unpack(cursors)
+        flat = struct.unpack(f"<{len(packed) // 4}I", packed)
+    except (OSError, BadHeader, ValueError, struct.error):
         return SidecarState()
-    return state
+    positions, i = {}, 0
+    while i + 1 < len(flat):
+        step_no, count = flat[i], flat[i + 1]
+        positions[step_no] = list(flat[i + 2 : i + 2 + count])
+        i += 2 + count
+    if i != len(flat):
+        return SidecarState()
+    return SidecarState(journal if has_journal else None, pp if has_pp else None, positions)

@@ -189,11 +189,12 @@ def test_transient_files_are_not_backed_up(setup):
             "a.tcgd": b"1",
             "a.tcgd.lock": b"pid=999999999\n",  # left by a crash: still excluded
             "x.tmp": b"t",
-            "a.tcgd.autosave.drawing": b"copy",
+            "a.tcgd.autosave.set": b"copy",
+            "plant.autosave.tcgd": b"2",  # a drawing, named so by its user
         },
     )
     backup_set, manifest = run_backup(config, BackupManifest(), MON)
-    assert sorted(rel for _, rel in backup_set.copied) == ["work/a.tcgd"]
+    assert sorted(rel for _, rel in backup_set.copied) == ["work/a.tcgd", "work/plant.autosave.tcgd"]
 
 
 def test_vault_inside_watch_root_is_not_recursed(tmp_path):

@@ -95,6 +95,20 @@ def test_pp_cli_round_trip(doc, capsys):
     assert code == 0 and "nothing to undo" in out
 
 
+@pytest.mark.parametrize("argv, code, said", [
+    (["undo"], 0, "nothing to undo"),
+    (["redo"], 0, "nothing to redo"),
+    (["jump", "--to", "1"], 1, "error: version 1 outside 1..0"),
+], ids=["undo", "redo", "jump"])
+def test_pp_without_a_blob_log_makes_no_file(tmp_path, capsys, argv, code, said):
+    """Only ``pp commit`` starts a blob log: the others, in a directory
+    without one, leave the directory empty."""
+    doc = tmp_path / "d.tcgd"
+    got, out, err = run(["pp", argv[0], doc, *argv[1:]], capsys)
+    assert got == code and said in out + err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_edit_keeps_the_remembered_blob_version(doc, capsys):
     for data in ("aa", "bb", "cc"):
         run(["pp", "commit", doc, "--data", data], capsys)
@@ -235,11 +249,25 @@ REVISIT = "ADD 1 aa\nSTEP\nADD 1 bb\nSTEP\nADD 1 aa\nSTEP\n"
 
 
 def _damage(sidecar):
-    """A sidecar whose CRC no longer matches its text."""
-    sidecar.write_bytes(sidecar.read_bytes().replace(b"journal_cursor=2", b"journal_cursor=3"))
+    """A sidecar whose cursor frame no longer matches its CRC: the journal
+    cursor's low byte, 2, reads 3."""
+    data = bytearray(sidecar.read_bytes())
+    assert data[12] == 2
+    data[12] ^= 1
+    sidecar.write_bytes(bytes(data))
 
 
-@pytest.mark.parametrize("lose", [lambda p: p.unlink(), _damage], ids=["lost", "damaged"])
+# The text sidecar the earlier layout wrote for this session, as that code
+# wrote it, its CRC line intact: a banner, then journal_cursor=2 and one
+# step= line per step.
+EARLIER_TEXT = bytes.fromhex(
+    "64726166747661756c742d73657373696f6e2076310a6a6f75726e616c5f637572736f723d320a"
+    "737465703d313a300a737465703d323a310a737465703d333a320a6372633d33316137636131300a"
+)
+
+
+@pytest.mark.parametrize("lose", [lambda p: p.unlink(), _damage, lambda p: p.write_bytes(EARLIER_TEXT)],
+                         ids=["lost", "damaged", "earlier-text"])
 def test_undo_without_a_cursor_is_refused(doc, capsys, lose):
     """At state 2 of 3 the cursor cannot be told from the journal: a guess
     at step 3 undoes the second ``aa`` and leaves ``[bb]``, a drawing the

@@ -1,6 +1,5 @@
-"""Golden-file pinning of the four container layouts (journal, blob log,
-envelope, autosave set), the drawing form and the checked text file of the
-session sidecar.
+"""Golden-file pinning of the five container layouts (journal, blob log,
+envelope, autosave set, session sidecar) and the drawing form.
 
 The expected bytes are frozen hex literals, originally produced by an
 independent inline constructor (plain struct + zlib, no engine code); the
@@ -34,13 +33,9 @@ GOLD_TCGE = (
     "0e0fa2d32223d06cbbd62f0f17449e75438dca8602b600f32998586168da235c726316feeefb52"
     "d0ac83b24df99c3f053037fd5eb1811bf54882704c7458e2ae55c70e3e022f"
 )
-GOLD_SIDECAR = (
-    b"draftvault-session v1\n"
-    b"journal_cursor=2\n"
-    b"pp_cursor=1\n"
-    b"step=1:0,1\n"
-    b"step=2:0\n"
-    b"crc=1a6e35eb\n"
+GOLD_TCGS = (
+    "544347530100120000000101020000000000000001000000000000007e6a700c1c000000"
+    "01000000020000000000000001000000020000000100000000000000b82bbac0"
 )
 GOLD_SET = (
     "5443474101005c0000000000000000000440021c000000a2d32223d06cbbd62f0f17449e7543"
@@ -149,19 +144,25 @@ def test_inspect_journal_of_golden(tmp_path):
     assert journal.steps[1].changes == [(FLAG_DELETED, ElementPayload(1, b"\xaa"))]
 
 
-def _text_crc_line(body: bytes) -> bytes:
-    return b"crc=%08x\n" % (zlib.crc32(body) & 0xFFFFFFFF)
-
-
 def test_sidecar_layout_pinned(tmp_path):
     state = SidecarState(journal_cursor=2, pp_cursor=1, positions={2: [0], 1: [0, 1]})
     write_sidecar(tmp_path / "s", state, FileIO())
-    assert (tmp_path / "s").read_bytes() == GOLD_SIDECAR
-    body = GOLD_SIDECAR[: GOLD_SIDECAR.rindex(b"crc=")]
-    assert body + _text_crc_line(body) == GOLD_SIDECAR
+    assert (tmp_path / "s").read_bytes().hex() == GOLD_TCGS
+
+    def frame(payload):
+        body = struct.pack("<I", len(payload)) + payload
+        return body + _crc(body)
+
+    cursors = struct.pack("<BBqq", 1, 1, 2, 1)  # both present, journal 2, pp 1
+    positions = struct.pack("<IIII", 1, 2, 0, 1) + struct.pack("<III", 2, 1, 0)
+    raw = b"TCGS" + struct.pack("<H", 1) + frame(cursors) + frame(positions)
+    assert raw.hex() == GOLD_TCGS
 
     back = read_sidecar(tmp_path / "s")
     assert (back.journal_cursor, back.pp_cursor, back.positions) == (2, 1, {1: [0, 1], 2: [0]})
+    write_sidecar(tmp_path / "s", SidecarState(journal_cursor=-1), FileIO())
+    back = read_sidecar(tmp_path / "s")  # an absent cursor is not 0, a negative one stays
+    assert (back.journal_cursor, back.pp_cursor, back.positions) == (-1, None, {})
 
 
 def test_autosave_set_layout_pinned(tmp_path):

@@ -222,16 +222,18 @@ def test_resume_clamps_a_negative_cursor(tmp_path):
 
 
 def test_resume_drops_negative_positions(tmp_path):
+    """A negative index, or a list of the wrong length for the step's one
+    record, is refused, not an insert at index -1 or a guess."""
     drawing = Drawing(elements=[A, B, C])
     journal = Journal.begin_session(drawing, tmp_path / "j")
     journal.commit_step(drawing, [(FLAG_DELETED, A)])
     journal.close()
-    resumed = Journal.resume(tmp_path / "j", cursor=1, positions={1: [-1]})
-    assert resumed.steps[0].positions is None
-    with pytest.raises(NotFound):  # refused, not an insert at index -1 or a guess
-        resumed.undo_step(drawing)
-    assert drawing.elements == [B, C] and resumed.cursor == 1
-    resumed.close()
+    for positions in ([-1], [], [0, 1]):
+        resumed = Journal.resume(tmp_path / "j", cursor=1, positions={1: positions})
+        with pytest.raises(NotFound):
+            resumed.undo_step(drawing)
+        assert drawing.elements == [B, C] and resumed.cursor == 1
+        resumed.close()
 
 
 def test_undo_redo_bounds(session):
@@ -614,7 +616,7 @@ def test_cold_undo_and_redo_build_no_mirror(tmp_path):
     journal = Journal.begin_session(drawing, tmp_path / "j")
     journal.commit_step(drawing, [(FLAG_DELETED, A), (FLAG_ADDED, B)])
     journal.commit_step(drawing, [(FLAG_DELETED, B), (FLAG_ADDED, C)])
-    positions = journal.session_positions()
+    positions = journal.positions
     saved = drawing.canonical_bytes()
     journal.close()
     cold = Drawing.from_canonical_bytes(saved)

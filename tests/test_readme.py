@@ -1,6 +1,6 @@
 """The README's promises about the program, checked against the code: the
-exit code of every error class, the environment variables read, and every
-long option of the command line."""
+exit code of every error class, the environment variables read, every
+long option of the command line, and every file format's magic."""
 import ast
 import re
 from pathlib import Path
@@ -18,6 +18,12 @@ def _paragraph(start: str) -> str:
     """The README paragraph that begins with ``start``."""
     (text,) = [p for p in (ROOT / "README.md").read_text().split("\n\n") if p.startswith(start)]
     return text
+
+
+def _section(title: str) -> str:
+    """The README section under the heading ``## title``."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def _documented_exit_codes() -> dict:
@@ -66,3 +72,16 @@ def test_every_long_option_is_documented():
     options = set(_long_options(cli.COMMANDS))
     assert "--script" in options and "--kill-at-byte" in options
     assert [o for o in sorted(options) if not re.search(re.escape(o) + r"(?![\w-])", readme)] == []
+
+
+def test_every_file_format_is_documented():
+    """Each module-level ``MAGIC`` names a file layout the README's "File
+    formats" section must describe."""
+    magics = set()
+    for source in Path(draftvault.__file__).parent.glob("*.py"):
+        for node in ast.parse(source.read_text()).body:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["MAGIC"]:
+                magics.add(ast.literal_eval(node.value).decode())
+    assert {"TCGD", "TCGJ", "TCGS"} <= magics
+    section = _section("File formats")
+    assert [m for m in sorted(magics) if f"`{m}`" not in section] == []
