@@ -6,7 +6,8 @@ from pathlib import Path
 
 AUTOSAVE_DIR_ENV = "DRAFTVAULT_AUTOSAVE_DIR"
 # The autosave set of a document is ``<doc>`` plus this, in the autosave
-# directory; backup skips such files, and only such files, as transient.
+# directory.  Backup skips a file whose name ends in it, not one whose name
+# merely contains ``.autosave.``.
 AUTOSAVE_SET_SUFFIX = ".autosave.set"
 
 # The file streams of a document that the crash harness can cut, by the
