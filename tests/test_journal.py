@@ -236,6 +236,19 @@ def test_resume_drops_negative_positions(tmp_path):
         resumed.close()
 
 
+def test_a_commit_drops_the_positions_of_the_redo_tail(session):
+    """``Journal.positions`` holds an entry for each step in the file and
+    no other, so the sidecar keeps none for a step that is gone."""
+    journal, drawing = session
+    for element in (A, B, C):
+        journal.commit_step(drawing, [(FLAG_ADDED, element)])
+    journal.undo_step(drawing)
+    journal.undo_step(drawing)
+    assert sorted(journal.positions) == [1, 2, 3]  # the redo tail keeps its own
+    journal.commit_step(drawing, [(FLAG_DELETED, A)])
+    assert journal.positions == {1: [0], 2: [0]}
+
+
 def test_undo_redo_bounds(session):
     journal, drawing = session
     with pytest.raises(NothingToUndo):
