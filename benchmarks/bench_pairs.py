@@ -15,7 +15,11 @@ a gain to test: the change must win at least nine tenths of the pairs
 (ties count for neither side) and its median must beat the parent's by
 more than the parent's interquartile range.  Every other end-to-end
 metric is checked against its bound in ``BENCHMARK.json``: the change's
-median may be worse than the parent's by at most that fraction.  With
+median may be worse than the parent's by at most that fraction.  A
+metric whose parent interquartile range, as a fraction of the parent's
+median, is wider than its bound is marked ``"unresolved": true``: the
+runs spread too widely to show it unchanged, unless every change run
+beats every parent run, which resolves it.  With
 ``--trace``, one traced run per side and workload follows the pairs, for
 the per-layer figures.  Quartiles are ``statistics.quantiles(n=4,
 method="inclusive")``.  The standard library is all it needs.
@@ -82,6 +86,9 @@ def summarize(runs: list[dict], metrics: list[dict], claims: set[str]) -> dict:
                    "change_median": round(cmed, 4), "change_q1": round(cq1, 4), "change_q3": round(cq3, 4),
                    "ratio": round(cmed / pmed, 3), "change_better_pairs": f"{wins}/{len(pairs)}",
                    "within_bound": worse <= spec["bound"]}
+            beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+            if (pq3 - pq1) / pmed > spec["bound"] and not beats_all:
+                row["unresolved"] = True
             if f"{workload}:{name}" in claims:
                 beyond_iqr = (pmed - cmed if lower else cmed - pmed) > pq3 - pq1
                 row["claim_met"] = wins * 10 >= 9 * len(pairs) and beyond_iqr

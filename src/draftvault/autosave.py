@@ -43,7 +43,6 @@ MAGIC = b"TCGA"
 VERSION = 1
 HEADER = framelog.header(MAGIC, VERSION)
 
-_FRAME_HEAD = struct.Struct("<I")  # payload length
 _META = struct.Struct("<dB")  # created_at, payload count
 _PAYLOAD = struct.Struct("<I32s")  # size, SHA-256
 
@@ -129,7 +128,7 @@ class AutosaveSession:
         ])
         parts = [HEADER]
         for payload in (meta, *payloads):
-            parts.extend(framelog.frame_parts(_FRAME_HEAD, payload))
+            parts.extend(framelog.frame_parts(framelog.LENGTH_HEAD, payload))
         try:
             self.io.write_atomic(self.path, b"".join(parts))  # the rename commits
         except OSError as exc:
@@ -161,15 +160,15 @@ def _read_set(data: bytes, path: Path) -> tuple[AutosaveSet, list[memoryview]]:
     ``data``; Corrupt unless the file is exactly a meta frame and the
     payload frames it vouches for."""
     try:
-        frames, valid_end = framelog.read_frames(memoryview(data), HEADER, _FRAME_HEAD)
+        frames = framelog.read_frames(memoryview(data), HEADER, framelog.LENGTH_HEAD)
         meta, *payloads = [payload for _, payload in frames]
         created_at, count = _META.unpack_from(meta)
         recorded = [_PAYLOAD.unpack_from(meta, _META.size + i * _PAYLOAD.size) for i in range(count)]
         doc_name = str(meta[_META.size + count * _PAYLOAD.size :], "utf-8")
-    except (BadHeader, struct.error, ValueError) as exc:
+    except (BadHeader, Corrupt, struct.error, ValueError) as exc:
         raise Corrupt(f"{path.name}: {exc}") from exc
-    if valid_end != len(data) or count not in (1, 2) or len(payloads) != count:
-        raise Corrupt(f"{path.name}: torn, or not one set")
+    if count not in (1, 2) or len(payloads) != count:
+        raise Corrupt(f"{path.name}: not one set")
     if recorded != [(len(p), hashlib.sha256(p).digest()) for p in payloads]:
         raise Corrupt(f"{path.name}: a payload does not match its recorded digest")
     return _describe(doc_name, path, created_at, payloads, [d for _, d in recorded]), payloads

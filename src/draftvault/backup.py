@@ -211,9 +211,13 @@ def run_backup(
     session is never read mid-write, and the manifest records the digest
     of the bytes copied, not of the scan: a file rewritten in between is
     recorded as the vault holds it.  Any failure aborts the whole run
-    with the manifest untouched; the next launch retries.  Prior dated
-    directories are never modified.
+    with the manifest untouched; the next launch retries.  So does a
+    watch root that is not a directory (a typo, an unmounted drive), before
+    anything is read.  Prior dated directories are never modified.
     """
+    for root in config.watch_roots:
+        if not Path(root).is_dir():
+            raise IoFailure(f"watch root {root} is not a directory")
     io = io or FileIO()
     vault_root = Path(config.vault_root)
     vault_root.mkdir(parents=True, exist_ok=True)

@@ -327,8 +327,9 @@ def cmd_unsign(args) -> int:
     with SessionLock(paths.doc):
         env = load_document(paths.doc, args.io)
         env = remove_signature(env, args.signer)
-        save_document(paths.doc, env, args.io)
+        # the audit line first: a removal is never on disk without it
         append_audit(paths.siglog, _iso(args.now), args.signer, len(env.signatures), args.io)
+        save_document(paths.doc, env, args.io)
     print(f"signature of {args.signer} removed; {len(env.signatures)} remain")
     if not env.signatures:
         print(f"{paths.name} is now visibly unsigned and editable")

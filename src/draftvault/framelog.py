@@ -8,11 +8,14 @@ Container layout (little-endian):
 
 Each format has its own magic and version, which ``header`` packs into
 the 6-byte header its files start with, and its own ``head``: a
-``struct.Struct`` whose last field is the payload length.  Recovery rule:
-a reader keeps the longest prefix of frames that are complete and whose
-CRC matches, and stops at the first frame that is not.  A format may stop
-earlier on rules of its own (the journal does, on step structure);
-nothing after the stop point is ever interpreted.
+``struct.Struct`` whose last field is the payload length (``LENGTH_HEAD``
+when that is its only field).  Recovery rule: a reader keeps the longest
+prefix of frames that are complete and whose CRC matches, and stops at
+the first frame that is not.  A format may stop earlier on rules of its
+own (the journal does, on step structure); nothing after the stop point
+is ever interpreted.  A file that must be whole (the envelope, the
+autosave set, the sidecar) is read by ``read_frames``, which refuses any
+byte after the last intact frame.
 """
 from __future__ import annotations
 
@@ -21,12 +24,14 @@ import zlib
 from collections.abc import Iterator
 from pathlib import Path
 
-from .errors import BadHeader, IoFailure
+from .errors import BadHeader, Corrupt, IoFailure
 from .fileio import FileIO
 from .locks import SessionLock
 
 HEADER_LEN = 6  # magic + u16 version
 CRC_LEN = 4
+
+LENGTH_HEAD = struct.Struct("<I")  # the head of a frame whose only field is its payload length
 
 _VERSION = struct.Struct("<H")
 _CRC = struct.Struct("<I")
@@ -96,16 +101,19 @@ def _frames(data: bytes, head: struct.Struct, pos: int, n: int) -> Iterator[tupl
         pos = end
 
 
-def read_frames(data: bytes, header: bytes, head: struct.Struct) -> tuple[list[tuple[tuple, bytes]], int]:
-    """Every intact frame as ``(fields, payload)``, and the offset where
-    the intact prefix ends.  Each payload is a slice of ``data``: a view,
-    not a copy, when ``data`` is a memoryview."""
+def read_frames(data: bytes, header: bytes, head: struct.Struct) -> list[tuple[tuple, bytes]]:
+    """The frames of a file that must be whole, as ``(fields, payload)``.
+    BadHeader as for scan_frames; Corrupt unless intact frames end ``data``
+    (a torn last frame, a flipped byte or bytes appended after the last
+    frame).  Each payload is a slice of ``data``: a view, not a copy, when
+    ``data`` is a memoryview."""
     frames = []
     valid_end = HEADER_LEN
-    for fields, start, frame_end in scan_frames(data, header, head):
-        frames.append((fields, data[start : frame_end - CRC_LEN]))
-        valid_end = frame_end
-    return frames, valid_end
+    for fields, start, valid_end in scan_frames(data, header, head):
+        frames.append((fields, data[start : valid_end - CRC_LEN]))
+    if valid_end != len(data):
+        raise Corrupt(f"{len(data) - valid_end} invalid trailing bytes in {header[:4].decode()} file")
+    return frames
 
 
 class FramedLog:
@@ -117,10 +125,12 @@ class FramedLog:
     (history is linear).  Mutating calls assume the single-session
     ownership enforced by the lock file at ``<path>.lock``.
 
-    A subclass sets ``HEADER`` (see ``header``) and provides ``_parse``:
-    the entries of the valid prefix of the file's bytes, the offset just
-    past each one, and the end of that prefix.  An entry may be decoded lazily, from the
-    bytes it was loaded from, when it is first used.
+    A subclass sets ``HEADER`` (see ``header``) and provides ``_parse``,
+    which reads the file's bytes in one scan: the entries of their valid
+    prefix, the offset just past each one, and the end of that prefix.
+    The loaded bytes stay in ``_data`` and ``_ends`` marks where each
+    entry lies in them, so an entry may be decoded lazily, when it is
+    first used.
     """
 
     HEADER: bytes

@@ -295,51 +295,36 @@ class Journal(FramedLog):
         drawing.revision += 1
 
 
-def _scan_steps(data: bytes, end: int | None) -> tuple[list[tuple[int, int, tuple[int, int, int]]], int]:
+def index_journal(data: bytes, end: int | None = None) -> tuple[list[ChangeStep], list[int], int]:
     """The recovery brain: the complete steps of the longest valid prefix
-    of ``data[:end]``, each as its ``(start, end, figures)`` read from its
-    frame heads (see IndexedStep), and the offset where that prefix ends.
+    of ``data[:end]``, their records not yet decoded (see IndexedStep), the
+    offset just past each step, and the offset where that prefix ends.
+    Opening, recovering and inspecting a journal all index it here, in
+    the one scan that validates it.
 
     On top of the frame CRCs, a step must carry the next step number,
     consist of element records and end in a commit record with zero kind
     and length.  Raises BadHeader when the magic or version is wrong
     (including a header torn mid-write)."""
-    steps = []
-    count = pending = added = payload = 0
+    steps: list[ChangeStep] = []
+    ends: list[int] = []
+    pending = added = payload = 0
     valid_end = HEADER_LEN
     for (step_no, flag, kind, length), _, frame_end in framelog.scan_frames(data, HEADER, _REC_HEAD, end):
-        if step_no != count + 1 or flag > FLAG_COMMIT:
+        if step_no != len(steps) + 1 or flag > FLAG_COMMIT:
             break
         if flag == FLAG_COMMIT:
             if kind or length or not pending:
                 break
-            steps.append((valid_end, frame_end, (pending, added, payload)))
-            count += 1
+            steps.append(IndexedStep(step_no, data, valid_end, frame_end, (pending, added, payload)))
+            ends.append(frame_end)
             pending = added = payload = 0
             valid_end = frame_end
         else:
             pending += 1
             added += flag
             payload += length
-    return steps, valid_end
-
-
-def validate_journal(data: bytes, end: int | None = None) -> tuple[int, int]:
-    """The number of complete steps in the longest valid prefix of
-    ``data[:end]`` and the offset where that prefix ends (see _scan_steps)."""
-    steps, valid_end = _scan_steps(data, end)
-    return len(steps), valid_end
-
-
-def index_journal(data: bytes) -> tuple[list[ChangeStep], list[int], int]:
-    """The complete steps of the longest valid prefix of ``data``, their
-    records not yet decoded, the offset just past each step, and the
-    offset where the prefix ends."""
-    steps, valid_end = _scan_steps(data, None)
-    indexed = [
-        IndexedStep(step_no, data, start, stop, figures) for step_no, (start, stop, figures) in enumerate(steps, 1)
-    ]
-    return indexed, [stop for _, stop, _ in steps], valid_end
+    return steps, ends, valid_end
 
 
 def recover_journal(path: Path, io: FileIO | None = None) -> tuple[Journal, bool]:

@@ -13,19 +13,16 @@ CRC-32 per frame) with one frame per stored blob, little-endian:
 """
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 from . import framelog
 from .errors import NothingToRedo, NothingToUndo, OutOfRange
 from .fileio import FileIO
-from .framelog import CRC_LEN, HEADER_LEN, FramedLog
+from .framelog import CRC_LEN, HEADER_LEN, LENGTH_HEAD, FramedLog
 
 MAGIC = b"TCGP"
 VERSION = 1
 HEADER = framelog.header(MAGIC, VERSION)
-
-_BLOCK_HEAD = struct.Struct("<I")
 
 
 class PPVersionLog(FramedLog):
@@ -40,20 +37,19 @@ class PPVersionLog(FramedLog):
 
     @classmethod
     def _parse(cls, data: bytes) -> tuple[list[bytes | None], list[int], int]:
-        """Every intact frame's end; no blob is sliced out until ``_blob``
-        reaches it."""
-        ends = [frame_end for _, _, frame_end in framelog.scan_frames(data, HEADER, _BLOCK_HEAD)]
+        """The end of every intact frame, in the one scan that checks their
+        CRCs; no blob is sliced out until ``_blob`` reaches it."""
+        ends = [frame_end for _, _, frame_end in framelog.scan_frames(data, HEADER, LENGTH_HEAD)]
         return [None] * len(ends), ends, ends[-1] if ends else HEADER_LEN
 
     def _blob(self, index: int) -> bytes:
-        """Version ``index + 1``, sliced out of the loaded bytes on first use."""
+        """Version ``index + 1``, sliced out of the loaded bytes on first
+        use: the frame between the end of the one before and its own end,
+        which ``_parse`` checked, minus its length head and CRC."""
         blob = self._entries[index]
         if blob is None:
-            data = self._data
-            ((_, start, end),) = framelog.scan_frames(
-                data, HEADER, _BLOCK_HEAD, self._ends[index], self._prefix_end(index)
-            )
-            blob = self._entries[index] = data[start : end - CRC_LEN]
+            start = self._prefix_end(index) + LENGTH_HEAD.size
+            blob = self._entries[index] = self._data[start : self._ends[index] - CRC_LEN]
         return blob
 
     # -- lifecycle -------------------------------------------------------
@@ -94,7 +90,7 @@ class PPVersionLog(FramedLog):
     def commit_pp(self, blob: bytes) -> int:
         """Store a new version, dropping any redo tail; returns its index."""
         data = bytes(blob)
-        self._append(framelog.encode_frame(_BLOCK_HEAD, data), data)
+        self._append(framelog.encode_frame(LENGTH_HEAD, data), data)
         return self.cursor
 
     def undo_pp(self) -> bytes:

@@ -32,14 +32,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import framelog
-from .errors import BadHeader
+from .errors import BadHeader, Corrupt
 from .fileio import FileIO
 
 MAGIC = b"TCGS"
 VERSION = 1
 HEADER = framelog.header(MAGIC, VERSION)
 
-_FRAME_HEAD = struct.Struct("<I")  # payload length
 _CURSORS = struct.Struct("<BBqq")
 
 
@@ -59,19 +58,17 @@ def write_sidecar(path: Path, state: SidecarState, io: FileIO | None = None) -> 
         flat += (step_no, len(state.positions[step_no]), *state.positions[step_no])
     payloads = (_CURSORS.pack(journal is not None, pp is not None, journal or 0, pp or 0),
                 struct.pack(f"<{len(flat)}I", *flat))
-    data = HEADER + b"".join(framelog.encode_frame(_FRAME_HEAD, payload) for payload in payloads)
+    data = HEADER + b"".join(framelog.encode_frame(framelog.LENGTH_HEAD, payload) for payload in payloads)
     (io or FileIO()).write_atomic(path, data)
 
 
 def read_sidecar(path: Path, io: FileIO | None = None) -> SidecarState:
     try:
         data = (io or FileIO()).read_bytes(path)
-        frames, valid_end = framelog.read_frames(data, HEADER, _FRAME_HEAD)
-        # two intact frames that end the file, or ValueError
-        ((_, cursors), (_, packed)) = frames if valid_end == len(data) else ()
+        ((_, cursors), (_, packed)) = framelog.read_frames(data, HEADER, framelog.LENGTH_HEAD)
         has_journal, has_pp, journal, pp = _CURSORS.unpack(cursors)
         flat = struct.unpack(f"<{len(packed) // 4}I", packed)
-    except (OSError, BadHeader, ValueError, struct.error):
+    except (OSError, BadHeader, Corrupt, ValueError, struct.error):
         return SidecarState()
     positions, i = {}, 0
     while i + 1 < len(flat):

@@ -217,9 +217,7 @@ def encode_envelope(env: SignedEnvelope) -> bytes:
 
 
 def parse_envelope(data: bytes) -> SignedEnvelope:
-    sections, valid_end = framelog.read_frames(data, HEADER, _SECTION_HEAD)
-    if valid_end != len(data):
-        raise Corrupt(f"{len(data) - valid_end} invalid trailing bytes in envelope")
+    sections = framelog.read_frames(data, HEADER, _SECTION_HEAD)
     if not sections or sections[0][0][0] != SECTION_DOCUMENT:
         raise Corrupt("envelope must start with a document section")
     document = sections[0][1]

@@ -28,7 +28,6 @@ from draftvault.journal import (
     Journal,
     index_journal,
     recover_journal,
-    validate_journal,
 )
 from draftvault.model import Drawing, ElementPayload
 from draftvault.ppversions import PPVersionLog
@@ -152,8 +151,8 @@ def test_crash_sweep_journal(tmp_path):
                 with pytest.raises(BadHeader):
                     index_journal(data[:cut])
                 continue
-            count, valid_end = validate_journal(data, cut)
-            assert count == expected_step_count
+            steps, _, valid_end = index_journal(data, cut)
+            assert len(steps) == expected_step_count
             assert valid_end == boundaries[expected_step_count]
 
         # full step materialization around every boundary and on a stride

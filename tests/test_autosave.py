@@ -4,7 +4,6 @@ import pytest
 
 from draftvault import framelog
 from draftvault.autosave import (
-    _FRAME_HEAD,
     _META,
     _PAYLOAD,
     HEADER,
@@ -15,6 +14,7 @@ from draftvault.autosave import (
 )
 from draftvault.errors import Corrupt, IoFailure
 from draftvault.fileio import FileIO
+from draftvault.framelog import LENGTH_HEAD
 from draftvault.journal import FLAG_ADDED
 from draftvault.model import Drawing, ElementPayload
 
@@ -256,7 +256,7 @@ def test_probe_collects_corrupt_marker(tmp_path, caplog):
     session.autosave_tick(301.0)
     set_path = tmp_path / SET
     good = set_path.read_bytes()
-    (_, meta), (_, drawing) = framelog.read_frames(good, HEADER, _FRAME_HEAD)[0]
+    (_, meta), (_, drawing) = framelog.read_frames(good, HEADER, LENGTH_HEAD)
     created_at, _ = _META.unpack_from(meta)
     entry = meta[_META.size : _META.size + _PAYLOAD.size]
     claims_a_blob = _META.pack(created_at, 2) + entry + entry + meta[_META.size + _PAYLOAD.size :]
@@ -265,8 +265,8 @@ def test_probe_collects_corrupt_marker(tmp_path, caplog):
     for bad in (
         good[:-3],
         good + b"\x00",
-        HEADER + b"".join(framelog.encode_frame(_FRAME_HEAD, p) for p in (claims_a_blob, drawing)),
-        HEADER + b"".join(framelog.encode_frame(_FRAME_HEAD, p) for p in (bytes(wrong_digest), drawing)),
+        HEADER + b"".join(framelog.encode_frame(LENGTH_HEAD, p) for p in (claims_a_blob, drawing)),
+        HEADER + b"".join(framelog.encode_frame(LENGTH_HEAD, p) for p in (bytes(wrong_digest), drawing)),
     ):
         set_path.write_bytes(bad)
         assert probe_recovery(tmp_path, DOC) is None

@@ -146,6 +146,29 @@ def test_sign_verify_unsign_flow(doc, capsys, monkeypatch):
     assert code == 0  # remove-then-edit succeeds
 
 
+class _RefusingSiglog(FileIO):
+    """A FileIO that cannot append to a signature audit log."""
+
+    def append(self, path, data):
+        if str(path).endswith(".siglog"):
+            raise OSError(21, "Is a directory", str(path))
+        super().append(path, data)
+
+
+def test_unsign_without_an_audit_line_keeps_the_signature(doc, capsys, monkeypatch):
+    """The audit line is written before the signature leaves the file: when
+    it cannot be written, the document keeps its signature."""
+    monkeypatch.setenv("DRAFTVAULT_PASSWORD", "pw")
+    run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+    run(["sign", doc, "--signer", "ivanov"], capsys)
+    signed = doc.read_bytes()
+    code, _, err = run(["unsign", doc, "--signer", "ivanov"], capsys, _RefusingSiglog())
+    assert code == 2 and "Is a directory" in err
+    assert doc.read_bytes() == signed
+    code, out, _ = run(["verify", doc], capsys)
+    assert code == 0 and "ivanov: intact" in out
+
+
 def test_verify_reports_undecodable_signer_as_corrupt(doc, capsys):
     doc.write_bytes(envelope_with_raw_signer(b"\xc3\x28"))
     code, _, err = run(["verify", doc], capsys)
@@ -411,6 +434,24 @@ def test_backup_cli(tmp_path, capsys):
     assert code == 0 and "not due" in out
     code, out, _ = run(["backup", "--config", cfg, "--today", "2026-08-08"], capsys)
     assert code == 0 and "not due" in out  # saturday
+
+
+def test_backup_of_a_missing_watch_root_stops_the_run(tmp_path, capsys):
+    """A watch root that does not exist is an error, not an empty tree:
+    nothing is copied and no manifest records the day, so the next launch
+    retries."""
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "a.tcgd").write_bytes(b"content-a")
+    cfg = tmp_path / "backup.cfg"
+    cfg.write_text(f"weekdays = fri\nwatch_root = {work}\nwatch_root = {tmp_path / 'nope'}\n"
+                   f"vault_root = {tmp_path / 'vault'}\n")
+    before = _files(tmp_path)
+    code, out, err = run(["backup", "--config", cfg, "--today", "2026-08-07"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nope" in err and err.count("\n") == 1
+    assert not (tmp_path / "vault" / "manifest.txt").exists()
+    assert _files(tmp_path) == before
 
 
 def test_crash_sim_cli(doc, capsys):

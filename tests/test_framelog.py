@@ -5,6 +5,7 @@ The byte streams are built here with plain struct + zlib, independent of
 the engine's encoders.
 """
 import contextlib
+import hashlib
 import io
 import random
 import struct
@@ -15,13 +16,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from draftvault.autosave import AutosaveConfig, AutosaveSession, probe_recovery
 from draftvault.cli import parse_args
-from draftvault.errors import BadHeader
-from draftvault.framelog import HEADER_LEN, encode_frame, header, read_frames, scan_frames
-from draftvault.journal import FLAG_ADDED, index_journal, inspect_journal, validate_journal
+from draftvault.errors import BadHeader, Corrupt
+from draftvault.framelog import CRC_LEN, HEADER_LEN, encode_frame, header, read_frames, scan_frames
+from draftvault.journal import FLAG_ADDED, index_journal, inspect_journal
+from draftvault.model import Drawing, ElementPayload
 from draftvault.ppversions import PPVersionLog, recover_pp_log
-from draftvault.sidecar import SidecarState, write_sidecar
-from draftvault.signatures import parse_envelope
+from draftvault.sidecar import SidecarState, read_sidecar, write_sidecar
+from draftvault.signatures import SignatureRecord, SignedEnvelope, encode_envelope, parse_envelope
 
 V1 = struct.pack("<H", 1)  # the version of every format here
 HEADS = {b"TCGJ": struct.Struct("<IBHI"), b"TCGP": struct.Struct("<I"), b"TCGE": struct.Struct("<BI")}
@@ -56,14 +59,23 @@ STREAMS = {b"TCGJ": _journal_bytes, b"TCGP": _blocks_bytes, b"TCGE": _sections_b
 FORMATS = pytest.mark.parametrize("magic", list(STREAMS), ids=["journal", "blocks", "sections"])
 
 
+def _prefix(data: bytes, magic: bytes) -> tuple[list[tuple[tuple, bytes]], int]:
+    """The intact frames of ``data`` as ``(fields, payload)``, and the
+    offset where they end."""
+    frames, valid_end = [], HEADER_LEN
+    for fields, start, valid_end in scan_frames(data, magic + V1, HEADS[magic]):
+        frames.append((fields, data[start : valid_end - CRC_LEN]))
+    return frames, valid_end
+
+
 @FORMATS
 @given(seed=st.integers(0, 2**32 - 1), cut=st.integers(0, 400))
 @settings(max_examples=100, deadline=None)
 def test_scan_of_a_cut_is_a_prefix_of_the_full_scan(magic, seed, cut):
     data = STREAMS[magic](random.Random(seed))
     cut = HEADER_LEN + cut % (len(data) - HEADER_LEN + 1)
-    full, full_end = read_frames(data, magic + V1, HEADS[magic])
-    part, part_end = read_frames(data[:cut], magic + V1, HEADS[magic])
+    full, full_end = _prefix(data, magic)
+    part, part_end = _prefix(data[:cut], magic)
     assert part == full[: len(part)]
     assert part_end <= cut and part_end <= full_end
     head = HEADS[magic]
@@ -81,9 +93,9 @@ def test_a_flipped_byte_yields_no_frame_past_it(magic, seed, flip):
         return
     mutated = bytearray(data)
     mutated[flip] ^= 0xFF
-    frames, valid_end = read_frames(bytes(mutated), magic + V1, HEADS[magic])
+    frames, valid_end = _prefix(bytes(mutated), magic)
     assert valid_end <= flip
-    assert frames == read_frames(data, magic + V1, HEADS[magic])[0][: len(frames)]
+    assert frames == _prefix(data, magic)[0][: len(frames)]
 
 
 @FORMATS
@@ -102,7 +114,7 @@ def test_each_format_checks_its_own_version():
     format can move to version 2 while the others stay at 1."""
     v2 = header(b"TCGP", 2) + _frame("<I", b"blob")
     assert header(b"TCGP", 2) == b"TCGP" + struct.pack("<H", 2)
-    assert read_frames(v2, header(b"TCGP", 2), HEADS[b"TCGP"]) == ([((4,), b"blob")], len(v2))
+    assert read_frames(v2, header(b"TCGP", 2), HEADS[b"TCGP"]) == [((4,), b"blob")]
     with pytest.raises(BadHeader, match="version 2"):
         scan_frames(v2, header(b"TCGP", 1), HEADS[b"TCGP"])
     with pytest.raises(BadHeader, match="version 1"):
@@ -121,7 +133,7 @@ def test_format_parsers_reject_bad_headers(tmp_path):
         with pytest.raises(BadHeader):
             index_journal(bad)
         with pytest.raises(BadHeader):
-            validate_journal(bad)
+            index_journal(bad, len(bad))
     for bad in (b"WRNG\x01\x00", b"TCGE\x02\x00", b"TCGE\x01"):
         with pytest.raises(BadHeader):
             parse_envelope(bad)
@@ -129,6 +141,13 @@ def test_format_parsers_reject_bad_headers(tmp_path):
         (tmp_path / "p").write_bytes(bad)
         with pytest.raises(BadHeader):
             recover_pp_log(tmp_path / "p")
+
+
+def _indexed(result) -> tuple:
+    """What ``index_journal`` found, with each step as its number, frame-head
+    figures and decoded records."""
+    steps, ends, valid_end = result
+    return [(s.step_no, s.figures, s.changes) for s in steps], ends, valid_end
 
 
 @given(seed=st.integers(0, 2**32 - 1), flip=st.integers(-1, 400))
@@ -140,9 +159,9 @@ def test_journal_validator_agrees_with_parse_at_strided_cuts(seed, flip):
         mutated[flip] ^= 0xFF
         data = bytes(mutated)
     for cut in list(range(HEADER_LEN, len(data), 7)) + [len(data)]:
-        steps, _, valid_end = index_journal(data[:cut])
-        assert validate_journal(data, cut) == (len(steps), valid_end)
-        assert validate_journal(data[:cut]) == (len(steps), valid_end)
+        steps, ends, valid_end = index_journal(data[:cut])
+        assert _indexed(index_journal(data, cut)) == _indexed((steps, ends, valid_end))
+        assert _indexed(index_journal(data[:cut], cut)) == _indexed((steps, ends, valid_end))
 
 
 def _flipped(data: bytes, flip: int) -> bytes:
@@ -206,13 +225,13 @@ def test_lazy_journal_steps_agree_with_eager_decoding(seed, flip, cursor):
 @settings(max_examples=60, deadline=None)
 def test_lazy_blobs_agree_with_read_frames(seed, flip):
     """At strided cuts, each blob a reopened log slices out on demand equals
-    the one read_frames gives, in any order of access."""
+    the one the frame scanner gives, in any order of access."""
     data = _flipped(_blocks_bytes(random.Random(seed)), flip)
     rng = random.Random(seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.tcgd.pp"
         for cut in list(range(HEADER_LEN, len(data), 7)) + [len(data)]:
-            frames, _ = read_frames(data[:cut], b"TCGP" + V1, HEADS[b"TCGP"])
+            frames, _ = _prefix(data[:cut], b"TCGP")
             blobs = [blob for _, blob in frames]
             path.write_bytes(data[:cut])
             log = PPVersionLog.open(path)
@@ -223,3 +242,73 @@ def test_lazy_blobs_agree_with_read_frames(seed, flip):
                 assert log.versions == blobs
             finally:
                 log.close()
+
+
+def _frame_ends(data: bytes, head: struct.Struct) -> list[int]:
+    """The end of each frame of an intact file, walked by its length fields."""
+    ends, pos = [], HEADER_LEN
+    while pos < len(data):
+        pos += head.size + head.unpack_from(data, pos)[-1] + CRC_LEN
+        ends.append(pos)
+    assert pos == len(data)
+    return ends
+
+
+def _envelope(tmp_path):
+    document = Drawing(elements=[ElementPayload(1, b"pipe")]).canonical_bytes()
+    record = SignatureRecord("ivanov", 1000, bytes(16), hashlib.sha256(document).digest(), bytes(32))
+    data = encode_envelope(SignedEnvelope(document, (record,)))
+    assert parse_envelope(data).signatures == (record,)
+
+    def refused(bad):
+        with pytest.raises(Corrupt):
+            parse_envelope(bad)
+
+    return data, HEADS[b"TCGE"], refused
+
+
+def _autosave_set(tmp_path):
+    drawing = Drawing(name="d", elements=[ElementPayload(1, b"pipe")])
+    session = AutosaveSession("d.tcgd", drawing, AutosaveConfig(1.0, tmp_path))
+    session.set_current_pp(b"blob")
+    session.autosave_tick(1.0)
+    data = session.path.read_bytes()
+    assert probe_recovery(tmp_path, "d.tcgd").pp_size == 4
+
+    def refused(bad):
+        session.path.write_bytes(bad)
+        assert probe_recovery(tmp_path, "d.tcgd") is None
+        assert not session.path.exists()  # collected
+
+    return data, HEADS[b"TCGP"], refused
+
+
+def _sidecar(tmp_path):
+    path = tmp_path / "d.tcgd.session"
+    write_sidecar(path, SidecarState(2, 1, {1: [0], 2: [0, 1]}))
+    data = path.read_bytes()
+    assert read_sidecar(path).positions == {1: [0], 2: [0, 1]}
+
+    def refused(bad):
+        path.write_bytes(bad)
+        assert read_sidecar(path) == SidecarState()
+
+    return data, HEADS[b"TCGP"], refused
+
+
+# A cut of the envelope at a section boundary is left out: it drops whole
+# signatures and still parses (see ROADMAP, "Signature loss is never silent").
+@pytest.mark.parametrize("build, at_boundaries", [(_envelope, False), (_autosave_set, True), (_sidecar, True)],
+                         ids=["envelope", "autosave-set", "sidecar"])
+def test_a_whole_file_refuses_a_torn_or_padded_file(tmp_path, build, at_boundaries):
+    """Every format whose file must be whole refuses it cut inside a frame
+    or with a byte after its last frame, and the set and the sidecar also
+    when cut at a frame boundary."""
+    data, head, refused = build(tmp_path)
+    ends = _frame_ends(data, head)
+    cuts = [cut for cut in range(HEADER_LEN + 1, len(data)) if cut not in ends]
+    if at_boundaries:
+        cuts += [HEADER_LEN, *ends[:-1]]
+    for cut in cuts:
+        refused(data[:cut])
+    refused(data + b"\x00")
