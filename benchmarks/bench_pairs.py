@@ -19,7 +19,10 @@ median may be worse than the parent's by at most that fraction.  A
 metric whose parent interquartile range, as a fraction of the parent's
 median, is wider than its bound is marked ``"unresolved": true``: the
 runs spread too widely to show it unchanged, unless every change run
-beats every parent run, which resolves it.  With
+beats every parent run, which resolves it.  A run whose info line
+carries ``detail.command_p50_ms`` (``cold_cli``: the p50 of each CLI
+command) keeps it, and the summary gives each command's median per side,
+so a BENCH file shows which commands moved the workload's median.  With
 ``--trace``, one traced run per side and workload follows the pairs, for
 the per-layer figures.  Quartiles are ``statistics.quantiles(n=4,
 method="inclusive")``.  The standard library is all it needs.
@@ -52,10 +55,20 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     proc = subprocess.run([sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True)
-    lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     return {"exit_code": proc.returncode, "wall_s": round(time.perf_counter() - started, 1),
-            "result": next((d for d in lines if "metrics" in d), None),
-            "stderr": proc.stderr[-2000:] if proc.returncode else ""}
+            **read_output(proc.stdout), "stderr": proc.stderr[-2000:] if proc.returncode else ""}
+
+
+def read_output(stdout: str) -> dict:
+    """The result line of a run's output, and the per-command p50s of its
+    info line when it has them."""
+    lines = [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
+    info = next((d["info"] for d in lines if "info" in d), {})
+    fields = {"result": next((d for d in lines if "metrics" in d), None)}
+    commands = info.get("detail", {}).get("command_p50_ms")
+    if commands:
+        fields["command_p50_ms"] = commands
+    return fields
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,6 +111,14 @@ def summarize(runs: list[dict], metrics: list[dict], claims: set[str]) -> dict:
             rows[key] = {side: sum(r["result"][key] for r in sides if r["side"] == side and r["result"])
                          for side in ("parent", "change")}
         rows["exit_codes"] = sorted({r["exit_code"] for r in sides})
+        commands: dict[str, dict[str, list[float]]] = {}
+        for r in sides:
+            for command, ms in r.get("command_p50_ms", {}).items():
+                commands.setdefault(command, {"parent": [], "change": []})[r["side"]].append(ms)
+        if commands:
+            rows["command_p50_ms"] = {
+                command: {side: round(statistics.median(ms), 1) for side, ms in by_side.items() if ms}
+                for command, by_side in commands.items()}
         summary[workload] = rows
     return summary
 

@@ -24,14 +24,14 @@ reads the one file and accepts it only when every frame is intact, the
 file ends with the last frame, the payloads match their recorded sizes
 and digests and the document name is its own; anything else is logged
 and collected, and so is a leftover ``<set>.tmp``.  The payloads are
-hashed where they lie in the bytes read, without a copy.
+hashed where they lie in the bytes read, without a copy; ``hashlib`` is
+imported by the calls that hash, so an ``edit`` without autosave loads none.
 """
 from __future__ import annotations
 
-import hashlib
+import os
 import struct
 from collections import namedtuple
-from pathlib import Path
 
 from . import framelog
 from .errors import BadHeader, Corrupt, IoFailure
@@ -50,7 +50,7 @@ _PAYLOAD = struct.Struct("<I32s")  # size, SHA-256
 class AutosaveConfig(namedtuple("AutosaveConfig", "interval autosave_dir")):
     __slots__ = ()
 
-    def __new__(cls, interval: float, autosave_dir: Path):
+    def __new__(cls, interval: float, autosave_dir: str | os.PathLike):
         if interval <= 0:
             raise ValueError("autosave interval must be positive")
         return super().__new__(cls, interval, autosave_dir)
@@ -63,11 +63,11 @@ class AutosaveSet(namedtuple("AutosaveSet", "doc_name path created_at drawing_sh
     __slots__ = ()
 
 
-def _set_path(autosave_dir: Path, doc_name: str) -> Path:
-    return Path(autosave_dir) / (doc_name + AUTOSAVE_SET_SUFFIX)
+def _set_path(autosave_dir: str | os.PathLike, doc_name: str) -> str:
+    return os.path.join(autosave_dir, doc_name + AUTOSAVE_SET_SUFFIX)
 
 
-def _collect(io: FileIO, path: Path) -> None:
+def _collect(io: FileIO, path: str) -> None:
     try:
         io.unlink(path)
     except OSError:
@@ -110,6 +110,8 @@ class AutosaveSession:
         (interval not yet elapsed, or nothing changed since the last set)."""
         if now - self.last_save < self.config.interval:
             return None
+        import hashlib
+
         pp = self.current_pp
         pp_digest = hashlib.sha256(pp).digest() if pp is not None else None
         fingerprint = (self.drawing.revision, pp_digest)
@@ -146,19 +148,21 @@ class AutosaveSession:
             pass
         except OSError as exc:
             raise IoFailure(f"cannot remove autosave set: {exc}") from exc
-        _collect(self.io, self.path.with_name(self.path.name + ".tmp"))
+        _collect(self.io, self.path + ".tmp")
         self._saved_fingerprint = None
 
 
-def _describe(doc_name: str, path: Path, created_at: float, payloads: list, digests: list) -> AutosaveSet:
+def _describe(doc_name: str, path: str, created_at: float, payloads: list, digests: list) -> AutosaveSet:
     pp = (digests[1].hex(), len(payloads[1])) if len(payloads) == 2 else (None, None)
     return AutosaveSet(doc_name, path, created_at, digests[0].hex(), len(payloads[0]), *pp)
 
 
-def _read_set(data: bytes, path: Path) -> tuple[AutosaveSet, list[memoryview]]:
+def _read_set(data: bytes, path: str) -> tuple[AutosaveSet, list[memoryview]]:
     """The set the bytes of ``path`` hold, and its payloads as views of
     ``data``; Corrupt unless the file is exactly a meta frame and the
     payload frames it vouches for."""
+    import hashlib
+
     try:
         frames = framelog.read_frames(memoryview(data), HEADER, framelog.LENGTH_HEAD)
         meta, *payloads = [payload for _, payload in frames]
@@ -166,15 +170,15 @@ def _read_set(data: bytes, path: Path) -> tuple[AutosaveSet, list[memoryview]]:
         recorded = [_PAYLOAD.unpack_from(meta, _META.size + i * _PAYLOAD.size) for i in range(count)]
         doc_name = str(meta[_META.size + count * _PAYLOAD.size :], "utf-8")
     except (BadHeader, Corrupt, struct.error, ValueError) as exc:
-        raise Corrupt(f"{path.name}: {exc}") from exc
+        raise Corrupt(f"{os.path.basename(path)}: {exc}") from exc
     if count not in (1, 2) or len(payloads) != count:
-        raise Corrupt(f"{path.name}: not one set")
+        raise Corrupt(f"{os.path.basename(path)}: not one set")
     if recorded != [(len(p), hashlib.sha256(p).digest()) for p in payloads]:
-        raise Corrupt(f"{path.name}: a payload does not match its recorded digest")
+        raise Corrupt(f"{os.path.basename(path)}: a payload does not match its recorded digest")
     return _describe(doc_name, path, created_at, payloads, [d for _, d in recorded]), payloads
 
 
-def probe_recovery(autosave_dir: Path, doc_name: str, io: FileIO | None = None) -> AutosaveSet | None:
+def probe_recovery(autosave_dir: str | os.PathLike, doc_name: str, io: FileIO | None = None) -> AutosaveSet | None:
     """Look for a complete autosave set left behind by a dead session.
 
     Returns the set if it is intact and names ``doc_name``; a damaged or
@@ -183,7 +187,7 @@ def probe_recovery(autosave_dir: Path, doc_name: str, io: FileIO | None = None) 
     """
     io = io or FileIO()
     path = _set_path(autosave_dir, doc_name)
-    _collect(io, path.with_name(path.name + ".tmp"))
+    _collect(io, path + ".tmp")
     try:
         data = io.read_bytes(path)
     except FileNotFoundError:

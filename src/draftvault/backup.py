@@ -17,19 +17,22 @@ and the hex of its bytes on the file system.
 Config file: ``key = value`` lines with ``#`` comments;
 keys ``weekdays`` (comma-separated day names), ``watch_root``
 (repeatable) and ``vault_root``.
+
+A watch root is walked without following symlinks: a symlinked file is
+not copied and a symlinked directory not entered; a dotfile is copied.
+Files are taken in the order of their path components.
 """
 from __future__ import annotations
 
 import datetime as dt
 import hashlib
 import os
-from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import Corrupt, IoFailure, Locked
 from .fileio import FileIO
 from .locks import SessionLock, LOCK_SUFFIX
-from .paths import AUTOSAVE_SET_SUFFIX
+from .paths import AUTOSAVE_SET_SUFFIX, normalize
 
 WEEKDAY_NAMES = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 MANIFEST_NAME = "manifest.txt"
@@ -40,7 +43,7 @@ _SKIP_SUFFIXES = (LOCK_SUFFIX, ".tmp", AUTOSAVE_SET_SUFFIX)
 
 
 class BackupConfig(SimpleNamespace):
-    def __init__(self, weekdays: frozenset[int], watch_roots: tuple[Path, ...], vault_root: Path):
+    def __init__(self, weekdays: frozenset[int], watch_roots: tuple[str, ...], vault_root: str):
         # weekdays: 0=Mon .. 6=Sun; an empty set disables backups
         super().__init__(weekdays=weekdays, watch_roots=watch_roots, vault_root=vault_root)
 
@@ -52,7 +55,7 @@ class BackupManifest(SimpleNamespace):
 
 
 class BackupSet(SimpleNamespace):
-    def __init__(self, dir: Path | None):
+    def __init__(self, dir: str | None):
         # dir: None when nothing changed (no directory created); copied:
         # (source, dest relpath) per file copied
         super().__init__(dir=dir, copied=[])
@@ -68,18 +71,20 @@ def parse_weekdays(text: str) -> frozenset[int]:
     return frozenset(days)
 
 
-def _text_lines(path: Path) -> list[str]:
+def _text_lines(path: str) -> list[str]:
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise Corrupt(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def parse_config(path: Path) -> BackupConfig:
+def parse_config(path: str | os.PathLike) -> BackupConfig:
+    path = normalize(path)
     weekdays: frozenset[int] = frozenset()
-    roots: list[Path] = []
-    vault: Path | None = None
-    for lineno, raw in enumerate(_text_lines(Path(path)), 1):
+    roots: list[str] = []
+    vault: str | None = None
+    for lineno, raw in enumerate(_text_lines(path), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -93,9 +98,9 @@ def parse_config(path: Path) -> BackupConfig:
             except ValueError as exc:
                 raise Corrupt(f"{path}:{lineno}: {exc}") from None
         elif key == "watch_root":
-            roots.append(Path(value))
+            roots.append(normalize(value))
         elif key == "vault_root":
-            vault = Path(value)
+            vault = normalize(value)
         else:
             raise Corrupt(f"{path}:{lineno}: unknown key {key!r}")
     if vault is None:
@@ -121,10 +126,10 @@ def _relpath(field: str) -> str:
     return relpath
 
 
-def load_manifest(vault_root: Path) -> BackupManifest:
-    path = Path(vault_root) / MANIFEST_NAME
+def load_manifest(vault_root: str | os.PathLike) -> BackupManifest:
+    path = os.path.join(vault_root, MANIFEST_NAME)
     manifest = BackupManifest()
-    if not path.exists():
+    if not os.path.exists(path):
         return manifest
     for raw in _text_lines(path):
         line = raw.strip()
@@ -144,12 +149,12 @@ def load_manifest(vault_root: Path) -> BackupManifest:
     return manifest
 
 
-def save_manifest(vault_root: Path, manifest: BackupManifest, io: FileIO | None = None) -> None:
+def save_manifest(vault_root: str | os.PathLike, manifest: BackupManifest, io: FileIO | None = None) -> None:
     io = io or FileIO()
     lines = [f"{digest}\t{_field(relpath)}" for relpath, digest in sorted(manifest.entries.items())]
     if manifest.last_backup_date is not None:
         lines.append(f"last_backup={manifest.last_backup_date.isoformat()}")
-    io.write_atomic(Path(vault_root) / MANIFEST_NAME, ("\n".join(lines) + "\n").encode())
+    io.write_atomic(os.path.join(vault_root, MANIFEST_NAME), ("\n".join(lines) + "\n").encode())
 
 
 def backup_due(config: BackupConfig, manifest: BackupManifest, today: dt.date) -> bool:
@@ -162,35 +167,39 @@ def backup_due(config: BackupConfig, manifest: BackupManifest, today: dt.date) -
     return today.weekday() in config.weekdays and manifest.last_backup_date != today
 
 
-def _root_labels(roots: tuple[Path, ...]) -> list[tuple[Path, str]]:
+def _root_labels(roots: tuple[str, ...]) -> list[tuple[str, str]]:
     """Stable per-root prefix for destination paths; duplicate basenames
-    get a positional suffix so two roots cannot collide in the vault."""
+    get a positional suffix so two roots cannot collide in the vault.
+    ``roots`` are normalized: ``w/`` is labelled ``w``, ``.`` and ``/``
+    are labelled ``root``."""
     labels = []
     seen: dict[str, int] = {}
     for root in roots:
-        base = root.name or "root"
+        base = root != "." and os.path.basename(root) or "root"
         count = seen.get(base, 0)
         seen[base] = count + 1
         labels.append((root, base if count == 0 else f"{base}-{count + 1}"))
     return labels
 
 
-def _walk_files(root: Path, vault_root: Path) -> list[Path]:
+def _walk_files(root: str, vault_root: str) -> list[tuple[str, str]]:
+    """``(path, path relative to root)`` of each regular file under
+    ``root`` and outside the vault, sorted by their components."""
     files = []
-    vault_root = vault_root.resolve()
-    for path in sorted(root.rglob("*")):
-        if not path.is_file() or path.is_symlink():
-            continue
-        if path.resolve().is_relative_to(vault_root):
-            continue
-        name = path.name
-        if name.endswith(_SKIP_SUFFIXES):
-            continue
-        files.append(path)
-    return files
+    prefix = os.path.join(root, "")
+    vault_prefix = os.path.join(os.path.realpath(vault_root), "")
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            if name.endswith(_SKIP_SUFFIXES) or os.path.islink(path) or not os.path.isfile(path):
+                continue
+            if os.path.join(os.path.realpath(path), "").startswith(vault_prefix):
+                continue
+            files.append((path, path[len(prefix):]))
+    return sorted(files, key=lambda file: file[1].split("/"))
 
 
-def _hash_file(path: Path) -> str:
+def _hash_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -215,20 +224,21 @@ def run_backup(
     watch root that is not a directory (a typo, an unmounted drive), before
     anything is read.  Prior dated directories are never modified.
     """
-    for root in config.watch_roots:
-        if not Path(root).is_dir():
+    roots = tuple(map(normalize, config.watch_roots))
+    for root in roots:
+        if not os.path.isdir(root):
             raise IoFailure(f"watch root {root} is not a directory")
     io = io or FileIO()
-    vault_root = Path(config.vault_root)
-    vault_root.mkdir(parents=True, exist_ok=True)
-    dated_dir = vault_root / today.isoformat()
+    vault_root = normalize(config.vault_root)
+    os.makedirs(vault_root, exist_ok=True)
+    dated_dir = os.path.join(vault_root, today.isoformat())
 
     new_entries: dict[str, str] = {}
-    to_copy: list[tuple[Path, str]] = []
+    to_copy: list[tuple[str, str]] = []
     try:
-        for root, label in _root_labels(config.watch_roots):
-            for path in _walk_files(Path(root), vault_root):
-                relpath = f"{label}/{path.relative_to(root).as_posix()}"
+        for root, label in _root_labels(roots):
+            for path, relative in _walk_files(root, vault_root):
+                relpath = f"{label}/{relative}"
                 digest = _hash_file(path)
                 new_entries[relpath] = digest
                 if manifest.entries.get(relpath) != digest:
@@ -238,10 +248,10 @@ def run_backup(
 
     copied = BackupSet(dir=dated_dir if to_copy else None)
     for source, relpath in to_copy:
-        dest = dated_dir / relpath
+        dest = os.path.join(dated_dir, relpath)
         try:
             with SessionLock(source):
-                dest.parent.mkdir(parents=True, exist_ok=True)
+                os.makedirs(os.path.dirname(dest), exist_ok=True)
                 data = io.read_bytes(source)
                 io.write_atomic(dest, data)
             new_entries[relpath] = hashlib.sha256(data).hexdigest()

@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import DraftVaultError, NothingToRedo, NothingToUndo, OutOfRange
@@ -108,6 +107,11 @@ def _today():
     return iso_date(time.strftime("%Y-%m-%d"))
 
 
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _iso(now: float) -> str:
     import datetime as dt
 
@@ -137,8 +141,8 @@ def cmd_edit(args, autosave=None, start_time: float = 0.0) -> int:
     """``edit``, and ``autosave-run`` with its autosave and clock."""
     from .script import ScriptRunner, parse_script
 
-    runner = ScriptRunner(Path(args.doc), io=args.io, autosave=autosave, start_time=start_time)
-    result = runner.run(parse_script(Path(args.script).read_text()))
+    runner = ScriptRunner(args.doc, io=args.io, autosave=autosave, start_time=start_time)
+    result = runner.run(parse_script(_read_text(args.script)))
     for notice in result.notices:
         print(notice)
     print(f"committed {result.steps_committed} step(s); cursor at {result.cursor} of {result.step_count}")
@@ -203,7 +207,7 @@ def cmd_history(args) -> int:
         marker = "  <- cursor" if step.step_no == cursor else ""
         lines.append(f"step {step.step_no}: +{added} -{records - added} ({size} payload bytes){marker}")
     if cursor is None:
-        lines.append(f"cursor unknown: {paths.sidecar.name} is missing or damaged")
+        lines.append(f"cursor unknown: {os.path.basename(paths.sidecar)} is missing or damaged")
     elif cursor == 0:
         lines.append("cursor at session start")
     torn = " (torn tail ignored)" if truncated else ""
@@ -281,7 +285,7 @@ def cmd_recover(args) -> int:
 def cmd_backup(args) -> int:
     from . import backup as backup_mod
 
-    config = backup_mod.parse_config(Path(args.config))
+    config = backup_mod.parse_config(args.config)
     manifest = backup_mod.load_manifest(config.vault_root)
     if not backup_mod.backup_due(config, manifest, args.today):
         print("backup not due")
@@ -355,7 +359,7 @@ def cmd_verify(args) -> int:
 def cmd_crash_sim(args) -> int:
     from .faultsim import FaultPlan, crash_sim
 
-    report = crash_sim(Path(args.doc), Path(args.script).read_text(),
+    report = crash_sim(args.doc, _read_text(args.script),
                        FaultPlan(args.kill_at_byte, args.target),
                        autosave=_autosave_config(args), start_time=args.now)
     for line in report.lines():
@@ -397,7 +401,7 @@ COMMANDS = {
     "recover": ("cmd_recover", "look for (and optionally restore) an autosave set", ("doc",), {
         "--apply": ("action", None, None, False, "restore the set"),
         "--discard": ("action", None, None, False, "drop the set"),
-        "--autosave-dir": ("autosave_dir", Path, None, False, "where to look"),
+        "--autosave-dir": ("autosave_dir", str, None, False, "where to look"),
     }),
     "backup": ("cmd_backup", "incremental backup per config file", (), {
         "--config": ("config", str, None, True, "the config file"),

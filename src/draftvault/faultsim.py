@@ -163,6 +163,7 @@ class FaultyIO(FileIO):
         """The bytes the completed operations left at ``path``, which held
         ``before`` when the run began (None: no file); for a path that is
         never renamed away, as no final name is."""
+        path = Path(path)
         data = before
         for op, target, arg in self.ops:
             if target != path:
@@ -289,7 +290,7 @@ def crash_sim(
         total_written=fio.total_written,
     )
     # The states the dead session reached: one per append that completed.
-    appended = [path for op, path, _ in fio.ops if op == "append"]
+    appended = [str(path) for op, path, _ in fio.ops if op == "append"]
 
     # Journal: recovered steps must be a prefix of a state the session
     # actually reached, and must replay cleanly over the base drawing.
@@ -325,7 +326,7 @@ def crash_sim(
 
     # Parametric log: same prefix rule.
     pp_gens = pp_states[: 1 + appended.count(paths.pp_log)]
-    if paths.pp_log.exists():
+    if Path(paths.pp_log).exists():
         try:
             pp_log, _ = recover_pp_log(paths.pp_log)
             report.pp_versions_recovered = pp_log.version_count
@@ -345,7 +346,7 @@ def crash_sim(
     # Document file: atomic replacement means old or new, parseable, never
     # torn: exactly what the completed operations left under its name.
     expected = fio.left_at(paths.doc, base_doc_bytes)
-    if paths.doc.exists():
+    if Path(paths.doc).exists():
         try:
             load_document(paths.doc)
             if clean_io.read_bytes(paths.doc) != expected:
@@ -358,8 +359,8 @@ def crash_sim(
     return report
 
 
-def _bytes_or_none(path: Path | None) -> bytes | None:
-    return path.read_bytes() if path is not None and path.exists() else None
+def _bytes_or_none(path: str | None) -> bytes | None:
+    return Path(path).read_bytes() if path is not None and Path(path).exists() else None
 
 
 def _audit_autosave(autosave_dir: Path, doc_name: str, expected: bytes | None, report: CrashReport) -> str:
@@ -371,7 +372,7 @@ def _audit_autosave(autosave_dir: Path, doc_name: str, expected: bytes | None, r
     when no tick was in flight and the newest set was found, "none" when
     nothing was found."""
     path = _set_path(autosave_dir, doc_name)
-    in_flight = path.with_name(path.name + ".tmp").exists()
+    in_flight = Path(path + ".tmp").exists()
     aset = probe_recovery(autosave_dir, doc_name)
     found = _bytes_or_none(aset and aset.path)
     if found != expected:

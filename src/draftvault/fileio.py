@@ -12,7 +12,6 @@ which the fault harness overrides; no setting turns it off.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 
 class FileIO:
@@ -25,40 +24,40 @@ class FileIO:
 
     # -- primitive operations -------------------------------------------
 
-    def read_bytes(self, path: Path) -> bytes:
-        return Path(path).read_bytes()
+    def read_bytes(self, path: str | os.PathLike) -> bytes:
+        with open(path, "rb") as fh:
+            return fh.read()
 
-    def write_file(self, path: Path, data: bytes) -> None:
+    def write_file(self, path: str | os.PathLike, data: bytes) -> None:
         """Plain create/truncate write (used for temp files)."""
         with open(path, "wb") as fh:
             fh.write(data)
             self._sync(fh)
 
-    def append(self, path: Path, data: bytes) -> None:
+    def append(self, path: str | os.PathLike, data: bytes) -> None:
         with open(path, "ab") as fh:
             fh.write(data)
             self._sync(fh)
 
-    def truncate(self, path: Path, size: int) -> None:
+    def truncate(self, path: str | os.PathLike, size: int) -> None:
         with open(path, "r+b") as fh:
             fh.truncate(size)
             self._sync(fh)
 
-    def replace(self, src: Path, dst: Path) -> None:
+    def replace(self, src: str | os.PathLike, dst: str | os.PathLike) -> None:
         os.replace(src, dst)
 
-    def unlink(self, path: Path) -> None:
+    def unlink(self, path: str | os.PathLike) -> None:
         os.unlink(path)
 
     # -- composites ------------------------------------------------------
 
-    def write_atomic(self, path: Path, data: bytes) -> None:
+    def write_atomic(self, path: str | os.PathLike, data: bytes) -> None:
         """Write ``data`` under ``path`` so that either the old or the new
         content is visible at every instant, never a mixture."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = os.fspath(path) + ".tmp"
         self.write_file(tmp, data)
         self.replace(tmp, path)
 
-    def exists(self, path: Path) -> bool:
-        return Path(path).exists()
+    def exists(self, path: str | os.PathLike) -> bool:
+        return os.path.exists(path)

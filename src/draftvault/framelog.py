@@ -22,7 +22,6 @@ from __future__ import annotations
 import struct
 import zlib
 from collections.abc import Iterator
-from pathlib import Path
 
 from .errors import BadHeader, Corrupt, IoFailure
 from .fileio import FileIO
@@ -135,8 +134,8 @@ class FramedLog:
 
     HEADER: bytes
 
-    def __init__(self, path: Path, io: FileIO, lock: SessionLock | None):
-        self.path = Path(path)
+    def __init__(self, path: str, io: FileIO, lock: SessionLock | None):
+        self.path = path
         self._io = io
         self._lock = lock
         self._entries: list = []
@@ -151,7 +150,7 @@ class FramedLog:
     # -- lifecycle -------------------------------------------------------
 
     @classmethod
-    def _create(cls, path: Path, io: FileIO):
+    def _create(cls, path: str, io: FileIO):
         """Take the session lock and start an empty file, replacing any
         previous one."""
         lock = SessionLock(path).acquire()
@@ -166,7 +165,7 @@ class FramedLog:
         return cls(path, io, lock)
 
     @classmethod
-    def _open(cls, path: Path, io: FileIO, cursor: int | None = None):
+    def _open(cls, path: str, io: FileIO, cursor: int | None = None):
         """Take the session lock and load the file, repairing a torn tail;
         the cursor is fitted to the surviving entries by clamp_cursor."""
         lock = SessionLock(path).acquire()
@@ -180,7 +179,7 @@ class FramedLog:
         return log
 
     @classmethod
-    def _load(cls, path: Path, io: FileIO, repair: bool):
+    def _load(cls, path: str, io: FileIO, repair: bool):
         """Parse the longest valid prefix; with ``repair`` the file is
         truncated to it.  Returns the log (cursor 0, no lock) and whether
         trailing bytes were dropped."""

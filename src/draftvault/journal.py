@@ -40,9 +40,9 @@ the drawing holds the very objects it held before the step.
 """
 from __future__ import annotations
 
+import os
 import struct
 from functools import cached_property
-from pathlib import Path
 
 from . import framelog
 from .errors import Locked, NotFound, NothingToRedo, NothingToUndo
@@ -189,7 +189,7 @@ class Journal(FramedLog):
 
     HEADER = HEADER
 
-    def __init__(self, path: Path, io: FileIO, lock):
+    def __init__(self, path: str, io: FileIO, lock):
         super().__init__(path, io, lock)
         self.positions: dict[int, list[int]] = {}  # by step number; see _apply_reverse
 
@@ -200,15 +200,15 @@ class Journal(FramedLog):
     # -- session lifecycle ------------------------------------------------
 
     @classmethod
-    def begin_session(cls, drawing: Drawing, path: Path, io: FileIO | None = None) -> "Journal":
+    def begin_session(cls, drawing: Drawing, path: str | os.PathLike, io: FileIO | None = None) -> "Journal":
         """Start a fresh session: truncate any previous work file and take
         the session lock.  Raises Locked if a live session owns the file."""
-        return cls._create(Path(path), io or FileIO())
+        return cls._create(os.fspath(path), io or FileIO())
 
     @classmethod
     def resume(
         cls,
-        path: Path,
+        path: str | os.PathLike,
         io: FileIO | None = None,
         cursor: int | None = None,
         positions: dict[int, list[int]] | None = None,
@@ -220,7 +220,7 @@ class Journal(FramedLog):
         minus those of steps the file does not hold) captured by the
         previous process, and takes the session lock.  Undo refuses a step
         whose positions are missing, miscounted or negative."""
-        journal = cls._open(Path(path), io or FileIO(), cursor)
+        journal = cls._open(os.fspath(path), io or FileIO(), cursor)
         if positions:
             count = journal.step_count
             journal.positions = {n: p for n, p in positions.items() if 1 <= n <= count}
@@ -327,7 +327,7 @@ def index_journal(data: bytes, end: int | None = None) -> tuple[list[ChangeStep]
     return steps, ends, valid_end
 
 
-def recover_journal(path: Path, io: FileIO | None = None) -> tuple[Journal, bool]:
+def recover_journal(path: str | os.PathLike, io: FileIO | None = None) -> tuple[Journal, bool]:
     """Parse the longest prefix of complete steps and physically truncate
     the file to it.
 
@@ -336,10 +336,10 @@ def recover_journal(path: Path, io: FileIO | None = None) -> tuple[Journal, bool
     replays the recovered work) and whether trailing bytes were dropped.
     Must not run while a session owns the file.
     """
-    return Journal._load(Path(path), io or FileIO(), repair=True)
+    return Journal._load(os.fspath(path), io or FileIO(), repair=True)
 
 
-def inspect_journal(path: Path, io: FileIO | None = None) -> tuple[Journal, bool]:
+def inspect_journal(path: str | os.PathLike, io: FileIO | None = None) -> tuple[Journal, bool]:
     """Read-only variant of recover_journal: a torn tail is skipped but the
     file is left untouched."""
-    return Journal._load(Path(path), io or FileIO(), repair=False)
+    return Journal._load(os.fspath(path), io or FileIO(), repair=False)

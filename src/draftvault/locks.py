@@ -9,26 +9,26 @@ the file holds, and whether it exists, says nothing about the lock.
 ``release`` unlinks the file, then closes the descriptor.  A taker that
 opened the file before that unlink can then lock an inode that is no
 longer at the path, so ``acquire`` checks that the path still names the
-inode it locked, and starts over if it does not.
+inode it locked, and starts over if it does not.  A lock file that
+cannot be made (the document's directory is missing or read-only) is an
+IoFailure that names the document, not the lock file.
 """
 from __future__ import annotations
 
 import fcntl
 import os
-from pathlib import Path
 
-from .errors import Locked
+from .errors import IoFailure, Locked
 
 LOCK_SUFFIX = ".lock"
 
 
-def lock_path_for(path: Path) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + LOCK_SUFFIX)
+def lock_path_for(path) -> str:
+    return os.fspath(path) + LOCK_SUFFIX
 
 
 class SessionLock:
-    def __init__(self, target: Path):
+    def __init__(self, target):
         self.path = lock_path_for(target)
         self._fd: int | None = None
 
@@ -38,7 +38,10 @@ class SessionLock:
 
     def acquire(self) -> "SessionLock":
         while True:
-            fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+            except OSError as exc:
+                raise IoFailure(f"cannot lock {self.path[:-len(LOCK_SUFFIX)]}: {exc.strerror}") from exc
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 if os.path.samestat(os.fstat(fd), os.stat(self.path)):
@@ -59,7 +62,7 @@ class SessionLock:
         if fd is None:
             return
         try:
-            self.path.unlink()
+            os.unlink(self.path)
         except FileNotFoundError:
             pass
         finally:

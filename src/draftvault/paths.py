@@ -1,8 +1,12 @@
-"""Naming conventions for the files that accompany a document."""
+"""Naming conventions for the files that accompany a document.
+
+Inside the engine a path is a ``str``.  A public call takes a ``str`` or
+any ``os.PathLike`` and converts it once; ``os`` and ``os.path`` do the
+rest, so a cold command loads no ``pathlib``.
+"""
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 AUTOSAVE_DIR_ENV = "DRAFTVAULT_AUTOSAVE_DIR"
 # The autosave set of a document is ``<doc>`` plus this, in the autosave
@@ -15,41 +19,34 @@ AUTOSAVE_SET_SUFFIX = ".autosave.set"
 STREAMS = ("journal", "autosave", "pp-log", "envelope")
 
 
+def normalize(path: str | os.PathLike) -> str:
+    """``path`` as a str spelled the way ``pathlib`` spells it: ``.``
+    components and repeated or trailing slashes dropped, a leading ``//``
+    kept (POSIX gives it a meaning of its own), ``..`` kept (it may cross
+    a symlink), ``.`` for nothing left.  So ``w/`` still names ``w``, and
+    a path printed back to the user reads as it did."""
+    path = os.fspath(path)
+    head = "//" if path[:2] == "//" and path[2:3] != "/" else path[:1] if path[:1] == "/" else ""
+    return head + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."
+
+
 class DocPaths:
-    """The files that accompany the document at ``doc``."""
+    """The files that accompany the document at ``doc``, a normalized str."""
 
-    __slots__ = ("doc",)
+    def __init__(self, doc: str):
+        self.doc, self.name = doc, os.path.basename(doc)
+        if self.name in ("", "."):  # "", "." or "/": a directory, whose files would be "..journal"
+            raise ValueError(f"{doc!r} names no document file")
+        self.journal, self.pp_log, self.sidecar, self.siglog = (
+            doc + suffix for suffix in (".journal", ".pp", ".session", ".siglog"))
 
-    def __init__(self, doc: Path):
-        self.doc = doc
-
-    @property
-    def name(self) -> str:
-        return self.doc.name
-
-    @property
-    def journal(self) -> Path:
-        return self.doc.with_name(self.doc.name + ".journal")
-
-    @property
-    def pp_log(self) -> Path:
-        return self.doc.with_name(self.doc.name + ".pp")
-
-    @property
-    def sidecar(self) -> Path:
-        return self.doc.with_name(self.doc.name + ".session")
-
-    @property
-    def siglog(self) -> Path:
-        return self.doc.with_name(self.doc.name + ".siglog")
-
-    def autosave_dir(self, configured: Path | None = None) -> Path:
+    def autosave_dir(self, configured=None) -> str:
         """The directory given by the caller, else the one the environment
-        names, else the document's own."""
-        if configured is not None:
-            return Path(configured)
-        return Path(os.environ.get(AUTOSAVE_DIR_ENV) or self.doc.parent)
+        names, else the document's own (``.`` for a bare file name)."""
+        if configured is None:
+            configured = os.environ.get(AUTOSAVE_DIR_ENV) or os.path.dirname(self.doc)
+        return normalize(configured)
 
 
-def for_doc(doc: str | Path) -> DocPaths:
-    return DocPaths(Path(doc))
+def for_doc(doc: str | os.PathLike) -> DocPaths:
+    return DocPaths(normalize(doc))

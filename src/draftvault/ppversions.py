@@ -13,7 +13,7 @@ CRC-32 per frame) with one frame per stored blob, little-endian:
 """
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from . import framelog
 from .errors import NothingToRedo, NothingToUndo, OutOfRange
@@ -55,15 +55,15 @@ class PPVersionLog(FramedLog):
     # -- lifecycle -------------------------------------------------------
 
     @classmethod
-    def create(cls, path: Path, io: FileIO | None = None) -> "PPVersionLog":
-        return cls._create(Path(path), io or FileIO())
+    def create(cls, path: str | os.PathLike, io: FileIO | None = None) -> "PPVersionLog":
+        return cls._create(os.fspath(path), io or FileIO())
 
     @classmethod
-    def open(cls, path: Path, io: FileIO | None = None) -> "PPVersionLog":
+    def open(cls, path: str | os.PathLike, io: FileIO | None = None) -> "PPVersionLog":
         """Reopen an existing log, repairing a torn tail; missing file is
         created fresh.  The cursor is at the newest version."""
         io = io or FileIO()
-        path = Path(path)
+        path = os.fspath(path)
         if not io.exists(path):
             return cls.create(path, io)
         return cls._open(path, io)
@@ -114,10 +114,10 @@ class PPVersionLog(FramedLog):
         return self.current()
 
 
-def recover_pp_log(path: Path, io: FileIO | None = None) -> tuple[PPVersionLog, bool]:
+def recover_pp_log(path: str | os.PathLike, io: FileIO | None = None) -> tuple[PPVersionLog, bool]:
     """Keep the longest prefix of intact versions, truncating the rest;
     same recovery discipline as the change journal.  The cursor is at the
     newest surviving version."""
-    log, truncated = PPVersionLog._load(Path(path), io or FileIO(), repair=True)
+    log, truncated = PPVersionLog._load(os.fspath(path), io or FileIO(), repair=True)
     log.cursor = log.version_count
     return log, truncated

@@ -36,8 +36,8 @@ the file operations that completed.
 """
 from __future__ import annotations
 
+import os
 from collections import namedtuple
-from pathlib import Path
 from types import SimpleNamespace
 
 from .autosave import AutosaveConfig, AutosaveSession
@@ -105,12 +105,12 @@ class ScriptRunner:
 
     def __init__(
         self,
-        doc: Path,
+        doc: str | os.PathLike,
         io: FileIO | None = None,
         autosave: AutosaveConfig | None = None,
         start_time: float = 0.0,
     ):
-        self.doc = Path(doc)
+        self.doc = doc
         self.io = io or FileIO()
         self.autosave_config = autosave
         self.clock = start_time
@@ -122,7 +122,7 @@ class ScriptRunner:
             journal = session.open_journal(drawing)
             saver: AutosaveSession | None = None
             if self.autosave_config is not None:
-                saver = AutosaveSession(self.doc.name, drawing, self.autosave_config, self.io,
+                saver = AutosaveSession(session.paths.name, drawing, self.autosave_config, self.io,
                                         started_at=self.clock)
 
             pending: list[Change] = []

@@ -21,7 +21,7 @@ first use, so a cold command imports only what it touches.
 """
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from .errors import Corrupt
 from .fileio import FileIO
@@ -32,7 +32,7 @@ from .sidecar import SidecarState, read_sidecar, write_sidecar
 
 
 class Session:
-    def __init__(self, doc: str | Path, io: FileIO):
+    def __init__(self, doc: str | os.PathLike, io: FileIO):
         self.paths = for_doc(doc)
         self.io = io
         self._lock = SessionLock(self.paths.doc)

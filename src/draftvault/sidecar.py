@@ -21,14 +21,17 @@ u32 crc``, little-endian:
     positions  per step, by ascending step number:
                u32 step_no | u32 count | count x u32 position
 
-A file that is not exactly two intact frames reads as missing, and so
-does a sidecar of the earlier text layout (``key=value`` lines under a
-banner, then a CRC line).
+A file that is not exactly two intact frames, or whose positions
+entries do not tile their frame exactly, reads as missing, and so does a
+sidecar of the earlier text layout (``key=value`` lines under a banner,
+then a CRC line).  The positions stay the frame's bytes until they are
+first used: a command that only reads or moves a cursor (``history``,
+``pp``) decodes none of them and writes the frame back byte for byte.
 """
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import framelog
@@ -43,38 +46,58 @@ _CURSORS = struct.Struct("<BBqq")
 
 
 class SidecarState(SimpleNamespace):
-    """The cursors, and the positions each step touched by step number."""
+    """The cursors, and the positions each step touched by step number.
+    Read from a file, the positions are ``packed``, the bytes of their
+    frame, until ``positions`` is first used."""
 
     def __init__(self, journal_cursor: int | None = None, pp_cursor: int | None = None,
-                 positions: dict[int, list[int]] | None = None):
-        super().__init__(journal_cursor=journal_cursor, pp_cursor=pp_cursor,
-                         positions={} if positions is None else positions)
+                 positions: dict[int, list[int]] | None = None, packed: bytes = b""):
+        super().__init__(journal_cursor=journal_cursor, pp_cursor=pp_cursor, _positions=positions, _packed=packed)
+
+    @property
+    def positions(self) -> dict[int, list[int]]:
+        if self._positions is None:
+            self._positions = _decode(self._packed, build=True)
+        return self._positions
+
+    @positions.setter
+    def positions(self, positions: dict[int, list[int]]) -> None:
+        self._positions = positions
 
 
-def write_sidecar(path: Path, state: SidecarState, io: FileIO | None = None) -> None:
-    journal, pp = state.journal_cursor, state.pp_cursor
-    flat = []
-    for step_no in sorted(state.positions):
-        flat += (step_no, len(state.positions[step_no]), *state.positions[step_no])
-    payloads = (_CURSORS.pack(journal is not None, pp is not None, journal or 0, pp or 0),
-                struct.pack(f"<{len(flat)}I", *flat))
+def _decode(packed: bytes, build: bool) -> dict[int, list[int]]:
+    """The positions of a frame by step number, left empty without
+    ``build``; ValueError unless its entries tile it exactly, struct.error
+    unless it is whole u32 values."""
+    flat = struct.unpack(f"<{len(packed) // 4}I", packed)
+    positions, i = {}, 0
+    while i + 1 < len(flat):
+        if build:
+            positions[flat[i]] = list(flat[i + 2 : i + 2 + flat[i + 1]])
+        i += 2 + flat[i + 1]
+    if i != len(flat):
+        raise ValueError("positions entries do not tile their frame")
+    return positions
+
+
+def write_sidecar(path: str | os.PathLike, state: SidecarState, io: FileIO | None = None) -> None:
+    """The positions frame is written back as it was read unless
+    ``positions`` was used."""
+    journal, pp, packed, positions = state.journal_cursor, state.pp_cursor, state._packed, state._positions
+    if positions is not None:
+        flat = [v for n in sorted(positions) for v in (n, len(positions[n]), *positions[n])]
+        packed = struct.pack(f"<{len(flat)}I", *flat)
+    payloads = (_CURSORS.pack(journal is not None, pp is not None, journal or 0, pp or 0), packed)
     data = HEADER + b"".join(framelog.encode_frame(framelog.LENGTH_HEAD, payload) for payload in payloads)
     (io or FileIO()).write_atomic(path, data)
 
 
-def read_sidecar(path: Path, io: FileIO | None = None) -> SidecarState:
+def read_sidecar(path: str | os.PathLike, io: FileIO | None = None) -> SidecarState:
     try:
         data = (io or FileIO()).read_bytes(path)
         ((_, cursors), (_, packed)) = framelog.read_frames(data, HEADER, framelog.LENGTH_HEAD)
         has_journal, has_pp, journal, pp = _CURSORS.unpack(cursors)
-        flat = struct.unpack(f"<{len(packed) // 4}I", packed)
+        _decode(packed, build=False)
     except (OSError, BadHeader, Corrupt, ValueError, struct.error):
         return SidecarState()
-    positions, i = {}, 0
-    while i + 1 < len(flat):
-        step_no, count = flat[i], flat[i + 1]
-        positions[step_no] = list(flat[i + 2 : i + 2 + count])
-        i += 2 + count
-    if i != len(flat):
-        return SidecarState()
-    return SidecarState(journal if has_journal else None, pp if has_pp else None, positions)
+    return SidecarState(journal if has_journal else None, pp if has_pp else None, packed=packed)

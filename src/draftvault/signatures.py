@@ -29,12 +29,9 @@ appears once the first signature is added.
 from __future__ import annotations
 
 import enum
-import hashlib
-import hmac
 import os
 import struct
 from collections import namedtuple
-from pathlib import Path
 
 from .errors import (
     BadHeader,
@@ -94,11 +91,16 @@ class SignedEnvelope(namedtuple("SignedEnvelope", "document signatures", default
         return [record.signer_id for record in self.signatures]
 
 
-def _derive_key(password: str, salt: bytes) -> bytes:
-    return hashlib.pbkdf2_hmac("sha256", password.encode(), salt, PBKDF2_ITERATIONS, dklen=32)
+# ``hashlib`` and ``hmac`` are imported by the calls that take a digest,
+# so that a command that takes none (undo, redo, history, pp, unsign)
+# loads no OpenSSL.
 
 
-def _compute_tag(key: bytes, doc_digest: bytes, signer_id: str, signed_at: int) -> bytes:
+def _compute_tag(password: str, salt: bytes, doc_digest: bytes, signer_id: str, signed_at: int) -> bytes:
+    import hashlib
+    import hmac
+
+    key = hashlib.pbkdf2_hmac("sha256", password.encode(), salt, PBKDF2_ITERATIONS, dklen=32)
     message = doc_digest + signer_id.encode() + struct.pack("<Q", signed_at)
     return hmac.new(key, message, hashlib.sha256).digest()
 
@@ -116,6 +118,8 @@ def sign(
     rejected until all signatures are removed.  The salt is 16 fresh bytes
     from ``os.urandom`` unless the caller passes one.
     """
+    import hashlib
+
     if not password:
         raise WeakPassword("empty password")
     if not signer_id:
@@ -129,7 +133,7 @@ def sign(
     if any(record.salt == salt for record in env.signatures):
         raise ValueError("salt already used by another signature on this document")
     doc_digest = hashlib.sha256(env.document).digest()
-    tag = _compute_tag(_derive_key(password, salt), doc_digest, signer_id, signed_at)
+    tag = _compute_tag(password, salt, doc_digest, signer_id, signed_at)
     record = SignatureRecord(signer_id, signed_at, salt, doc_digest, tag)
     return env._replace(signatures=env.signatures + (record,))
 
@@ -143,6 +147,8 @@ def guard_edit(env: SignedEnvelope) -> EditGuard:
 def verify_integrity(env: SignedEnvelope) -> list[tuple[str, IntegrityStatus]]:
     """Per-signature check that the document still matches what was signed.
     Needs no passwords."""
+    import hashlib
+
     current = hashlib.sha256(env.document).digest()
     return [
         (
@@ -155,14 +161,11 @@ def verify_integrity(env: SignedEnvelope) -> list[tuple[str, IntegrityStatus]]:
 
 def authenticate_signature(env: SignedEnvelope, signer_id: str, password: str) -> AuthResult:
     """Check a password against a signature record; outcomes are values."""
+    import hmac
+
     for record in env.signatures:
         if record.signer_id == signer_id:
-            tag = _compute_tag(
-                _derive_key(password, record.salt),
-                record.doc_digest,
-                record.signer_id,
-                record.signed_at,
-            )
+            tag = _compute_tag(password, record.salt, record.doc_digest, record.signer_id, record.signed_at)
             if hmac.compare_digest(tag, record.auth_tag):
                 return AuthResult.AUTHENTIC
             return AuthResult.BAD_PASSWORD
@@ -232,7 +235,7 @@ def parse_envelope(data: bytes) -> SignedEnvelope:
 # -- documents on disk --------------------------------------------------------
 
 
-def _read_document(path: Path, io: FileIO) -> tuple[SignedEnvelope, bool]:
+def _read_document(path: str | os.PathLike, io: FileIO) -> tuple[SignedEnvelope, bool]:
     """Read a document file once: its envelope, and whether the file is a
     bare drawing whose structure is still unchecked.  BadHeader for any
     other magic."""
@@ -244,7 +247,7 @@ def _read_document(path: Path, io: FileIO) -> tuple[SignedEnvelope, bool]:
     raise BadHeader(f"{path} is neither a drawing nor an envelope")
 
 
-def load_document(path: Path, io: FileIO | None = None) -> SignedEnvelope:
+def load_document(path: str | os.PathLike, io: FileIO | None = None) -> SignedEnvelope:
     """Read a document file: a bare drawing is an unsigned envelope, an
     envelope file carries its signatures along."""
     env, bare = _read_document(path, io or FileIO())
@@ -253,21 +256,20 @@ def load_document(path: Path, io: FileIO | None = None) -> SignedEnvelope:
     return env
 
 
-def load_editable(path: Path, io: FileIO | None = None) -> model.Drawing:
+def load_editable(path: str | os.PathLike, io: FileIO | None = None) -> model.Drawing:
     """Open a document for editing: its drawing, named after the file, or
     an empty one if the file does not exist yet.  Raises DocumentFrozen
     while the document is signed, Corrupt or BadHeader when it is damaged."""
-    path = Path(path)
     try:
         env, _ = _read_document(path, io or FileIO())
     except FileNotFoundError:
-        return model.Drawing(name=path.stem)
+        return model.Drawing(name=os.path.splitext(os.path.basename(path))[0])
     if guard_edit(env) is EditGuard.LOCKED:
         raise DocumentFrozen(f"{path} is signed; remove all signatures to edit it")
-    return model.Drawing.from_canonical_bytes(env.document, name=path.stem)
+    return model.Drawing.from_canonical_bytes(env.document, name=os.path.splitext(os.path.basename(path))[0])
 
 
-def save_document(path: Path, env: SignedEnvelope, io: FileIO | None = None) -> None:
+def save_document(path: str | os.PathLike, env: SignedEnvelope, io: FileIO | None = None) -> None:
     """Persist a document, enforcing the freeze.
 
     This is the single choke point through which document bytes reach
@@ -282,7 +284,6 @@ def save_document(path: Path, env: SignedEnvelope, io: FileIO | None = None) -> 
     damaged signed envelope from being overwritten as if it were unsigned.
     """
     io = io or FileIO()
-    path = Path(path)
     if io.exists(path):
         existing = load_document(path, io)
         if existing.signatures and env.document != existing.document:
@@ -293,7 +294,8 @@ def save_document(path: Path, env: SignedEnvelope, io: FileIO | None = None) -> 
         io.write_atomic(path, env.document)
 
 
-def append_audit(siglog: Path, when: str, signer_id: str, remaining: int, io: FileIO | None = None) -> None:
+def append_audit(siglog: str | os.PathLike, when: str, signer_id: str, remaining: int,
+                 io: FileIO | None = None) -> None:
     """Record a signature removal in the plaintext audit log."""
     io = io or FileIO()
     line = f"{when}\tUNSIGNED\tsigner={signer_id}\tremaining={remaining}\n"

@@ -13,6 +13,7 @@ import hashlib
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -348,7 +349,7 @@ def test_backup_delta_exactness(tmp_path):
             copied = {rel.split("/", 1)[1] for _, rel in backup_set.copied}
             assert copied == expected_delta, f"round {round_no}"
             for source, rel in backup_set.copied:
-                assert (backup_set.dir / rel).read_bytes() == source.read_bytes()
+                assert (Path(backup_set.dir) / rel).read_bytes() == Path(source).read_bytes()
             # at most one backup per day
             assert not backup_due(config, manifest, today)
             again, manifest_after = run_backup(config, manifest, today) if False else (None, manifest)

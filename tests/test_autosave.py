@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +45,7 @@ class CountingIO(FileIO):
 
     def _note(self, op, path):
         if ".autosave." in str(path):
-            self.ops.append((op, path.name))
+            self.ops.append((op, os.path.basename(path)))
 
     def read_bytes(self, path):
         self._note("read", path)
@@ -79,7 +81,7 @@ def test_tick_saves_after_interval(tmp_path):
     session, _ = make_session(tmp_path)
     saved = session.autosave_tick(301.0)
     assert saved is not None
-    assert saved.path == tmp_path / SET
+    assert Path(saved.path) == tmp_path / SET
     assert autosave_files(tmp_path) == [SET]
 
 

@@ -87,7 +87,7 @@ def test_first_backup_copies_everything(setup):
     files = {"a.tcgd": b"AAA", "sub/b.tcgd": b"BBB"}
     make_tree(work, files)
     backup_set, manifest = run_backup(config, BackupManifest(), MON)
-    assert backup_set.dir == vault / "2026-08-03"
+    assert Path(backup_set.dir) == vault / "2026-08-03"
     assert sorted(rel for _, rel in backup_set.copied) == ["work/a.tcgd", "work/sub/b.tcgd"]
     for rel, data in files.items():
         assert (vault / "2026-08-03" / "work" / rel).read_bytes() == data
@@ -126,8 +126,8 @@ def test_copies_are_byte_identical(setup, rng):
     make_tree(work, files)
     backup_set, _ = run_backup(config, BackupManifest(), MON)
     for source, rel in backup_set.copied:
-        assert hashlib.sha256((backup_set.dir / rel).read_bytes()).digest() == \
-            hashlib.sha256(source.read_bytes()).digest()
+        assert hashlib.sha256((Path(backup_set.dir) / rel).read_bytes()).digest() == \
+            hashlib.sha256(Path(source).read_bytes()).digest()
 
 
 def test_deleted_files_leave_manifest(setup):
@@ -237,7 +237,7 @@ def test_config_file_parsing(tmp_path):
     )
     config = parse_config(cfg)
     assert config.weekdays == frozenset({0, 4})
-    assert config.watch_roots == (__import__("pathlib").Path("/data/a"), __import__("pathlib").Path("/data/b"))
+    assert tuple(map(Path, config.watch_roots)) == (Path("/data/a"), Path("/data/b"))
     bad = tmp_path / "bad.cfg"
     bad.write_text("weekdays = mon\n")
     with pytest.raises(Corrupt):
@@ -296,3 +296,61 @@ def test_a_bad_relpath_field_is_corrupt(tmp_path, field):
     (tmp_path / "manifest.txt").write_text(f"{'ab' * 32}\t{field}\nlast_backup=2026-08-03\n")
     with pytest.raises(Corrupt, match="malformed manifest line"):
         load_manifest(tmp_path)
+
+
+# -- how a watch tree is read: pinned behaviour of the path handling ----------------
+
+
+def _config_run(tmp_path, monkeypatch, watch_root: str, vault: str) -> dict:
+    """One backup of ``watch_root`` (as the config file spells it, relative
+    to ``tmp_path``) into ``vault``; the manifest it leaves."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / f"{vault}.cfg"
+    cfg.write_text(f"weekdays = mon\nwatch_root = {watch_root}\nvault_root = {vault}\n")
+    config = parse_config(cfg)
+    run_backup(config, load_manifest(config.vault_root), MON)
+    return load_manifest(tmp_path / vault).entries
+
+
+def test_a_watch_root_spelled_with_a_slash_or_dot_keeps_its_label(tmp_path, monkeypatch):
+    make_tree(tmp_path / "w", {"a.tcgd": b"1", "sub/b.tcgd": b"2"})
+    plain = _config_run(tmp_path, monkeypatch, "w", "v1")
+    assert sorted(plain) == ["w/a.tcgd", "w/sub/b.tcgd"]
+    assert _config_run(tmp_path, monkeypatch, "w/", "v2") == plain
+    assert _config_run(tmp_path, monkeypatch, "./w", "v3") == plain
+    assert _config_run(tmp_path, monkeypatch, ".//w/./", "v4") == plain
+
+
+def test_symlinks_are_skipped_and_dotfiles_copied(setup, tmp_path):
+    """A symlinked file and a symlinked directory under a watch root are
+    not copied, nor is the directory entered; a dotfile is copied."""
+    work, _, config = setup
+    make_tree(work, {"a.tcgd": b"1", ".hidden.tcgd": b"2", ".dot/c.tcgd": b"3"})
+    make_tree(tmp_path / "outside", {"o.tcgd": b"4"})
+    (work / "link.tcgd").symlink_to(work / "a.tcgd")
+    (work / "linkdir").symlink_to(tmp_path / "outside", target_is_directory=True)
+    (work / "broken.tcgd").symlink_to(tmp_path / "nowhere")
+    backup_set, manifest = run_backup(config, BackupManifest(), MON)
+    assert sorted(rel for _, rel in backup_set.copied) == ["work/.dot/c.tcgd", "work/.hidden.tcgd", "work/a.tcgd"]
+    assert sorted(manifest.entries) == ["work/.dot/c.tcgd", "work/.hidden.tcgd", "work/a.tcgd"]
+
+
+def test_files_are_copied_in_the_order_of_their_path_components(setup):
+    """``a/b`` comes before ``a-b``: the walk sorts by component, not by the
+    path as one string (where ``-`` sorts before ``/``)."""
+    work, _, config = setup
+    make_tree(work, {"a-b": b"1", "a/b": b"2", "a/c/d": b"3", "a.x": b"4", "b": b"5"})
+    backup_set, _ = run_backup(config, BackupManifest(), MON)
+    assert [rel for _, rel in backup_set.copied] == ["work/a/b", "work/a/c/d", "work/a-b", "work/a.x", "work/b"]
+
+
+def test_two_runs_over_one_tree_write_the_same_manifest(tmp_path):
+    work = tmp_path / "work"
+    make_tree(work, {"b": b"1", "a-b": b"2", "a/b": b"3", ".z": b"4", "sub/deeper/x.tcgd": b"5"})
+    manifests = []
+    for vault in (tmp_path / "v1", tmp_path / "v2"):
+        config = BackupConfig(weekdays=parse_weekdays("mon"), watch_roots=(work,), vault_root=vault)
+        run_backup(config, BackupManifest(), MON)
+        manifests.append((vault / "manifest.txt").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert manifests[0].count(b"\n") == 6

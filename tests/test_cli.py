@@ -1,19 +1,20 @@
 import importlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from draftvault import model
+from draftvault import framelog, model, sidecar as sidecar_mod
 from draftvault.autosave import AutosaveConfig, AutosaveSession
 from draftvault.cli import main
 from draftvault.fileio import FileIO
 from draftvault.locks import SessionLock
 from draftvault.model import Drawing
 from draftvault.ppversions import recover_pp_log
-from draftvault.sidecar import SidecarState, write_sidecar
+from draftvault.sidecar import SidecarState, read_sidecar, write_sidecar
 
 from conftest import dies_after_step
 from test_signatures import envelope_with_raw_signer
@@ -289,8 +290,27 @@ EARLIER_TEXT = bytes.fromhex(
 )
 
 
-@pytest.mark.parametrize("lose", [lambda p: p.unlink(), _damage, lambda p: p.write_bytes(EARLIER_TEXT)],
-                         ids=["lost", "damaged", "earlier-text"])
+def _sidecar_frames(sidecar) -> tuple[bytes, bytes]:
+    """The cursor frame's and the positions frame's payloads."""
+    ((_, cursors), (_, packed)) = framelog.read_frames(sidecar.read_bytes(), sidecar_mod.HEADER,
+                                                       framelog.LENGTH_HEAD)
+    return cursors, packed
+
+
+def _write_sidecar_frames(sidecar, cursors: bytes, packed: bytes) -> None:
+    sidecar.write_bytes(sidecar_mod.HEADER + framelog.encode_frame(framelog.LENGTH_HEAD, cursors)
+                        + framelog.encode_frame(framelog.LENGTH_HEAD, packed))
+
+
+def _untile(sidecar):
+    """A sidecar whose frames are intact, but whose positions entries do
+    not tile their frame: one u32 follows the last entry."""
+    cursors, packed = _sidecar_frames(sidecar)
+    _write_sidecar_frames(sidecar, cursors, packed + struct.pack("<I", 7))
+
+
+@pytest.mark.parametrize("lose", [lambda p: p.unlink(), _damage, lambda p: p.write_bytes(EARLIER_TEXT), _untile],
+                         ids=["lost", "damaged", "earlier-text", "untiled"])
 def test_undo_without_a_cursor_is_refused(doc, capsys, lose):
     """At state 2 of 3 the cursor cannot be told from the journal: a guess
     at step 3 undoes the second ``aa`` and leaves ``[bb]``, a drawing the
@@ -311,6 +331,52 @@ def test_undo_without_a_cursor_is_refused(doc, capsys, lose):
     assert out.splitlines()[-2:] == ["cursor unknown: d.tcgd.session is missing or damaged",
                                      "3 step(s) in session journal"]
     assert len([line for line in out.splitlines() if line.startswith("step ")]) == 3
+
+
+def test_pp_writes_the_positions_frame_back_byte_for_byte(doc, capsys):
+    """``pp jump`` moves the blob cursor and leaves the positions frame as
+    it found it, even in an order the writer would not choose (last step
+    first); ``undo`` still reads it."""
+    run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+    for data in ("aa", "bb"):
+        run(["pp", "commit", doc, "--data", data], capsys)
+    sidecar = doc.with_name("d.tcgd.session")
+    positions = read_sidecar(sidecar).positions
+    assert sorted(positions) == [1, 2, 3]
+    packed = b"".join(struct.pack(f"<II{len(p)}I", n, len(p), *p) for n, p in sorted(positions.items())[::-1])
+    _write_sidecar_frames(sidecar, _sidecar_frames(sidecar)[0], packed)
+    code, out, _ = run(["pp", "jump", doc, "--to", "1"], capsys)
+    assert code == 0 and "at version 1 of 2" in out
+    assert _sidecar_frames(sidecar)[1] == packed
+    state = read_sidecar(sidecar)
+    assert (state.journal_cursor, state.pp_cursor, state.positions) == (3, 1, positions)
+    code, out, _ = run(["undo", doc], capsys)
+    assert code == 0 and "cursor at 2 of 3" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["edit", "{doc}", "--script", "{script}"], ["pp", "commit", "{doc}", "--data", "aa"],
+    ["sign", "{doc}", "--signer", "eng"],
+], ids=["edit", "pp-commit", "sign"])
+def test_a_document_in_a_missing_directory_is_named_in_the_error(tmp_path, capsys, monkeypatch, argv):
+    """The error names the document the user gave, not its lock file."""
+    monkeypatch.setenv("DRAFTVAULT_PASSWORD", "pw")
+    (tmp_path / "edit.txt").write_text(SCRIPT)
+    doc = tmp_path / "missingdir" / "x.tcgd"
+    code, out, err = run([a.format(doc=doc, script=tmp_path / "edit.txt") for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot lock {doc}: No such file or directory\n"
+    assert not (tmp_path / "missingdir").exists()
+
+
+@pytest.mark.parametrize("path", ["", ".", "/"])
+def test_a_document_path_that_names_no_file_is_refused(tmp_path, monkeypatch, path):
+    """A path with no file name is refused before anything is made beside
+    it (a blob log named ``..pp``, say)."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError):
+        main(["pp", "commit", path, "--data", "aa"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_lock_file_left_by_a_crash_does_not_hold(doc, capsys):
@@ -596,7 +662,7 @@ def test_writing_command_locks_once_and_reads_each_file_once(doc, capsys, monkey
     acquire = SessionLock.acquire
 
     def counting_acquire(lock):
-        calls.append(lock.path.name)
+        calls.append(os.path.basename(lock.path))
         return acquire(lock)
 
     monkeypatch.setattr(SessionLock, "acquire", counting_acquire)
@@ -716,6 +782,22 @@ def test_recover_autosave_dir_wins_over_the_environment(doc, capsys):
     assert code == 0 and "autosave set found for d.tcgd" in out
     code, out, _ = run(["recover", doc], capsys)
     assert code == 0 and "no autosave found" in out
+
+
+def test_recover_from_the_documents_directory_looks_in_dot(tmp_path, capsys, monkeypatch):
+    """``recover d.tcgd``, run where the document lies and with no autosave
+    directory configured, looks for the set in ``.``."""
+    monkeypatch.delenv("DRAFTVAULT_AUTOSAVE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    saver = AutosaveSession("d.tcgd", Drawing(elements=[model.ElementPayload(1, b"\xaa")]),
+                            AutosaveConfig(1.0, tmp_path))
+    assert saver.autosave_tick(1.0) is not None  # and never shut down: the set stays behind
+    code, out, _ = run(["recover", "d.tcgd"], capsys)
+    assert code == 0 and "autosave set found for d.tcgd" in out
+    code, out, _ = run(["recover", "./d.tcgd", "--apply"], capsys)
+    assert code == 0 and out.endswith("restored d.tcgd\n")
+    assert _elements(tmp_path / "d.tcgd") == ["aa"]
+    assert not (tmp_path / "d.tcgd.autosave.set").exists()
 
 
 def test_sign_reads_the_password_before_it_takes_the_lock(doc, capsys, monkeypatch):

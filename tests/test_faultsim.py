@@ -198,7 +198,7 @@ def test_sweep_autosave_stream(tmp_path):
     found = set()
     for offset in range(len(reports)):
         aset = probe_recovery(tmp_path / f"k{offset}", "d.tcgd")
-        found.add(aset and aset.path.read_bytes())
+        found.add(aset and Path(aset.path).read_bytes())
     assert found == committed | {None}
 
 

@@ -272,13 +272,13 @@ def _autosave_set(tmp_path):
     session = AutosaveSession("d.tcgd", drawing, AutosaveConfig(1.0, tmp_path))
     session.set_current_pp(b"blob")
     session.autosave_tick(1.0)
-    data = session.path.read_bytes()
+    data = Path(session.path).read_bytes()
     assert probe_recovery(tmp_path, "d.tcgd").pp_size == 4
 
     def refused(bad):
-        session.path.write_bytes(bad)
+        Path(session.path).write_bytes(bad)
         assert probe_recovery(tmp_path, "d.tcgd") is None
-        assert not session.path.exists()  # collected
+        assert not Path(session.path).exists()  # collected
 
     return data, HEADS[b"TCGP"], refused
 

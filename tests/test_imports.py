@@ -119,8 +119,12 @@ def test_cold_recover_loads_no_uuid(tmp_path):
 
 # Stdlib modules that no command needs at start-up: ``dataclasses`` pulls
 # in ``inspect`` (and ``ast``, ``dis``, ``tokenize``), ``argparse`` pulls in
-# ``gettext``, ``locale`` and ``shutil``.
-UNNEEDED = ["argparse", "dataclasses", "inspect", "gettext", "locale", "shutil"]
+# ``gettext``, ``locale`` and ``shutil``, ``pathlib`` pulls in ``re``,
+# ``fnmatch``, ``urllib.parse`` and ``ipaddress``.
+UNNEEDED = ["argparse", "dataclasses", "inspect", "gettext", "locale", "shutil",
+            "pathlib", "re", "fnmatch", "urllib.parse", "ipaddress"]
+# What a command that takes no digest leaves unloaded: OpenSSL's bindings.
+DIGESTS = ["hashlib", "hmac", "_hashlib"]
 
 
 def _cold(argv, cwd) -> tuple[subprocess.CompletedProcess, set]:
@@ -137,20 +141,34 @@ def _cold(argv, cwd) -> tuple[subprocess.CompletedProcess, set]:
     return proc, imported
 
 
-def test_no_module_imports_argparse_or_dataclasses():
+def _imports(top_level: tuple[str, ...]) -> list[tuple[str, str]]:
+    """``(file, module)`` for each import, at any depth, of a module
+    under one of ``top_level`` by a module of the package."""
     found = []
     for source in sorted(Path(draftvault.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text())):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
                 [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
-            found += [(source.name, n) for n in names if n.split(".")[0] in ("argparse", "dataclasses")]
-    assert found == []
+            found += [(source.name, n) for n in names if n.split(".")[0] in top_level]
+    return found
+
+
+def test_no_module_imports_argparse_or_dataclasses():
+    assert _imports(("argparse", "dataclasses")) == []
+
+
+def test_only_the_crash_harness_imports_pathlib():
+    """Inside the engine a path is a str; ``faultsim`` (``crash-sim`` and
+    the tests) keeps ``pathlib``."""
+    assert {source for source, _ in _imports(("pathlib",))} == {"faultsim.py"}
 
 
 def test_cold_commands_load_no_unneeded_module(tmp_path):
     """The commands of a cold session, in the benchmark's order, and
-    ``autosave-run``: none loads a module of ``UNNEEDED``, and none that
-    emits no warning loads ``logging``."""
+    ``autosave-run``: none loads a module of ``UNNEEDED``, none that
+    emits no warning loads ``logging``, and those that take no digest
+    (``undo``, ``redo``, ``history``, ``pp jump``, ``unsign``) load no
+    ``hashlib`` or ``hmac``."""
     from draftvault.autosave import AutosaveConfig, AutosaveSession
     from draftvault.cli import main
     from draftvault.model import Drawing, ElementPayload
@@ -167,24 +185,25 @@ def test_cold_commands_load_no_unneeded_module(tmp_path):
     (tmp_path / "b.cfg").write_text(f"weekdays = mon,tue,wed,thu,fri,sat,sun\n"
                                     f"watch_root = {tmp_path / 'w'}\nvault_root = {tmp_path / 'v'}\n")
     now = ["--now", "2026-01-05T12:00:00"]
-    for argv, expected in (
-        (["undo", doc], "cursor at 1 of 2"),
-        (["redo", doc], "cursor at 2 of 2"),
-        (["history", doc], "2 step(s) in session journal"),
-        (["verify", doc], "d.tcgd carries no signatures"),
-        (["sign", doc, "--signer", "eng", *now], "signed by eng"),
-        (["verify", doc], "eng: intact"),
-        (["unsign", doc, "--signer", "eng", *now], "signature of eng removed"),
-        (["recover", doc], "autosave set found for d.tcgd"),
-        (["pp", "jump", doc, "--to", "1"], "at version 1 of 2: aa"),
-        (["backup", "--config", tmp_path / "b.cfg", "--today", "2026-01-05"], "backed up 1 file(s)"),
+    for argv, expected, digests in (
+        (["undo", doc], "cursor at 1 of 2", False),
+        (["redo", doc], "cursor at 2 of 2", False),
+        (["history", doc], "2 step(s) in session journal", False),
+        (["verify", doc], "d.tcgd carries no signatures", True),
+        (["sign", doc, "--signer", "eng", *now], "signed by eng", True),
+        (["verify", doc], "eng: intact", True),
+        (["unsign", doc, "--signer", "eng", *now], "signature of eng removed", False),
+        (["recover", doc], "autosave set found for d.tcgd", True),
+        (["pp", "jump", doc, "--to", "1"], "at version 1 of 2: aa", False),
+        (["backup", "--config", tmp_path / "b.cfg", "--today", "2026-01-05"], "backed up 1 file(s)", True),
         (["autosave-run", tmp_path / "e.tcgd", "--script", tmp_path / "s.txt", "--interval", "1", *now],
-         "committed 2 step(s)"),
+         "committed 2 step(s)", True),
     ):
         proc, imported = _cold(argv, tmp_path)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
         assert expected in proc.stdout, argv
         assert [m for m in [*UNNEEDED, "logging"] if m in imported] == [], argv
+        assert digests or [m for m in DIGESTS if m in imported] == [], argv
 
 
 def test_a_cold_warning_reaches_stderr(tmp_path):
@@ -196,5 +215,6 @@ def test_a_cold_warning_reaches_stderr(tmp_path):
     assert proc.returncode == 0 and "no autosave found for d.tcgd" in proc.stdout
     assert proc.stderr.startswith(f"discarding invalid autosave set {bad}: ")
     assert proc.stderr.count("\n") == 1
-    assert "logging" in imported and [m for m in UNNEEDED if m in imported] == []
+    # ``logging`` itself imports ``re``
+    assert "logging" in imported and [m for m in UNNEEDED if m in imported and m != "re"] == []
     assert not bad.exists()

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -122,23 +123,23 @@ def test_commit_empty_step_rejected(session):
 def test_commit_rejects_malformed_change_untouched(session, change, error):
     journal, drawing = session
     journal.commit_step(drawing, [(FLAG_ADDED, A)])
-    file_before = journal.path.read_bytes()
+    file_before = Path(journal.path).read_bytes()
     with pytest.raises(error):
         journal.commit_step(drawing, [(FLAG_ADDED, B), change])
     assert drawing.elements == [A] and drawing.revision == 1
     assert journal.cursor == 1 and journal.step_count == 1
-    assert journal.path.read_bytes() == file_before
+    assert Path(journal.path).read_bytes() == file_before
 
 
 def test_commit_missing_delete_aborts_cleanly(session):
     journal, drawing = session
     journal.commit_step(drawing, [(FLAG_ADDED, A)])
-    file_before = journal.path.read_bytes()
+    file_before = Path(journal.path).read_bytes()
     with pytest.raises(NotFound):
         journal.commit_step(drawing, [(FLAG_DELETED, B), (FLAG_ADDED, C)])
     assert drawing.elements == [A]
     assert journal.cursor == 1
-    assert journal.path.read_bytes() == file_before
+    assert Path(journal.path).read_bytes() == file_before
 
 
 def test_commit_after_undo_truncates_redo_tail(session):
@@ -416,7 +417,7 @@ def test_file_size_is_linear_in_payload_bytes(session):
     for i, p in enumerate(payloads, 1):
         journal.commit_step(drawing, [(FLAG_ADDED, p)])
         expected += (RECORD_OVERHEAD + len(p.data)) + RECORD_OVERHEAD
-        assert journal.path.stat().st_size == expected
+        assert Path(journal.path).stat().st_size == expected
 
 
 def _reference_last_index(work, payload):
@@ -555,13 +556,13 @@ def test_append_failure_rolls_back_the_same_objects(tmp_path):
     journal = Journal.begin_session(drawing, tmp_path / "j", io)
     journal.commit_step(drawing, [(FLAG_DELETED, B), (FLAG_ADDED, C)])  # builds the mirror
     before, revision = list(drawing.elements), drawing.revision
-    file_before = journal.path.read_bytes()
+    file_before = Path(journal.path).read_bytes()
     io.fail = True
     with pytest.raises(IoFailure):
         journal.commit_step(drawing, [(FLAG_DELETED, ElementPayload(1, b"dup")), (FLAG_ADDED, B), (FLAG_DELETED, A)])
     assert _same_objects(drawing.elements, before) and drawing.elements[2] is last
     assert drawing.revision == revision and journal.cursor == 1 and journal.step_count == 1
-    assert journal.path.read_bytes() == file_before
+    assert Path(journal.path).read_bytes() == file_before
     assert drawing._mirror is not None
     assert_mirror_in_step(drawing)
     journal.close()

@@ -35,13 +35,13 @@ def _take(lock: SessionLock) -> None:
 def test_a_lock_file_naming_a_live_pid_is_taken(tmp_path, pid):
     """A pid reused after a crash or a power cut does not lock the user out."""
     target = tmp_path / "d.tcgd"
-    lock_path_for(target).write_text(f"pid={pid}\n")
+    Path(lock_path_for(target)).write_text(f"pid={pid}\n")
     with SessionLock(target) as lock:
         assert lock.held
         with pytest.raises(Locked):
             SessionLock(target).acquire()
     assert not lock.held
-    assert not lock_path_for(target).exists()
+    assert not Path(lock_path_for(target)).exists()
 
 
 class _Interleaver:
@@ -88,7 +88,7 @@ def test_two_takers_interleaved_at_every_call_leave_one_holder(tmp_path, monkeyp
     interleave = _Interleaver(monkeypatch)
     at = 1
     while True:
-        lock_path_for(target).write_text(f"pid={DEAD_PID}\n")  # left behind by a crash
+        Path(lock_path_for(target)).write_text(f"pid={DEAD_PID}\n")  # left behind by a crash
         first, second, third = SessionLock(target), SessionLock(target), SessionLock(target)
 
         def other():
@@ -135,6 +135,6 @@ def test_a_killed_holder_leaves_the_lock_free(tmp_path):
     finally:
         child.kill()
         child.communicate(timeout=WAIT_S)
-    assert lock_path_for(target).exists()  # left behind, and no longer held
+    assert Path(lock_path_for(target)).exists()  # left behind, and no longer held
     with SessionLock(target) as lock:
         assert lock.held
