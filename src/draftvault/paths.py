@@ -23,8 +23,8 @@ def normalize(path: str | os.PathLike) -> str:
     """``path`` as a str spelled the way ``pathlib`` spells it: ``.``
     components and repeated or trailing slashes dropped, a leading ``//``
     kept (POSIX gives it a meaning of its own), ``..`` kept (it may cross
-    a symlink), ``.`` for nothing left.  So ``w/`` still names ``w``, and
-    a path printed back to the user reads as it did."""
+    a symlink), ``.`` for nothing left.  So ``w/`` names ``w``, and
+    ``./d.tcgd`` is printed back as ``d.tcgd``."""
     path = os.fspath(path)
     head = "//" if path[:2] == "//" and path[2:3] != "/" else path[:1] if path[:1] == "/" else ""
     return head + "/".join(part for part in path.split("/") if part not in ("", ".")) or "."

@@ -321,6 +321,15 @@ def test_a_watch_root_spelled_with_a_slash_or_dot_keeps_its_label(tmp_path, monk
     assert _config_run(tmp_path, monkeypatch, ".//w/./", "v4") == plain
 
 
+def test_a_watch_root_of_dot_is_labelled_root(tmp_path, monkeypatch):
+    make_tree(tmp_path / "w", {"a.tcgd": b"1"})
+    monkeypatch.chdir(tmp_path / "w")
+    config = BackupConfig(weekdays=parse_weekdays("mon"), watch_roots=(Path("."),), vault_root=tmp_path / "v")
+    backup_set, manifest = run_backup(config, BackupManifest(), MON)
+    assert sorted(manifest.entries) == ["root/a.tcgd"]
+    assert (tmp_path / "v" / "2026-08-03" / "root" / "a.tcgd").read_bytes() == b"1"
+
+
 def test_symlinks_are_skipped_and_dotfiles_copied(setup, tmp_path):
     """A symlinked file and a symlinked directory under a watch root are
     not copied, nor is the directory entered; a dotfile is copied."""
