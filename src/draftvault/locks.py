@@ -23,12 +23,12 @@ from .errors import IoFailure, Locked
 LOCK_SUFFIX = ".lock"
 
 
-def lock_path_for(path) -> str:
+def lock_path_for(path: str | os.PathLike) -> str:
     return os.fspath(path) + LOCK_SUFFIX
 
 
 class SessionLock:
-    def __init__(self, target):
+    def __init__(self, target: str | os.PathLike):
         self.path = lock_path_for(target)
         self._fd: int | None = None
 
