@@ -18,6 +18,7 @@ _EXPORTS = {
     "backup": ("BackupConfig", "BackupManifest", "BackupSet", "backup_due", "run_backup"),
     "errors": (
         "BadHeader",
+        "BadPath",
         "Corrupt",
         "DocumentFrozen",
         "DraftVaultError",

@@ -22,6 +22,10 @@ class NotFound(DraftVaultError):
     exit_code = 3
 
 
+class BadPath(DraftVaultError, ValueError):
+    """A path that names no document file ("", "." or "/")."""
+
+
 class NothingToUndo(DraftVaultError):
     pass
 

@@ -129,7 +129,8 @@ class FramedLog:
     prefix, the offset just past each one, and the end of that prefix.
     The loaded bytes stay in ``_data`` and ``_ends`` marks where each
     entry lies in them, so an entry may be decoded lazily, when it is
-    first used.
+    first used.  ``_tail_crc`` is the stored CRC of the file's last frame,
+    empty when the file has none or it is not known.
     """
 
     HEADER: bytes
@@ -141,10 +142,12 @@ class FramedLog:
         self._entries: list = []
         self._ends: list[int] = []  # file offset just past each entry
         self._data = b""  # the bytes the entries were loaded from
+        self._tail_crc = b""
         self.cursor = 0
 
     @classmethod
-    def _parse(cls, data: bytes) -> tuple[list, list[int], int]:
+    def _parse(cls, data: bytes, *hint) -> tuple[list, list[int], int]:
+        """``hint``: what ``_open`` was given to speed the scan up."""
         raise NotImplementedError
 
     # -- lifecycle -------------------------------------------------------
@@ -165,27 +168,34 @@ class FramedLog:
         return cls(path, io, lock)
 
     @classmethod
-    def _open(cls, path: str, io: FileIO, cursor: int | None = None):
-        """Take the session lock and load the file, repairing a torn tail;
-        the cursor is fitted to the surviving entries by clamp_cursor."""
+    def _open(cls, path: str, io: FileIO, cursor: int | None = None, *hint):
+        """Take the session lock and load the file, repairing a torn tail.
+        The cursor is fitted to the surviving entries by clamp_cursor, but
+        one past them raises Corrupt, and the file is left as it is: it
+        lost entries that an earlier process had reached."""
         lock = SessionLock(path).acquire()
         try:
-            log, _ = cls._load(path, io, repair=True)
+            log, truncated = cls._load(path, io, False, *hint)
+            count = len(log._entries)
+            if cursor is not None and cursor > count:
+                raise Corrupt(f"{path}: only {count} of the {cursor} entries its session reached are intact")
+            if truncated:
+                io.truncate(path, log._prefix_end(count))
         except BaseException:
             lock.release()
             raise
         log._lock = lock
-        log.cursor = clamp_cursor(cursor, len(log._entries))
+        log.cursor = clamp_cursor(cursor, count)
         return log
 
     @classmethod
-    def _load(cls, path: str, io: FileIO, repair: bool):
+    def _load(cls, path: str, io: FileIO, repair: bool, *hint):
         """Parse the longest valid prefix; with ``repair`` the file is
         truncated to it.  Returns the log (cursor 0, no lock) and whether
         trailing bytes were dropped."""
         data = io.read_bytes(path)
         try:
-            entries, ends, valid_end = cls._parse(data)
+            entries, ends, valid_end = cls._parse(data, *hint)
         except BadHeader as exc:
             raise BadHeader(f"{path}: {exc}") from exc
         truncated = valid_end < len(data)
@@ -195,6 +205,8 @@ class FramedLog:
         log._entries = entries
         log._ends = ends
         log._data = data
+        if ends:
+            log._tail_crc = data[valid_end - CRC_LEN : valid_end]
         return log, truncated
 
     def close(self) -> None:
@@ -218,6 +230,7 @@ class FramedLog:
                 raise IoFailure(f"cannot drop redo tail: {exc}") from exc
             del self._entries[self.cursor :]
             del self._ends[self.cursor :]
+            self._tail_crc = b""  # not known until the append succeeds
         file_end = self._prefix_end(len(self._entries))
         try:
             self._io.append(self.path, buf)
@@ -229,4 +242,5 @@ class FramedLog:
             raise IoFailure(f"append to {self.path} failed: {exc}") from exc
         self._entries.append(entry)
         self._ends.append(file_end + len(buf))
+        self._tail_crc = buf[-CRC_LEN:]
         self.cursor = len(self._entries)

@@ -31,6 +31,13 @@ length or a negative index, cannot be undone: undo refuses it with
 NotFound rather than guess where its deleted elements stood.  Redoing a
 step records its positions afresh.
 
+The step index is session memory too: ``Journal.index`` is the offset
+just past each step and the stored CRC of the last step's commit frame.
+A resume given the index of the file it opens (the CLI keeps it in the
+sidecar) scans only the bytes past its last end; the steps it covers are
+checked in full, by the same scanner, when undo or redo first reaches
+them.  History, recovery and inspection always scan the whole file.
+
 Commit, undo and redo change the drawing in place, one record at a time,
 through ``Drawing``'s primitives; no copy of the element list is made.  A
 step is still all or nothing, by inversion: when a delete finds no equal
@@ -45,7 +52,7 @@ import struct
 from functools import cached_property
 
 from . import framelog
-from .errors import Locked, NotFound, NothingToRedo, NothingToUndo
+from .errors import Corrupt, Locked, NotFound, NothingToRedo, NothingToUndo
 from .fileio import FileIO
 from .framelog import CRC_LEN, HEADER_LEN, FramedLog
 from .model import Drawing, ElementPayload
@@ -65,6 +72,9 @@ _ELEMENT_HEAD_LEN = 6
 RECORD_OVERHEAD = _REC_HEAD.size + CRC_LEN
 
 Change = tuple[int, ElementPayload]
+# The offset just past each step, and the stored CRC of the last step's
+# commit frame (the four bytes before the last offset).
+StepIndex = tuple[list[int], bytes]
 
 
 class ChangeStep:
@@ -194,8 +204,30 @@ class Journal(FramedLog):
         self.positions: dict[int, list[int]] = {}  # by step number; see _apply_reverse
 
     @classmethod
-    def _parse(cls, data: bytes) -> tuple[list[ChangeStep], list[int], int]:
-        return index_journal(data)
+    def _parse(cls, data: bytes, index: StepIndex | None = None) -> tuple[list[ChangeStep | None], list[int], int]:
+        """With an ``index`` that fits ``data``, the steps it covers are
+        entries still unread (None, see _step) and only the bytes past its
+        last end are scanned; without one, or with one that does not fit,
+        the whole file is."""
+        if index is None or not _fits(data, *index):
+            return index_journal(data)
+        ends = index[0]
+        steps, tail, valid_end = index_journal(data, start=ends[-1], first=len(ends) + 1)
+        return [None] * len(ends) + steps, [*ends, *tail], valid_end
+
+    def _step(self, i: int) -> ChangeStep:
+        """Step ``i + 1``.  One the step index covers is read on first use
+        and checked in full by the scanner: every frame's CRC, its step
+        number, element records then exactly one commit, and frames that
+        tile its range exactly.  Corrupt when it fails."""
+        step = self._entries[i]
+        if step is None:
+            end = self._ends[i]
+            steps, _, valid_end = index_journal(self._data, end, self._prefix_end(i), i + 1)
+            if len(steps) != 1 or valid_end != end:
+                raise Corrupt(f"{self.path}: step {i + 1} is damaged")
+            step = self._entries[i] = steps[0]
+        return step
 
     # -- session lifecycle ------------------------------------------------
 
@@ -212,15 +244,23 @@ class Journal(FramedLog):
         io: FileIO | None = None,
         cursor: int | None = None,
         positions: dict[int, list[int]] | None = None,
+        index: StepIndex | None = None,
     ) -> "Journal":
         """Reopen an existing work file as a continuation of its session.
 
         Parses the valid prefix (repairing a torn tail), re-applies session
-        memory (cursor, clamped to 0..step_count, and per-step positions,
-        minus those of steps the file does not hold) captured by the
-        previous process, and takes the session lock.  Undo refuses a step
-        whose positions are missing, miscounted or negative."""
-        journal = cls._open(os.fspath(path), io or FileIO(), cursor)
+        memory (cursor, and per-step positions, minus those of steps the
+        file does not hold) captured by the previous process, and takes the
+        session lock.  A negative cursor reads as 0; one past the steps the
+        file holds raises Corrupt before the file is repaired.  Undo
+        refuses a step whose positions are missing, miscounted or negative.
+
+        ``index`` is the ``Journal.index`` the previous process left.  When
+        its ends strictly increase, the last lies inside the file and the
+        four bytes before it are its CRC, only the bytes past that end are
+        scanned, and each step it covers is checked when first reached
+        (Corrupt if it is damaged); otherwise the whole file is scanned."""
+        journal = cls._open(os.fspath(path), io or FileIO(), cursor, index)
         if positions:
             count = journal.step_count
             journal.positions = {n: p for n, p in positions.items() if 1 <= n <= count}
@@ -234,7 +274,16 @@ class Journal(FramedLog):
 
     @property
     def steps(self) -> list[ChangeStep]:
+        if None in self._entries:
+            for i in range(len(self._entries)):
+                self._step(i)
         return self._entries
+
+    @property
+    def index(self) -> StepIndex | None:
+        """The step index a later resume can start from (see resume); None
+        for an empty file, or when the last step's CRC is unknown."""
+        return (self._ends, self._tail_crc) if self._ends and self._tail_crc else None
 
     @property
     def step_count(self) -> int:
@@ -281,26 +330,30 @@ class Journal(FramedLog):
         """Take back the latest applied step; the file is not touched."""
         if self.cursor < 1:
             raise NothingToUndo("cursor is at the session start")
-        _apply_reverse(drawing, self.steps[self.cursor - 1].changes, self.positions.get(self.cursor))
+        _apply_reverse(drawing, self._step(self.cursor - 1).changes, self.positions.get(self.cursor))
         self.cursor -= 1
         drawing.revision += 1
 
     def redo_step(self, drawing: Drawing) -> None:
         """Re-apply the first step of the redo tail."""
-        if self.cursor >= len(self.steps):
+        if self.cursor >= self.step_count:
             raise NothingToRedo("no steps beyond the cursor")
-        log = _apply_forward(drawing, self.steps[self.cursor].changes, build_mirror=False)
+        log = _apply_forward(drawing, self._step(self.cursor).changes, build_mirror=False)
         self.cursor += 1
         self.positions[self.cursor] = [i for i, _ in log]
         drawing.revision += 1
 
 
-def index_journal(data: bytes, end: int | None = None) -> tuple[list[ChangeStep], list[int], int]:
+def index_journal(
+    data: bytes, end: int | None = None, start: int = HEADER_LEN, first: int = 1
+) -> tuple[list[ChangeStep], list[int], int]:
     """The recovery brain: the complete steps of the longest valid prefix
-    of ``data[:end]``, their records not yet decoded (see IndexedStep), the
-    offset just past each step, and the offset where that prefix ends.
-    Opening, recovering and inspecting a journal all index it here, in
-    the one scan that validates it.
+    of ``data[start:end]``, their records not yet decoded (see
+    IndexedStep), the offset just past each step, and the offset where
+    that prefix ends.  ``start`` is a step boundary and ``first`` the
+    number of the step that begins there.  Opening, recovering and
+    inspecting a journal all index it here, in the one scan that
+    validates it, and so does the check of a step reached by the index.
 
     On top of the frame CRCs, a step must carry the next step number,
     consist of element records and end in a commit record with zero kind
@@ -309,9 +362,9 @@ def index_journal(data: bytes, end: int | None = None) -> tuple[list[ChangeStep]
     steps: list[ChangeStep] = []
     ends: list[int] = []
     pending = added = payload = 0
-    valid_end = HEADER_LEN
-    for (step_no, flag, kind, length), _, frame_end in framelog.scan_frames(data, HEADER, _REC_HEAD, end):
-        if step_no != len(steps) + 1 or flag > FLAG_COMMIT:
+    valid_end = start
+    for (step_no, flag, kind, length), _, frame_end in framelog.scan_frames(data, HEADER, _REC_HEAD, end, start):
+        if step_no != first + len(steps) or flag > FLAG_COMMIT:
             break
         if flag == FLAG_COMMIT:
             if kind or length or not pending:
@@ -325,6 +378,14 @@ def index_journal(data: bytes, end: int | None = None) -> tuple[list[ChangeStep]
             added += flag
             payload += length
     return steps, ends, valid_end
+
+
+def _fits(data: bytes, ends: list[int], crc: bytes) -> bool:
+    """Whether a step index fits ``data``: its ends strictly increase from
+    the header on, the last lies inside ``data``, and the four bytes before
+    it are the recorded ``crc``."""
+    return (bool(ends) and all(map(int.__lt__, (HEADER_LEN, *ends), ends))
+            and ends[-1] <= len(data) and data[ends[-1] - CRC_LEN : ends[-1]] == crc)
 
 
 def recover_journal(path: str | os.PathLike, io: FileIO | None = None) -> tuple[Journal, bool]:

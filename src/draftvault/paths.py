@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import BadPath
+
 AUTOSAVE_DIR_ENV = "DRAFTVAULT_AUTOSAVE_DIR"
 # The autosave set of a document is ``<doc>`` plus this, in the autosave
 # directory.  Backup skips a file whose name ends in it, not one whose name
@@ -36,7 +38,7 @@ class DocPaths:
     def __init__(self, doc: str):
         self.doc, self.name = doc, os.path.basename(doc)
         if self.name in ("", "."):  # "", "." or "/": a directory, whose files would be "..journal"
-            raise ValueError(f"{doc!r} names no document file")
+            raise BadPath(f"{doc!r} names no document file")
         self.journal, self.pp_log, self.sidecar, self.siglog = (
             doc + suffix for suffix in (".journal", ".pp", ".session", ".siglog"))
 

@@ -28,7 +28,6 @@ appears once the first signature is added.
 """
 from __future__ import annotations
 
-import enum
 import os
 import struct
 from collections import namedtuple
@@ -61,17 +60,37 @@ _SECTION_HEAD = struct.Struct("<BI")
 _SIG_FIXED = struct.Struct("<Q16s32s32s")
 
 
-class EditGuard(enum.Enum):
+class _Outcome:
+    """A closed set of named outcomes, compared by identity, as an
+    ``enum.Enum`` would give them without loading ``enum`` on the cold
+    path: each upper-case class attribute of a subclass becomes an
+    instance of it with that ``name`` and the given ``value``."""
+
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str, value: str):
+        self.name, self.value = name, value
+
+    def __init_subclass__(cls):
+        for name, value in list(vars(cls).items()):
+            if name.isupper():
+                setattr(cls, name, cls(name, value))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}.{self.name}: {self.value!r}>"
+
+
+class EditGuard(_Outcome):
     ALLOWED = "allowed"
     LOCKED = "locked"
 
 
-class IntegrityStatus(enum.Enum):
+class IntegrityStatus(_Outcome):
     INTACT = "intact"
     CONTENT_CHANGED = "content-changed"
 
 
-class AuthResult(enum.Enum):
+class AuthResult(_Outcome):
     AUTHENTIC = "authentic"
     BAD_PASSWORD = "bad-password"
     NO_SUCH_SIGNER = "no-such-signer"

@@ -290,27 +290,36 @@ EARLIER_TEXT = bytes.fromhex(
 )
 
 
-def _sidecar_frames(sidecar) -> tuple[bytes, bytes]:
-    """The cursor frame's and the positions frame's payloads."""
-    ((_, cursors), (_, packed)) = framelog.read_frames(sidecar.read_bytes(), sidecar_mod.HEADER,
-                                                       framelog.LENGTH_HEAD)
-    return cursors, packed
+def _sidecar_frames(sidecar) -> tuple[bytes, bytes, bytes]:
+    """The payloads of the cursor frame, the positions frame and the
+    index frame."""
+    frames = framelog.read_frames(sidecar.read_bytes(), sidecar_mod.HEADER, framelog.LENGTH_HEAD)
+    return tuple(payload for _, payload in frames)
 
 
-def _write_sidecar_frames(sidecar, cursors: bytes, packed: bytes) -> None:
-    sidecar.write_bytes(sidecar_mod.HEADER + framelog.encode_frame(framelog.LENGTH_HEAD, cursors)
-                        + framelog.encode_frame(framelog.LENGTH_HEAD, packed))
+def _write_sidecar_frames(sidecar, *payloads: bytes) -> None:
+    sidecar.write_bytes(sidecar_mod.HEADER + b"".join(framelog.encode_frame(framelog.LENGTH_HEAD, payload)
+                                                      for payload in payloads))
 
 
 def _untile(sidecar):
     """A sidecar whose frames are intact, but whose positions entries do
     not tile their frame: one u32 follows the last entry."""
-    cursors, packed = _sidecar_frames(sidecar)
-    _write_sidecar_frames(sidecar, cursors, packed + struct.pack("<I", 7))
+    cursors, packed, index = _sidecar_frames(sidecar)
+    _write_sidecar_frames(sidecar, cursors, packed + struct.pack("<I", 7), index)
 
 
-@pytest.mark.parametrize("lose", [lambda p: p.unlink(), _damage, lambda p: p.write_bytes(EARLIER_TEXT), _untile],
-                         ids=["lost", "damaged", "earlier-text", "untiled"])
+def _earlier_version(sidecar):
+    """The ``TCGS`` version 1 layout of the same cursors and positions:
+    two frames, no index."""
+    cursors, packed, _ = _sidecar_frames(sidecar)
+    sidecar.write_bytes(framelog.header(sidecar_mod.MAGIC, 1) + framelog.encode_frame(framelog.LENGTH_HEAD, cursors)
+                        + framelog.encode_frame(framelog.LENGTH_HEAD, packed))
+
+
+@pytest.mark.parametrize("lose", [lambda p: p.unlink(), _damage, lambda p: p.write_bytes(EARLIER_TEXT), _untile,
+                                  _earlier_version],
+                         ids=["lost", "damaged", "earlier-text", "untiled", "earlier-version"])
 def test_undo_without_a_cursor_is_refused(doc, capsys, lose):
     """At state 2 of 3 the cursor cannot be told from the journal: a guess
     at step 3 undoes the second ``aa`` and leaves ``[bb]``, a drawing the
@@ -333,6 +342,94 @@ def test_undo_without_a_cursor_is_refused(doc, capsys, lose):
     assert len([line for line in out.splitlines() if line.startswith("step ")]) == 3
 
 
+FIVE = "".join(f"ADD 1 {x}\nSTEP\n" for x in ("aa", "bb", "cc", "dd", "ee"))
+BB_IN_STEP_2 = 48  # header 6, step 1 31 bytes, then step 2's record head 11
+
+
+def _elements(doc) -> list:
+    return [e.data.hex() for e in Drawing.from_canonical_bytes(doc.read_bytes()).elements]
+
+
+def _five_steps_with_a_flipped_byte(doc, capsys):
+    """A five-step session whose journal has the byte ``bb`` of step 2
+    flipped: a full scan keeps step 1 alone."""
+    (doc.parent / "five.txt").write_text(FIVE)
+    run(["edit", doc, "--script", doc.parent / "five.txt"], capsys)
+    journal = doc.with_name("d.tcgd.journal")
+    data = bytearray(journal.read_bytes())
+    assert (len(data), data[BB_IN_STEP_2]) == (161, 0xBB)
+    data[BB_IN_STEP_2] ^= 0xFF
+    journal.write_bytes(bytes(data))
+    return journal
+
+
+def test_undo_past_a_flipped_byte_without_a_step_index_is_refused(doc, capsys):
+    """The sidecar holds cursor 5 and no step index (as a library host or
+    the benchmark fixture writes it).  The journal's valid prefix is one
+    step, so no undo can be right: the parent removed ``aa`` and cut the
+    journal to 37 bytes.  Both commands exit 3 naming the journal and
+    every file keeps its bytes."""
+    journal = _five_steps_with_a_flipped_byte(doc, capsys)
+    sidecar = doc.with_name("d.tcgd.session")
+    state = read_sidecar(sidecar)
+    assert state.index is not None  # the CLI remembers it; a library host does not
+    write_sidecar(sidecar, SidecarState(journal_cursor=5, positions=state.positions))
+    before = {p: p.read_bytes() for p in (doc, journal, sidecar)}
+    for command in ("undo", "redo"):
+        code, out, err = run([command, doc], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {journal}: only 1 of the 5 entries its session reached are intact\n"
+        assert {p: p.read_bytes() for p in before} == before
+
+
+def test_undo_over_the_step_index_checks_each_step_it_reaches(doc, capsys):
+    """With the step index the sidecar keeps, ``undo`` reads step 5 only
+    and removes ``ee``; the ``undo -n`` that reaches the flipped step 2
+    exits 3 and leaves the document and the sidecar as they were."""
+    journal = _five_steps_with_a_flipped_byte(doc, capsys)
+    code, out, _ = run(["undo", doc], capsys)
+    assert code == 0 and "cursor at 4 of 5" in out
+    assert _elements(doc) == ["aa", "bb", "cc", "dd"]
+    assert len(journal.read_bytes()) == 161
+    sidecar = doc.with_name("d.tcgd.session")
+    before = {p: p.read_bytes() for p in (doc, journal, sidecar)}
+    code, out, err = run(["undo", doc, "-n", "3"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: {journal}: step 2 is damaged\n"
+    assert {p: p.read_bytes() for p in before} == before
+    code, out, _ = run(["undo", doc, "-n", "2"], capsys)  # steps 4 and 3 are whole
+    assert code == 0 and "cursor at 2 of 5" in out and _elements(doc) == ["aa", "bb"]
+    code, out, _ = run(["history", doc], capsys)  # the full scan sees the damage
+    assert code == 0 and out.splitlines()[-1] == "1 step(s) in session journal (torn tail ignored)"
+
+
+def test_a_cold_undo_scans_the_frames_of_one_step(doc, capsys, monkeypatch):
+    """On an indexed 1000-step journal, ``undo -n 1`` scans the two frames
+    of step 1000 and no other frame of the journal."""
+    from draftvault import journal as journal_mod
+
+    class NoSync(FileIO):
+        def _sync(self, fh):
+            fh.flush()
+
+    (doc.parent / "many.txt").write_text("".join(f"ADD 1 {n:04x}\nSTEP\n" for n in range(1000)))
+    run(["edit", doc, "--script", doc.parent / "many.txt"], capsys, NoSync())
+    size = len(doc.with_name("d.tcgd.journal").read_bytes())
+    scanned = []
+    real = framelog.scan_frames
+
+    def counting(data, header, *args):
+        frames = real(data, header, *args)
+        if header != journal_mod.HEADER:
+            return frames
+        return (scanned.append(frame[2]) or frame for frame in frames)
+
+    monkeypatch.setattr(framelog, "scan_frames", counting)
+    code, out, _ = run(["undo", doc, "-n", "1"], capsys, NoSync())
+    assert code == 0 and "cursor at 999 of 1000" in out
+    assert sorted(set(scanned)) == [size - 15, size]  # step 1000: its record, then its commit
+
+
 def test_pp_writes_the_positions_frame_back_byte_for_byte(doc, capsys):
     """``pp jump`` moves the blob cursor and leaves the positions frame as
     it found it, even in an order the writer would not choose (last step
@@ -344,10 +441,11 @@ def test_pp_writes_the_positions_frame_back_byte_for_byte(doc, capsys):
     positions = read_sidecar(sidecar).positions
     assert sorted(positions) == [1, 2, 3]
     packed = b"".join(struct.pack(f"<II{len(p)}I", n, len(p), *p) for n, p in sorted(positions.items())[::-1])
-    _write_sidecar_frames(sidecar, _sidecar_frames(sidecar)[0], packed)
+    cursors, _, index = _sidecar_frames(sidecar)
+    _write_sidecar_frames(sidecar, cursors, packed, index)
     code, out, _ = run(["pp", "jump", doc, "--to", "1"], capsys)
     assert code == 0 and "at version 1 of 2" in out
-    assert _sidecar_frames(sidecar)[1] == packed
+    assert _sidecar_frames(sidecar)[1:] == (packed, index)
     state = read_sidecar(sidecar)
     assert (state.journal_cursor, state.pp_cursor, state.positions) == (3, 1, positions)
     code, out, _ = run(["undo", doc], capsys)
@@ -370,12 +468,15 @@ def test_a_document_in_a_missing_directory_is_named_in_the_error(tmp_path, capsy
 
 
 @pytest.mark.parametrize("path", ["", ".", "/"])
-def test_a_document_path_that_names_no_file_is_refused(tmp_path, monkeypatch, path):
-    """A path with no file name is refused before anything is made beside
-    it (a blob log named ``..pp``, say)."""
+def test_a_document_path_that_names_no_file_is_refused(tmp_path, monkeypatch, capsys, path):
+    """A path with no file name is refused with one ``error:`` line and
+    exit 1, before anything is made beside it (a blob log named ``..pp``,
+    say), by a document command and a ``pp`` command alike."""
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(ValueError):
-        main(["pp", "commit", path, "--data", "aa"])
+    for argv in (["undo", path], ["verify", path], ["pp", "undo", path], ["pp", "commit", path, "--data", "aa"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.endswith(" names no document file\n") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -34,8 +34,9 @@ GOLD_TCGE = (
     "d0ac83b24df99c3f053037fd5eb1811bf54882704c7458e2ae55c70e3e022f"
 )
 GOLD_TCGS = (
-    "544347530100120000000101020000000000000001000000000000007e6a700c1c000000"
-    "01000000020000000000000001000000020000000100000000000000b82bbac0"
+    "544347530200120000000101020000000000000001000000000000007e6a700c1c000000"
+    "01000000020000000000000001000000020000000100000000000000b82bbac00c000000"
+    "041974a43500000054000000426a8c52"
 )
 GOLD_SET = (
     "5443474101005c0000000000000000000440021c000000a2d32223d06cbbd62f0f17449e7543"
@@ -145,7 +146,14 @@ def test_inspect_journal_of_golden(tmp_path):
 
 
 def test_sidecar_layout_pinned(tmp_path):
-    state = SidecarState(journal_cursor=2, pp_cursor=1, positions={2: [0], 1: [0, 1]})
+    """``TCGS`` version 2: the cursor frame, the positions frame, and the
+    step index of ``GOLD_TCGJ`` (its steps end at 53 and 84, and its last
+    commit frame's CRC is its last four bytes)."""
+    (tmp_path / "j").write_bytes(bytes.fromhex(GOLD_TCGJ))
+    journal, _ = inspect_journal(tmp_path / "j")
+    index = ([53, 84], bytes.fromhex(GOLD_TCGJ)[-4:])
+    assert journal.index == index
+    state = SidecarState(journal_cursor=2, pp_cursor=1, positions={2: [0], 1: [0, 1]}, index=index)
     write_sidecar(tmp_path / "s", state, FileIO())
     assert (tmp_path / "s").read_bytes().hex() == GOLD_TCGS
 
@@ -155,14 +163,18 @@ def test_sidecar_layout_pinned(tmp_path):
 
     cursors = struct.pack("<BBqq", 1, 1, 2, 1)  # both present, journal 2, pp 1
     positions = struct.pack("<IIII", 1, 2, 0, 1) + struct.pack("<III", 2, 1, 0)
-    raw = b"TCGS" + struct.pack("<H", 1) + frame(cursors) + frame(positions)
+    step_index = bytes.fromhex(GOLD_TCGJ)[-4:] + struct.pack("<II", 53, 84)  # the CRC, then the ends
+    raw = b"TCGS" + struct.pack("<H", 2) + frame(cursors) + frame(positions) + frame(step_index)
     assert raw.hex() == GOLD_TCGS
 
     back = read_sidecar(tmp_path / "s")
-    assert (back.journal_cursor, back.pp_cursor, back.positions) == (2, 1, {1: [0, 1], 2: [0]})
+    assert (back.journal_cursor, back.pp_cursor, back.positions, back.index) == (2, 1, {1: [0, 1], 2: [0]}, index)
     write_sidecar(tmp_path / "s", SidecarState(journal_cursor=-1), FileIO())
+    assert (tmp_path / "s").read_bytes()[-8:] == frame(b"")  # no index: an empty frame
     back = read_sidecar(tmp_path / "s")  # an absent cursor is not 0, a negative one stays
-    assert (back.journal_cursor, back.pp_cursor, back.positions) == (-1, None, {})
+    assert (back.journal_cursor, back.pp_cursor, back.positions, back.index) == (-1, None, {}, None)
+    (tmp_path / "s").write_bytes(b"TCGS" + struct.pack("<H", 1) + frame(cursors) + frame(positions))
+    assert read_sidecar(tmp_path / "s").journal_cursor is None  # version 1 reads as missing
 
 
 def test_autosave_set_layout_pinned(tmp_path):

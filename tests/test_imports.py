@@ -166,9 +166,10 @@ def test_only_the_crash_harness_imports_pathlib():
 def test_cold_commands_load_no_unneeded_module(tmp_path):
     """The commands of a cold session, in the benchmark's order, and
     ``autosave-run``: none loads a module of ``UNNEEDED``, none that
-    emits no warning loads ``logging``, and those that take no digest
-    (``undo``, ``redo``, ``history``, ``pp jump``, ``unsign``) load no
-    ``hashlib`` or ``hmac``."""
+    emits no warning loads ``logging``, none loads ``enum`` (the outcome
+    names of ``signatures`` are plain classes), and those that take no
+    digest (``undo``, ``redo``, ``history``, ``pp jump``, ``unsign``) load
+    no ``hashlib`` or ``hmac``."""
     from draftvault.autosave import AutosaveConfig, AutosaveSession
     from draftvault.cli import main
     from draftvault.model import Drawing, ElementPayload
@@ -202,7 +203,7 @@ def test_cold_commands_load_no_unneeded_module(tmp_path):
         proc, imported = _cold(argv, tmp_path)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
         assert expected in proc.stdout, argv
-        assert [m for m in [*UNNEEDED, "logging"] if m in imported] == [], argv
+        assert [m for m in [*UNNEEDED, "logging", "enum"] if m in imported] == [], argv
         assert digests or [m for m in DIGESTS if m in imported] == [], argv
 
 

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from draftvault.errors import BadHeader, IoFailure, Locked, NotFound, NothingToRedo, NothingToUndo
+from draftvault.errors import BadHeader, Corrupt, IoFailure, Locked, NotFound, NothingToRedo, NothingToUndo
 from draftvault.fileio import FileIO
 from draftvault.journal import (
     FLAG_ADDED,
@@ -727,3 +727,153 @@ JournalMachine.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 TestJournalMachine = JournalMachine.TestCase
+
+
+# -- the step index -------------------------------------------------------------
+
+_session_ops = st.lists(
+    st.one_of(st.tuples(st.just("commit"), st.lists(_letter, min_size=1, max_size=4)),
+              st.just(("undo",)), st.just(("redo",)), st.just(("remember",))),
+    max_size=30,
+)
+
+
+def _state(journal: Journal) -> tuple:
+    return (journal.step_count, list(journal._ends), journal.cursor,
+            [(step.step_no, step.changes) for step in journal.steps])
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_session_ops, st.binary(max_size=24))
+def test_a_resume_from_the_step_index_equals_a_full_scan(tmp_path_factory, ops, torn):
+    """A random session of commits, undos, redos and commits over a redo
+    tail; its step index is remembered where ``remember`` stands, or at
+    the end, and is taken afresh after a commit cuts below it (as the CLI
+    rewrites the sidecar).  Steps committed after it and a torn tail
+    follow.  Resumed from that index, the journal has the step count,
+    ends, cursor and steps of a full-scan resume, and leaves the same
+    file."""
+    path = tmp_path_factory.mktemp("j") / "j"
+    drawing = Drawing()
+    journal = Journal.begin_session(drawing, path, FileIO())
+    remembered = None
+    try:
+        for op in ops:
+            if op[0] == "commit":
+                cut = journal.cursor < journal.step_count
+                journal.commit_step(drawing, [(FLAG_ADDED, _fresh(x)) for x in op[1]])
+                if cut and remembered is not None and len(remembered[0]) >= journal.cursor:
+                    remembered = journal.index
+            elif op[0] == "undo" and journal.cursor:
+                journal.undo_step(drawing)
+            elif op[0] == "redo" and journal.cursor < journal.step_count:
+                journal.redo_step(drawing)
+            elif op[0] == "remember":
+                remembered = journal.index
+        if remembered is None:
+            remembered = journal.index
+        if remembered is not None:
+            remembered = (list(remembered[0]), remembered[1])  # a copy, as the sidecar keeps it
+        cursor, positions = journal.cursor, dict(journal.positions)
+    finally:
+        journal.close()
+    with open(path, "ab") as fh:
+        fh.write(torn)
+    full_path = path.with_name("full")
+    full_path.write_bytes(path.read_bytes())
+    full = Journal.resume(full_path, cursor=cursor, positions=positions)
+    indexed = Journal.resume(path, cursor=cursor, positions=positions, index=remembered)
+    try:
+        assert _state(indexed) == _state(full)
+        assert indexed.index == full.index
+    finally:
+        full.close()
+        indexed.close()
+    assert path.read_bytes() == full_path.read_bytes()
+
+
+def _three_steps(path) -> tuple:
+    """A journal of three steps at cursor 3, with its positions and index."""
+    drawing = Drawing()
+    journal = Journal.begin_session(drawing, path)
+    for element in (A, B, C):
+        journal.commit_step(drawing, [(FLAG_ADDED, element)])
+    journal.close()
+    return journal.positions, (list(journal._ends), journal.index[1])
+
+
+@pytest.mark.parametrize("misfit", ["other-session", "cut", "not-increasing", "crc"])
+def test_an_index_that_does_not_fit_gives_the_full_scan(tmp_path, misfit):
+    """The journal replaced by another session's (shorter) one, cut below
+    the index's last end, or an index whose ends do not increase or whose
+    CRC differs: the index is dropped and the whole file is scanned, with
+    the result of a resume without one."""
+    path = tmp_path / "j"
+    positions, (ends, crc) = _three_steps(path)
+    cursor = 3
+    if misfit == "other-session":
+        drawing = Drawing()
+        other = Journal.begin_session(drawing, path)
+        other.commit_step(drawing, [(FLAG_ADDED, B), (FLAG_ADDED, C)])
+        other.close()
+        positions, cursor = other.positions, 1
+    elif misfit == "cut":
+        path.write_bytes(path.read_bytes()[: ends[-1] - 1])
+        cursor = 2
+    elif misfit == "not-increasing":
+        ends[0], ends[1] = ends[1], ends[0]
+    else:
+        crc = bytes(b ^ 1 for b in crc)
+    copy = tmp_path / "copy"
+    copy.write_bytes(path.read_bytes())
+    full = Journal.resume(copy, cursor=cursor, positions=positions)
+    indexed = Journal.resume(path, cursor=cursor, positions=positions, index=(ends, crc))
+    try:
+        assert _state(indexed) == _state(full)
+        assert None not in indexed._entries  # every step came from the scan
+    finally:
+        full.close()
+        indexed.close()
+    assert path.read_bytes() == copy.read_bytes()
+
+
+def test_a_stale_index_that_fits_refuses_the_step_it_misplaces(tmp_path):
+    """A commit frame's CRC depends on its step number alone, so another
+    journal whose step 2 ends where the remembered one did passes the fit
+    check.  A step whose remembered range is not exactly one whole step
+    of that number is refused with Corrupt when undo reaches it, and the
+    drawing is untouched; a step whose range holds is read as it is."""
+    path = tmp_path / "j"
+    drawing = Drawing()
+    journal = Journal.begin_session(drawing, path)
+    journal.commit_step(drawing, [(FLAG_ADDED, A)])
+    journal.commit_step(drawing, [(FLAG_ADDED, A), (FLAG_ADDED, A)])
+    index = (list(journal._ends), journal.index[1])
+    journal.close()
+    drawing = Drawing()
+    other = Journal.begin_session(drawing, path)
+    other.commit_step(drawing, [(FLAG_ADDED, A), (FLAG_ADDED, A)])
+    other.commit_step(drawing, [(FLAG_ADDED, A)])
+    positions = other.positions
+    other.close()
+    resumed = Journal.resume(path, cursor=2, positions=positions, index=index)
+    try:
+        assert resumed.step_count == 2 and resumed._entries == [None, None]
+        with pytest.raises(Corrupt, match="step 2 is damaged"):
+            resumed.undo_step(drawing)
+        assert drawing.elements == [A, A, A] and resumed.cursor == 2
+    finally:
+        resumed.close()
+
+
+def test_a_remembered_cursor_past_the_intact_steps_is_refused(tmp_path):
+    """Resuming at a cursor the file's valid prefix does not reach raises
+    Corrupt, and the torn tail is left for the caller to look at."""
+    path = tmp_path / "j"
+    positions, _ = _three_steps(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+    with pytest.raises(Corrupt, match="only 2 of the 3 entries"):
+        Journal.resume(path, cursor=3, positions=positions)
+    assert path.read_bytes() == data[:-1]
+    assert not (tmp_path / "j.lock").exists()
