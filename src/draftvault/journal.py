@@ -204,7 +204,7 @@ class Journal(FramedLog):
         self.positions: dict[int, list[int]] = {}  # by step number; see _apply_reverse
 
     @classmethod
-    def _parse(cls, data: bytes, index: StepIndex | None = None) -> tuple[list[ChangeStep | None], list[int], int]:
+    def _parse(cls, data: bytes, index: StepIndex | None = None) -> tuple[list, list[int], int]:
         """With an ``index`` that fits ``data``, the steps it covers are
         entries still unread (None, see _step) and only the bytes past its
         last end are scanned; without one, or with one that does not fit,

@@ -366,9 +366,9 @@ def _five_steps_with_a_flipped_byte(doc, capsys):
 def test_undo_past_a_flipped_byte_without_a_step_index_is_refused(doc, capsys):
     """The sidecar holds cursor 5 and no step index (as a library host or
     the benchmark fixture writes it).  The journal's valid prefix is one
-    step, so no undo can be right: the parent removed ``aa`` and cut the
-    journal to 37 bytes.  Both commands exit 3 naming the journal and
-    every file keeps its bytes."""
+    step, so no undo can be right: a cursor clamped to it would undo step
+    1, remove ``aa`` and cut the journal to 37 bytes.  Both commands exit
+    3 naming the journal, and every file keeps its bytes."""
     journal = _five_steps_with_a_flipped_byte(doc, capsys)
     sidecar = doc.with_name("d.tcgd.session")
     state = read_sidecar(sidecar)
