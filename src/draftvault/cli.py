@@ -188,8 +188,8 @@ def cmd_move(args) -> int:
 
 def cmd_history(args) -> int:
     """The steps' figures come from the journal's frame heads; no payload
-    is decoded."""
-    from .framelog import clamp_cursor
+    is decoded.  A remembered cursor past the intact steps marks none of
+    them: undo and redo refuse it."""
     from .journal import inspect_journal
     from .sidecar import read_sidecar
 
@@ -200,7 +200,7 @@ def cmd_history(args) -> int:
     journal, truncated = inspect_journal(paths.journal, args.io)
     cursor = read_sidecar(paths.sidecar, args.io).journal_cursor
     if cursor is not None:
-        cursor = clamp_cursor(cursor, journal.step_count)
+        cursor = max(cursor, 0)
     lines = []
     for step in journal.steps:
         records, added, size = step.figures
@@ -210,6 +210,8 @@ def cmd_history(args) -> int:
         lines.append(f"cursor unknown: {os.path.basename(paths.sidecar)} is missing or damaged")
     elif cursor == 0:
         lines.append("cursor at session start")
+    elif cursor > journal.step_count:
+        lines.append(f"cursor {cursor} is past the {journal.step_count} intact step(s)")
     torn = " (torn tail ignored)" if truncated else ""
     lines.append(f"{journal.step_count} step(s) in session journal{torn}")
     print("\n".join(lines))  # one write: on an unbuffered stdout each print is a syscall

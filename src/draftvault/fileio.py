@@ -28,6 +28,12 @@ class FileIO:
         with open(path, "rb") as fh:
             return fh.read()
 
+    def read_range(self, path: str | os.PathLike, start: int, end: int | None = None) -> bytes:
+        """The bytes of ``path`` from offset ``start`` to ``end`` (or its end)."""
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            return fh.read(-1 if end is None else end - start)
+
     def write_file(self, path: str | os.PathLike, data: bytes) -> None:
         """Plain create/truncate write (used for temp files)."""
         with open(path, "wb") as fh:

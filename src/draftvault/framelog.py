@@ -126,11 +126,10 @@ class FramedLog:
 
     A subclass sets ``HEADER`` (see ``header``) and provides ``_parse``,
     which reads the file's bytes in one scan: the entries of their valid
-    prefix, the offset just past each one, and the end of that prefix.
-    The loaded bytes stay in ``_data`` and ``_ends`` marks where each
-    entry lies in them, so an entry may be decoded lazily, when it is
-    first used.  ``_tail_crc`` is the stored CRC of the file's last frame,
-    empty when the file has none or it is not known.
+    prefix, the offset just past each one, and the end of that prefix
+    (or ``_read`` in its place, to read less than the whole file).  The
+    bytes read stay in ``_data`` and ``_ends`` marks where each entry lies
+    in them, so an entry may be decoded lazily, when it is first used.
     """
 
     HEADER: bytes
@@ -142,13 +141,18 @@ class FramedLog:
         self._entries: list = []
         self._ends: list[int] = []  # file offset just past each entry
         self._data = b""  # the bytes the entries were loaded from
-        self._tail_crc = b""
         self.cursor = 0
 
     @classmethod
-    def _parse(cls, data: bytes, *hint) -> tuple[list, list[int], int]:
-        """``hint``: what ``_open`` was given to speed the scan up."""
+    def _parse(cls, data: bytes) -> tuple[list, list[int], int]:
         raise NotImplementedError
+
+    @classmethod
+    def _read(cls, path: str, io: FileIO, *hint) -> tuple[bytes, tuple[list, list[int], int]]:
+        """The file's bytes and what ``_parse`` reads in them.  ``hint``:
+        what ``_open`` was given to read less of the file."""
+        data = io.read_bytes(path)
+        return data, cls._parse(data)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -193,9 +197,8 @@ class FramedLog:
         """Parse the longest valid prefix; with ``repair`` the file is
         truncated to it.  Returns the log (cursor 0, no lock) and whether
         trailing bytes were dropped."""
-        data = io.read_bytes(path)
         try:
-            entries, ends, valid_end = cls._parse(data, *hint)
+            data, (entries, ends, valid_end) = cls._read(path, io, *hint)
         except BadHeader as exc:
             raise BadHeader(f"{path}: {exc}") from exc
         truncated = valid_end < len(data)
@@ -205,8 +208,6 @@ class FramedLog:
         log._entries = entries
         log._ends = ends
         log._data = data
-        if ends:
-            log._tail_crc = data[valid_end - CRC_LEN : valid_end]
         return log, truncated
 
     def close(self) -> None:
@@ -230,7 +231,6 @@ class FramedLog:
                 raise IoFailure(f"cannot drop redo tail: {exc}") from exc
             del self._entries[self.cursor :]
             del self._ends[self.cursor :]
-            self._tail_crc = b""  # not known until the append succeeds
         file_end = self._prefix_end(len(self._entries))
         try:
             self._io.append(self.path, buf)
@@ -242,5 +242,4 @@ class FramedLog:
             raise IoFailure(f"append to {self.path} failed: {exc}") from exc
         self._entries.append(entry)
         self._ends.append(file_end + len(buf))
-        self._tail_crc = buf[-CRC_LEN:]
         self.cursor = len(self._entries)

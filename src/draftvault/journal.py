@@ -23,20 +23,23 @@ an added element is removed again, a deleted element is reinserted at the
 position it was removed from.  Record order within a step matters whenever
 the same payload appears twice (delete x then add x), which is why the
 reverse discipline is unconditional.  Positions are session memory: they
-are captured while applying forward, kept in ``Journal.positions`` by
-step number, and are not part of the file format.  The cursor (count of
-applied steps) is session memory as well.  A step reloaded from disk
-without the positions its session recorded, or with a list of the wrong
-length or a negative index, cannot be undone: undo refuses it with
-NotFound rather than guess where its deleted elements stood.  Redoing a
-step records its positions afresh.
+are captured while applying forward and are not part of the file format.
+``Journal.positions`` stacks them, one entry per applied step, oldest
+first, each ``count x u32 position | u32 count | u32 step_no``, so that
+the newest entry is read from the end.  Commit and redo push an entry,
+undo reads the top one and pops it once the step is undone.  An entry
+whose step number is not the cursor, or whose count does not fit the
+stack or the step, cannot be undone: undo refuses it with NotFound rather
+than guess where its deleted elements stood.  The cursor (count of
+applied steps) is session memory as well.
 
 The step index is session memory too: ``Journal.index`` is the offset
-just past each step and the stored CRC of the last step's commit frame.
-A resume given the index of the file it opens (the CLI keeps it in the
-sidecar) scans only the bytes past its last end; the steps it covers are
-checked in full, by the same scanner, when undo or redo first reaches
-them.  History, recovery and inspection always scan the whole file.
+just past each step, as u32 values.  A resume given the index of the file
+it opens (the CLI keeps it in the sidecar) reads and scans only the bytes
+past its last end; the steps it covers are read and checked in full, by
+the same scanner, when undo or redo first reaches them.  History, recovery and inspection
+always scan the whole file.  This module alone packs and parses the
+positions stack and the step index; the sidecar stores their bytes.
 
 Commit, undo and redo change the drawing in place, one record at a time,
 through ``Drawing``'s primitives; no copy of the element list is made.  A
@@ -47,9 +50,11 @@ the drawing holds the very objects it held before the step.
 """
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from functools import cached_property
+from itertools import islice
 
 from . import framelog
 from .errors import Corrupt, Locked, NotFound, NothingToRedo, NothingToUndo
@@ -70,11 +75,11 @@ _REC_HEAD = struct.Struct("<IBHI")
 # payload is the element's record in the drawing layout.
 _ELEMENT_HEAD_LEN = 6
 RECORD_OVERHEAD = _REC_HEAD.size + CRC_LEN
+# The tail of a positions entry: u32 count | u32 step_no.
+_ENTRY_TAIL = struct.Struct("<II")
+_U32_MAX = 0xFFFFFFFF
 
 Change = tuple[int, ElementPayload]
-# The offset just past each step, and the stored CRC of the last step's
-# commit frame (the four bytes before the last offset).
-StepIndex = tuple[list[int], bytes]
 
 
 class ChangeStep:
@@ -119,11 +124,24 @@ def encode_record(step_no: int, flag: int, kind: int, payload: bytes) -> bytes:
     return framelog.encode_frame(_REC_HEAD, payload, step_no, flag, kind)
 
 
+def _positions_entry(positions: list[int], step_no: int) -> bytes:
+    return struct.pack(f"<{len(positions) + 2}I", *positions, len(positions), step_no)
+
+
+def pack_positions(positions: dict[int, list[int]]) -> bytes:
+    """The positions stack (see ``Journal.positions``) of a map from step
+    number to the positions of that step: one entry per step, by ascending
+    step number."""
+    return b"".join(_positions_entry(p, n) for n, p in sorted(positions.items()))
+
+
 def encode_step(step_no: int, changes: list[Change]) -> bytes:
     parts = [encode_record(step_no, flag, p.kind, p.data) for flag, p in changes]
     parts.append(encode_record(step_no, FLAG_COMMIT, 0, b""))
     return b"".join(parts)
 
+
+_UNKNOWN_POSITIONS = "undo refused: the step's recorded positions are unknown"
 
 # An undo log lists the inverse of each primitive applied to a drawing, in
 # the order applied: ``(i, None)`` removes the element at ``i`` again, and
@@ -164,14 +182,14 @@ def _apply_forward(drawing: Drawing, changes: list[Change], build_mirror: bool) 
     return log
 
 
-def _apply_reverse(drawing: Drawing, changes: list[Change], positions: list[int] | None) -> None:
+def _apply_reverse(drawing: Drawing, changes: list[Change], positions: tuple[int, ...]) -> None:
     """Invert a step on the drawing in place, strictly last record first, at
     the positions recorded when it was applied: the pre-step list exactly.
-    NotFound leaves the drawing unchanged; it is raised when the step has
-    no recorded positions, a list of the wrong length or a negative index,
-    or when they do not match the drawing."""
-    if positions is None or len(positions) != len(changes) or min(positions) < 0:
-        raise NotFound("undo refused: the step's recorded positions are unknown")
+    NotFound leaves the drawing unchanged; it is raised when the number of
+    positions is not the number of records, or when they do not match the
+    drawing."""
+    if len(positions) != len(changes):
+        raise NotFound(_UNKNOWN_POSITIONS)
     log = []
     try:
         for (flag, payload), pos in zip(reversed(changes), reversed(positions)):
@@ -201,29 +219,46 @@ class Journal(FramedLog):
 
     def __init__(self, path: str, io: FileIO, lock):
         super().__init__(path, io, lock)
-        self.positions: dict[int, list[int]] = {}  # by step number; see _apply_reverse
+        self.positions = bytearray()  # the positions stack; see the module docstring
 
     @classmethod
-    def _parse(cls, data: bytes, index: StepIndex | None = None) -> tuple[list, list[int], int]:
-        """With an ``index`` that fits ``data``, the steps it covers are
-        entries still unread (None, see _step) and only the bytes past its
-        last end are scanned; without one, or with one that does not fit,
-        the whole file is."""
-        if index is None or not _fits(data, *index):
-            return index_journal(data)
-        ends = index[0]
-        steps, tail, valid_end = index_journal(data, start=ends[-1], first=len(ends) + 1)
-        return [None] * len(ends) + steps, [*ends, *tail], valid_end
+    def _read(cls, path: str, io: FileIO, index: bytes = b"") -> tuple[bytes, tuple[list, list[int], int]]:
+        """With an ``index`` that fits the file, a buffer of the file's size
+        that holds only its header and its bytes from the commit frame
+        before the index's last end on: only the bytes past that end are
+        scanned, and the steps the index covers are entries still unread
+        (None), each read into the buffer by _step when first reached.  An
+        index fits when its ends are whole u32 values that strictly
+        increase from the header on, and the 15 bytes before its last end
+        are exactly the commit frame of step N, N the number of its ends.
+        Without an index, or with one that does not fit, the whole file is
+        read and scanned."""
+        ends = _increasing_ends(index)
+        commit = encode_record(len(ends), FLAG_COMMIT, 0, b"")
+        start = ends[-1] - len(commit) if ends else 0
+        tail = io.read_range(path, start) if start >= HEADER_LEN else b""
+        if not tail.startswith(commit):
+            data = io.read_bytes(path)
+            return data, index_journal(data)
+        import mmap
+
+        data = mmap.mmap(-1, start + len(tail))  # anonymous: pages not read into cost nothing, read as zeros
+        data[:HEADER_LEN] = io.read_range(path, 0, HEADER_LEN)
+        data[start:] = tail
+        steps, tail_ends, valid_end = index_journal(data, start=ends[-1], first=len(ends) + 1)
+        return data, ([None] * len(ends) + steps, [*ends, *tail_ends], valid_end)
 
     def _step(self, i: int) -> ChangeStep:
-        """Step ``i + 1``.  One the step index covers is read on first use
-        and checked in full by the scanner: every frame's CRC, its step
-        number, element records then exactly one commit, and frames that
-        tile its range exactly.  Corrupt when it fails."""
+        """Step ``i + 1``.  One the step index covers is read from the file
+        on first use and checked in full by the scanner: every frame's CRC,
+        its step number, element records then exactly one commit, and
+        frames that tile its range exactly.  Corrupt when it fails."""
         step = self._entries[i]
         if step is None:
-            end = self._ends[i]
-            steps, _, valid_end = index_journal(self._data, end, self._prefix_end(i), i + 1)
+            start, end = self._prefix_end(i), self._ends[i]
+            chunk = self._io.read_range(self.path, start, end)
+            self._data[start : start + len(chunk)] = chunk
+            steps, _, valid_end = index_journal(self._data, end, start, i + 1)
             if len(steps) != 1 or valid_end != end:
                 raise Corrupt(f"{self.path}: step {i + 1} is damaged")
             step = self._entries[i] = steps[0]
@@ -243,27 +278,27 @@ class Journal(FramedLog):
         path: str | os.PathLike,
         io: FileIO | None = None,
         cursor: int | None = None,
-        positions: dict[int, list[int]] | None = None,
-        index: StepIndex | None = None,
+        positions: bytes = b"",
+        index: bytes = b"",
     ) -> "Journal":
         """Reopen an existing work file as a continuation of its session.
 
         Parses the valid prefix (repairing a torn tail), re-applies session
-        memory (cursor, and per-step positions, minus those of steps the
-        file does not hold) captured by the previous process, and takes the
-        session lock.  A negative cursor reads as 0; one past the steps the
-        file holds raises Corrupt before the file is repaired.  Undo
-        refuses a step whose positions are missing, miscounted or negative.
+        memory captured by the previous process (the cursor, and the
+        ``Journal.positions`` stack), and takes the session lock.  A
+        negative cursor reads as 0; one past the steps the file holds
+        raises Corrupt before the file is repaired.  Undo checks each
+        positions entry it reaches (see undo_step).
 
         ``index`` is the ``Journal.index`` the previous process left.  When
-        its ends strictly increase, the last lies inside the file and the
-        four bytes before it are its CRC, only the bytes past that end are
-        scanned, and each step it covers is checked when first reached
-        (Corrupt if it is damaged); otherwise the whole file is scanned."""
+        it fits the file (see _read), only the bytes past its last end are
+        read and scanned, and each step it covers is read and checked when
+        first reached (Corrupt if it is damaged); otherwise the whole file
+        is.  ``positions`` and ``index`` are bytes-like: anything else
+        raises TypeError."""
+        positions, index = bytearray(memoryview(positions)), memoryview(index)
         journal = cls._open(os.fspath(path), io or FileIO(), cursor, index)
-        if positions:
-            count = journal.step_count
-            journal.positions = {n: p for n, p in positions.items() if 1 <= n <= count}
+        journal.positions = positions
         return journal
 
     def _require_session(self) -> None:
@@ -280,10 +315,12 @@ class Journal(FramedLog):
         return self._entries
 
     @property
-    def index(self) -> StepIndex | None:
-        """The step index a later resume can start from (see resume); None
-        for an empty file, or when the last step's CRC is unknown."""
-        return (self._ends, self._tail_crc) if self._ends and self._tail_crc else None
+    def index(self) -> bytes:
+        """The step index a later resume can start from (see resume): the
+        offset just past each step as u32 values, empty for an empty file
+        or one past what a u32 holds."""
+        ends = self._ends
+        return struct.pack(f"<{len(ends)}I", *ends) if ends and ends[-1] <= _U32_MAX else b""
 
     @property
     def step_count(self) -> int:
@@ -314,23 +351,31 @@ class Journal(FramedLog):
             if not isinstance(payload, ElementPayload):
                 raise TypeError(f"a change carries an ElementPayload, not {type(payload).__name__}")
         log = _apply_forward(drawing, changes, build_mirror=True)
-        step_no, replaced = self.cursor + 1, self.step_count
+        step_no = self.cursor + 1
         try:
             self._append(encode_step(step_no, changes), ChangeStep(step_no, list(changes)))
         except BaseException:
             _roll_back(drawing, log)
             raise
-        for dropped in range(step_no + 1, replaced + 1):  # the redo tail, now gone
-            self.positions.pop(dropped, None)
-        self.positions[step_no] = [i for i, _ in log]
+        self.positions += _positions_entry([i for i, _ in log], step_no)
         drawing.revision += 1
         return step_no
 
     def undo_step(self, drawing: Drawing) -> None:
-        """Take back the latest applied step; the file is not touched."""
+        """Take back the latest applied step at the positions of the top
+        entry of the positions stack, then pop that entry; the file is not
+        touched.  NotFound, with the drawing and the stack unchanged, when
+        the entry's step number is not the cursor or its count does not
+        fit (see also _apply_reverse)."""
         if self.cursor < 1:
             raise NothingToUndo("cursor is at the session start")
-        _apply_reverse(drawing, self._step(self.cursor - 1).changes, self.positions.get(self.cursor))
+        stack = self.positions
+        count, step_no = _ENTRY_TAIL.unpack_from(stack, len(stack) - 8) if len(stack) >= 8 else (0, 0)
+        start = len(stack) - 8 - 4 * count
+        if step_no != self.cursor or start < 0:
+            raise NotFound(_UNKNOWN_POSITIONS)
+        _apply_reverse(drawing, self._step(self.cursor - 1).changes, struct.unpack_from(f"<{count}I", stack, start))
+        del stack[start:]
         self.cursor -= 1
         drawing.revision += 1
 
@@ -340,7 +385,7 @@ class Journal(FramedLog):
             raise NothingToRedo("no steps beyond the cursor")
         log = _apply_forward(drawing, self._step(self.cursor).changes, build_mirror=False)
         self.cursor += 1
-        self.positions[self.cursor] = [i for i, _ in log]
+        self.positions += _positions_entry([i for i, _ in log], self.cursor)
         drawing.revision += 1
 
 
@@ -380,12 +425,13 @@ def index_journal(
     return steps, ends, valid_end
 
 
-def _fits(data: bytes, ends: list[int], crc: bytes) -> bool:
-    """Whether a step index fits ``data``: its ends strictly increase from
-    the header on, the last lies inside ``data``, and the four bytes before
-    it are the recorded ``crc``."""
-    return (bool(ends) and all(map(int.__lt__, (HEADER_LEN, *ends), ends))
-            and ends[-1] <= len(data) and data[ends[-1] - CRC_LEN : ends[-1]] == crc)
+def _increasing_ends(index: bytes) -> tuple[int, ...]:
+    """The ends of a step index when they are whole u32 values that
+    strictly increase from the header on, else ()."""
+    if not index or len(index) % 4:
+        return ()
+    ends = struct.unpack(f"<{len(index) // 4}I", index)
+    return ends if HEADER_LEN < ends[0] and all(map(operator.lt, ends, islice(ends, 1, None))) else ()
 
 
 def recover_journal(path: str | os.PathLike, io: FileIO | None = None) -> tuple[Journal, bool]:

@@ -5,20 +5,21 @@ Undo and redo span CLI calls, so ``edit``, ``autosave-run``, ``undo``,
 a :class:`Session`.  It holds the document lock (``<doc>.lock``) for its
 ``with`` block and reads the sidecar at most once, on first need.  It
 opens the journal on first use, fresh for a drawing or resumed at the
-remembered cursor and positions from the remembered step index (so a
-cold undo scans only what follows it and checks the steps it moves
-over), and the blob log at the remembered version.  Whenever it writes
-the sidecar with the journal open, it stores the journal's step index
-too.  A fresh journal is followed at once by a sidecar at cursor 0,
-before the first step, so a session that dies leaves no older session's
-cursor beside its journal.  A journal is not resumed without a remembered
-cursor (sidecar missing, damaged or never written, or the document
-replaced by a restored autosave): undo and redo refuse with Corrupt
-rather than guess which step the document is at.  They refuse too, and
-change no file, when the journal holds fewer intact steps than that
-cursor.  :meth:`Session.save` writes the document, then the sidecar;
-:meth:`Session.restore` writes the sidecar first.  Leaving the block
-releases the logs and the lock on every exit, a simulated crash
+remembered cursor with the remembered positions stack and step index (so
+a cold undo scans only what follows the index and checks the steps it
+moves over), and the blob log at the remembered version.  Whenever it
+writes the sidecar with the journal open, it stores the journal's
+positions stack and step index as the journal hands them over; it never
+looks inside them.  A fresh journal is followed at once by a sidecar at
+cursor 0, before the first step, so a session that dies leaves no older
+session's cursor beside its journal.  A journal is not resumed without
+a remembered cursor (sidecar missing, damaged or never written, or the
+document replaced by a restored autosave): undo and redo refuse with
+Corrupt rather than guess which step the document is at.  They refuse
+too, and change no file, when the journal holds fewer intact steps than
+that cursor.  :meth:`Session.save` writes the document, then the
+sidecar; :meth:`Session.restore` writes the sidecar first.  Leaving the
+block releases the logs and the lock on every exit, a simulated crash
 included.  Each log keeps its own lock file too: a library host opens a
 ``Journal`` without the document lock.  The journal, the signatures and
 the blob log load on first use, so a cold command imports only what it
@@ -73,9 +74,9 @@ class Session:
         """The session journal, opened on the first call: a fresh one when
         a ``drawing`` is given, followed by the sidecar at its cursor 0,
         else the existing one resumed at the remembered cursor, positions
-        and step index.  Resuming raises Corrupt when the sidecar holds no
-        cursor, for which step the document is at is unknown, and when the
-        journal holds fewer intact steps than the cursor.
+        stack and step index.  Resuming raises Corrupt when the sidecar
+        holds no cursor, for which step the document is at is unknown, and
+        when the journal holds fewer intact steps than the cursor.
 
         The fresh journal replaces the old one before the sidecar is
         written: a crash between the two leaves the old cursor over an
@@ -118,12 +119,12 @@ class Session:
     def restore(self, document: bytes) -> None:
         """Replace the document by ``document``, which no step of the
         journal leads to (a restored autosave): first the sidecar, with the
-        journal cursor, positions and step index cleared and the blob log's
-        cursor if it is open, then the document.  A crash between the two
-        leaves undo and redo refusing, never replaying the journal over the
-        new document."""
+        journal cursor, positions stack and step index cleared and the blob
+        log's cursor if it is open, then the document.  A crash between the
+        two leaves undo and redo refusing, never replaying the journal over
+        the new document."""
         state = self.remembered()
-        state.journal_cursor, state.positions, state.index = None, {}, None
+        state.journal_cursor, state.positions, state.index = None, b"", b""
         self._write_sidecar()
         self._save_document(document)
 

@@ -11,6 +11,7 @@ from draftvault import framelog, model, sidecar as sidecar_mod
 from draftvault.autosave import AutosaveConfig, AutosaveSession
 from draftvault.cli import main
 from draftvault.fileio import FileIO
+from draftvault.journal import index_journal, pack_positions
 from draftvault.locks import SessionLock
 from draftvault.model import Drawing
 from draftvault.ppversions import recover_pp_log
@@ -302,24 +303,32 @@ def _write_sidecar_frames(sidecar, *payloads: bytes) -> None:
                                                       for payload in payloads))
 
 
-def _untile(sidecar):
-    """A sidecar whose frames are intact, but whose positions entries do
-    not tile their frame: one u32 follows the last entry."""
-    cursors, packed, index = _sidecar_frames(sidecar)
-    _write_sidecar_frames(sidecar, cursors, packed + struct.pack("<I", 7), index)
+# The positions frame of version 1 and 2 for this session: per step by
+# ascending step number, u32 step_no | u32 count | count x u32.
+V2_POSITIONS = struct.pack("<9I", 1, 1, 0, 2, 1, 1, 3, 1, 2)
 
 
 def _earlier_version(sidecar):
-    """The ``TCGS`` version 1 layout of the same cursors and positions:
-    two frames, no index."""
-    cursors, packed, _ = _sidecar_frames(sidecar)
+    """The ``TCGS`` version 1 layout of the same cursors: two frames, the
+    positions by step number, no index."""
+    cursors, _, _ = _sidecar_frames(sidecar)
     sidecar.write_bytes(framelog.header(sidecar_mod.MAGIC, 1) + framelog.encode_frame(framelog.LENGTH_HEAD, cursors)
-                        + framelog.encode_frame(framelog.LENGTH_HEAD, packed))
+                        + framelog.encode_frame(framelog.LENGTH_HEAD, V2_POSITIONS))
 
 
-@pytest.mark.parametrize("lose", [lambda p: p.unlink(), _damage, lambda p: p.write_bytes(EARLIER_TEXT), _untile,
-                                  _earlier_version],
-                         ids=["lost", "damaged", "earlier-text", "untiled", "earlier-version"])
+def _version_2(sidecar):
+    """The ``TCGS`` version 2 layout of the same cursors: positions by step
+    number, and an index led by the stored CRC of the last commit frame."""
+    cursors, _, index = _sidecar_frames(sidecar)
+    journal = sidecar.with_name("d.tcgd.journal").read_bytes()
+    v2_index = journal[-4:] + index
+    sidecar.write_bytes(framelog.header(sidecar_mod.MAGIC, 2) + b"".join(
+        framelog.encode_frame(framelog.LENGTH_HEAD, payload) for payload in (cursors, V2_POSITIONS, v2_index)))
+
+
+@pytest.mark.parametrize("lose", [lambda p: p.unlink(), _damage, lambda p: p.write_bytes(EARLIER_TEXT),
+                                  _earlier_version, _version_2],
+                         ids=["lost", "damaged", "earlier-text", "earlier-version", "version-2"])
 def test_undo_without_a_cursor_is_refused(doc, capsys, lose):
     """At state 2 of 3 the cursor cannot be told from the journal: a guess
     at step 3 undoes the second ``aa`` and leaves ``[bb]``, a drawing the
@@ -340,6 +349,27 @@ def test_undo_without_a_cursor_is_refused(doc, capsys, lose):
     assert out.splitlines()[-2:] == ["cursor unknown: d.tcgd.session is missing or damaged",
                                      "3 step(s) in session journal"]
     assert len([line for line in out.splitlines() if line.startswith("step ")]) == 3
+
+
+def test_undo_over_an_untiled_positions_frame_is_refused_and_redo_runs(doc, capsys):
+    """One u32 after the last positions entry: the cursor is intact, but
+    the top entry no longer names step 2.  ``undo`` exits 3 and changes no
+    file; ``redo`` needs no positions and pushes its own entry, which a
+    later ``undo`` takes back."""
+    (doc.parent / "revisit.txt").write_text(REVISIT)
+    run(["edit", doc, "--script", doc.parent / "revisit.txt"], capsys)
+    run(["undo", doc], capsys)
+    sidecar = doc.with_name("d.tcgd.session")
+    cursors, positions, index = _sidecar_frames(sidecar)
+    _write_sidecar_frames(sidecar, cursors, positions + struct.pack("<I", 7), index)
+    before = {p: p.read_bytes() for p in (doc, doc.with_name("d.tcgd.journal"), sidecar)}
+    code, out, err = run(["undo", doc], capsys)
+    assert (code, out) == (3, "") and "recorded positions are unknown" in err
+    assert {p: p.read_bytes() for p in before} == before
+    code, out, _ = run(["redo", doc], capsys)
+    assert code == 0 and "cursor at 3 of 3" in out
+    code, out, _ = run(["undo", doc], capsys)
+    assert code == 0 and "cursor at 2 of 3" in out and _elements(doc) == ["aa", "bb"]
 
 
 FIVE = "".join(f"ADD 1 {x}\nSTEP\n" for x in ("aa", "bb", "cc", "dd", "ee"))
@@ -372,7 +402,7 @@ def test_undo_past_a_flipped_byte_without_a_step_index_is_refused(doc, capsys):
     journal = _five_steps_with_a_flipped_byte(doc, capsys)
     sidecar = doc.with_name("d.tcgd.session")
     state = read_sidecar(sidecar)
-    assert state.index is not None  # the CLI remembers it; a library host does not
+    assert state.index  # the CLI remembers it; a library host does not
     write_sidecar(sidecar, SidecarState(journal_cursor=5, positions=state.positions))
     before = {p: p.read_bytes() for p in (doc, journal, sidecar)}
     for command in ("undo", "redo"):
@@ -430,26 +460,101 @@ def test_a_cold_undo_scans_the_frames_of_one_step(doc, capsys, monkeypatch):
     assert sorted(set(scanned)) == [size - 15, size]  # step 1000: its record, then its commit
 
 
+def test_a_cold_undo_reads_only_the_steps_it_moves_over(doc, capsys):
+    """On an indexed 1000-step journal, ``undo -n 2`` reads the header,
+    the commit frame that closes the index, and the two steps it takes
+    back: a few dozen bytes of the journal, never the whole file."""
+    class Counting(FileIO):
+        def __init__(self):
+            self.read = []
+
+        def _sync(self, fh):
+            fh.flush()
+
+        def read_bytes(self, path):
+            data = super().read_bytes(path)
+            self.read.append((os.path.basename(path), len(data)))
+            return data
+
+        def read_range(self, path, start, end=None):
+            data = super().read_range(path, start, end)
+            self.read.append((os.path.basename(path), len(data)))
+            return data
+
+    (doc.parent / "many.txt").write_text("".join(f"ADD 1 {n:04x}\nSTEP\n" for n in range(1000)))
+    run(["edit", doc, "--script", doc.parent / "many.txt"], capsys, Counting())
+    io = Counting()
+    code, out, _ = run(["undo", doc, "-n", "2"], capsys, io)
+    assert code == 0 and "cursor at 998 of 1000" in out
+    step = 15 + 2 + 15  # one record, 15 bytes of frame around its 2-byte payload, then the commit
+    assert [n for name, n in io.read if name == "d.tcgd.journal"] == [15, 6, step, step]
+    assert _elements(doc)[-1] == "03e5"
+
+
 def test_pp_writes_the_positions_frame_back_byte_for_byte(doc, capsys):
-    """``pp jump`` moves the blob cursor and leaves the positions frame as
-    it found it, even in an order the writer would not choose (last step
-    first); ``undo`` still reads it."""
+    """``pp jump`` moves the blob cursor and leaves the positions and index
+    frames as it found them, each the journal's bytes; ``undo`` still
+    reads them."""
     run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
     for data in ("aa", "bb"):
         run(["pp", "commit", doc, "--data", data], capsys)
     sidecar = doc.with_name("d.tcgd.session")
-    positions = read_sidecar(sidecar).positions
-    assert sorted(positions) == [1, 2, 3]
-    packed = b"".join(struct.pack(f"<II{len(p)}I", n, len(p), *p) for n, p in sorted(positions.items())[::-1])
-    cursors, _, index = _sidecar_frames(sidecar)
-    _write_sidecar_frames(sidecar, cursors, packed, index)
+    cursors, positions, index = _sidecar_frames(sidecar)
+    assert positions == pack_positions({1: [0, 1], 2: [0, 1], 3: [0]})
+    assert index == struct.pack("<3I", *_step_ends(doc.with_name("d.tcgd.journal")))
     code, out, _ = run(["pp", "jump", doc, "--to", "1"], capsys)
     assert code == 0 and "at version 1 of 2" in out
-    assert _sidecar_frames(sidecar)[1:] == (packed, index)
+    assert _sidecar_frames(sidecar)[1:] == (positions, index)
     state = read_sidecar(sidecar)
-    assert (state.journal_cursor, state.pp_cursor, state.positions) == (3, 1, positions)
+    assert (state.journal_cursor, state.pp_cursor, state.positions, state.index) == (3, 1, positions, index)
     code, out, _ = run(["undo", doc], capsys)
     assert code == 0 and "cursor at 2 of 3" in out
+
+
+def _step_ends(journal) -> list[int]:
+    return index_journal(journal.read_bytes())[1]
+
+
+def test_a_damaged_positions_entry_is_refused_only_when_undo_reaches_it(doc, capsys):
+    """Five steps, and the step number of the bottom positions entry (step
+    1's) damaged.  ``undo -n 3`` reads only the three entries on top;
+    ``pp jump`` writes the frame back byte for byte; the ``undo -n 2``
+    that reaches step 1's entry exits 3 and changes no file."""
+    (doc.parent / "five.txt").write_text(FIVE)
+    run(["edit", doc, "--script", doc.parent / "five.txt"], capsys)
+    run(["pp", "commit", doc, "--data", "aa"], capsys)
+    sidecar = doc.with_name("d.tcgd.session")
+    cursors, positions, index = _sidecar_frames(sidecar)
+    assert positions == pack_positions({n: [n - 1] for n in range(1, 6)})
+    damaged = bytearray(positions)
+    damaged[8:12] = struct.pack("<I", 9)  # entry 1 is u32 0 | u32 1 | u32 step_no
+    _write_sidecar_frames(sidecar, cursors, damaged, index)
+    code, out, _ = run(["undo", doc, "-n", "3"], capsys)
+    assert code == 0 and "cursor at 2 of 5" in out and _elements(doc) == ["aa", "bb"]
+    cursors, positions, index = _sidecar_frames(sidecar)
+    assert positions == damaged[:24]
+    code, out, _ = run(["pp", "jump", doc, "--to", "1"], capsys)
+    assert code == 0 and _sidecar_frames(sidecar)[1:] == (positions, index)
+    files = [doc, doc.with_name("d.tcgd.journal"), sidecar]
+    before = {p: p.read_bytes() for p in files}
+    code, out, err = run(["undo", doc, "-n", "2"], capsys)
+    assert (code, out) == (3, "") and "recorded positions are unknown" in err
+    assert {p: p.read_bytes() for p in files} == before
+
+
+def test_history_names_a_cursor_past_the_intact_steps(doc, capsys):
+    """The journal cut to its second step's end under a sidecar at cursor
+    3: ``history`` marks no step and says so, as ``undo`` and ``redo``
+    refuse that cursor."""
+    run(["edit", doc, "--script", doc.parent / "edit.txt"], capsys)
+    journal = doc.with_name("d.tcgd.journal")
+    journal.write_bytes(journal.read_bytes()[: _step_ends(journal)[1]])
+    code, out, _ = run(["history", doc], capsys)
+    assert code == 0 and "<- cursor" not in out
+    assert out.splitlines()[-2:] == ["cursor 3 is past the 2 intact step(s)", "2 step(s) in session journal"]
+    for command in ("undo", "redo"):
+        code, _, err = run([command, doc], capsys)
+        assert code == 3 and "only 2 of the 3 entries its session reached are intact" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,14 @@
 """``benchmarks/cold_scaling.py`` sums up synthetic call times: the p50 of
-each command by tree and journal length, the ratio per 10x of length, and
-the commands whose p50 more than doubles per 10x."""
+each command by tree and size, the ratio per 10x of size, and the
+commands whose p50 more than doubles per 10x.  It varies journal steps or
+document elements, and runs end to end on a tiny fixture."""
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SPEC = importlib.util.spec_from_file_location(
     "cold_scaling", Path(__file__).resolve().parents[1] / "benchmarks" / "cold_scaling.py"
@@ -40,3 +45,32 @@ def test_lengths_read_back_from_json_are_ordered_by_number():
     calls = {"redo": {100: {"t": [10]}, 10000: {"t": [40]}}}
     assert cold_scaling.summarize(calls)["ratio_per_10x"]["redo"]["t"] == [2.0]
     assert cold_scaling.summarize(calls)["over_2x_per_10x"] == []
+
+
+def test_sizes_vary_one_axis():
+    assert cold_scaling.sizes([1000, 10000], [24000]) == (
+        "steps", {1000: {"journal_steps": 1000, "doc_elements": 24000},
+                  10000: {"journal_steps": 10000, "doc_elements": 24000}})
+    assert cold_scaling.sizes([10000], [2400, 24000]) == (
+        "elements", {2400: {"journal_steps": 10000, "doc_elements": 2400},
+                     24000: {"journal_steps": 10000, "doc_elements": 24000}})
+    with pytest.raises(ValueError):
+        cold_scaling.sizes([1000, 10000], [2400, 24000])
+
+
+def test_a_small_run_times_each_command_along_the_elements_axis(tmp_path):
+    """A tiny fixture along the elements axis: every command, ``pp jump``
+    included, runs cold and gets a p50 at each size.  The tree is given
+    by its absolute path, which is also its label: its fixtures still go
+    under ``--workdir``."""
+    proc = subprocess.run(
+        [sys.executable, SPEC.origin, "--src", str(Path(SPEC.origin).parents[1] / "src"), "--steps", "20",
+         "--elements", "10", "100", "--runs", "1", "--workdir", str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    (label,) = report["trees"]
+    assert report["axis"] == "elements"
+    assert set(report["p50_ms"]) == {"undo", "redo", "history", "pp_jump"}
+    for by_tree in report["p50_ms"].values():
+        assert list(by_tree[label]) == ["10", "100"] and all(ms > 0 for ms in by_tree[label].values())

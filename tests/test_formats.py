@@ -34,9 +34,9 @@ GOLD_TCGE = (
     "d0ac83b24df99c3f053037fd5eb1811bf54882704c7458e2ae55c70e3e022f"
 )
 GOLD_TCGS = (
-    "544347530200120000000101020000000000000001000000000000007e6a700c1c000000"
-    "01000000020000000000000001000000020000000100000000000000b82bbac00c000000"
-    "041974a43500000054000000426a8c52"
+    "544347530300120000000101020000000000000001000000000000007e6a700c1c000000"
+    "00000000010000000200000001000000000000000100000002000000155fed1508000000"
+    "35000000540000007d759bf4"
 )
 GOLD_SET = (
     "5443474101005c0000000000000000000440021c000000a2d32223d06cbbd62f0f17449e7543"
@@ -146,14 +146,13 @@ def test_inspect_journal_of_golden(tmp_path):
 
 
 def test_sidecar_layout_pinned(tmp_path):
-    """``TCGS`` version 2: the cursor frame, the positions frame, and the
-    step index of ``GOLD_TCGJ`` (its steps end at 53 and 84, and its last
-    commit frame's CRC is its last four bytes)."""
+    """``TCGS`` version 3: the cursor frame, the positions stack of
+    ``GOLD_TCGJ``'s two steps, and its step index (its steps end at 53 and
+    84)."""
     (tmp_path / "j").write_bytes(bytes.fromhex(GOLD_TCGJ))
     journal, _ = inspect_journal(tmp_path / "j")
-    index = ([53, 84], bytes.fromhex(GOLD_TCGJ)[-4:])
-    assert journal.index == index
-    state = SidecarState(journal_cursor=2, pp_cursor=1, positions={2: [0], 1: [0, 1]}, index=index)
+    assert journal.index == struct.pack("<II", 53, 84)
+    state = SidecarState(journal_cursor=2, pp_cursor=1, positions={2: [0], 1: [0, 1]}, index=journal.index)
     write_sidecar(tmp_path / "s", state, FileIO())
     assert (tmp_path / "s").read_bytes().hex() == GOLD_TCGS
 
@@ -162,19 +161,25 @@ def test_sidecar_layout_pinned(tmp_path):
         return body + _crc(body)
 
     cursors = struct.pack("<BBqq", 1, 1, 2, 1)  # both present, journal 2, pp 1
-    positions = struct.pack("<IIII", 1, 2, 0, 1) + struct.pack("<III", 2, 1, 0)
-    step_index = bytes.fromhex(GOLD_TCGJ)[-4:] + struct.pack("<II", 53, 84)  # the CRC, then the ends
-    raw = b"TCGS" + struct.pack("<H", 2) + frame(cursors) + frame(positions) + frame(step_index)
+    # oldest step first, each entry its positions, then u32 count | u32 step_no
+    positions = struct.pack("<IIII", 0, 1, 2, 1) + struct.pack("<III", 0, 1, 2)
+    step_index = struct.pack("<II", 53, 84)
+    raw = b"TCGS" + struct.pack("<H", 3) + frame(cursors) + frame(positions) + frame(step_index)
     assert raw.hex() == GOLD_TCGS
 
     back = read_sidecar(tmp_path / "s")
-    assert (back.journal_cursor, back.pp_cursor, back.positions, back.index) == (2, 1, {1: [0, 1], 2: [0]}, index)
+    assert (back.journal_cursor, back.pp_cursor, back.positions, back.index) == (2, 1, positions, step_index)
     write_sidecar(tmp_path / "s", SidecarState(journal_cursor=-1), FileIO())
-    assert (tmp_path / "s").read_bytes()[-8:] == frame(b"")  # no index: an empty frame
+    assert (tmp_path / "s").read_bytes()[-16:] == frame(b"") * 2  # no positions, no index: empty frames
     back = read_sidecar(tmp_path / "s")  # an absent cursor is not 0, a negative one stays
-    assert (back.journal_cursor, back.pp_cursor, back.positions, back.index) == (-1, None, {}, None)
-    (tmp_path / "s").write_bytes(b"TCGS" + struct.pack("<H", 1) + frame(cursors) + frame(positions))
-    assert read_sidecar(tmp_path / "s").journal_cursor is None  # version 1 reads as missing
+    assert (back.journal_cursor, back.pp_cursor, back.positions, back.index) == (-1, None, b"", b"")
+    v2_positions = struct.pack("<IIII", 1, 2, 0, 1) + struct.pack("<III", 2, 1, 0)
+    v2_index = bytes.fromhex(GOLD_TCGJ)[-4:] + step_index  # led by the last commit frame's CRC
+    (tmp_path / "s").write_bytes(b"TCGS" + struct.pack("<H", 2) + frame(cursors) + frame(v2_positions)
+                                 + frame(v2_index))
+    assert read_sidecar(tmp_path / "s").journal_cursor is None  # version 2 reads as missing
+    (tmp_path / "s").write_bytes(b"TCGS" + struct.pack("<H", 1) + frame(cursors) + frame(v2_positions))
+    assert read_sidecar(tmp_path / "s").journal_cursor is None  # and so does version 1
 
 
 def test_autosave_set_layout_pinned(tmp_path):

@@ -20,7 +20,7 @@ from draftvault.autosave import AutosaveConfig, AutosaveSession, probe_recovery
 from draftvault.cli import parse_args
 from draftvault.errors import BadHeader, Corrupt
 from draftvault.framelog import CRC_LEN, HEADER_LEN, encode_frame, header, read_frames, scan_frames
-from draftvault.journal import FLAG_ADDED, index_journal, inspect_journal
+from draftvault.journal import FLAG_ADDED, index_journal, inspect_journal, pack_positions
 from draftvault.model import Drawing, ElementPayload
 from draftvault.ppversions import PPVersionLog, recover_pp_log
 from draftvault.sidecar import SidecarState, read_sidecar, write_sidecar
@@ -173,7 +173,8 @@ def _flipped(data: bytes, flip: int) -> bytes:
 
 
 def _history_from_decoded(steps, cursor, torn: bool) -> str:
-    """What ``history`` prints, computed from fully decoded steps."""
+    """What ``history`` prints, computed from fully decoded steps; a cursor
+    past them marks none."""
     lines = []
     for step in steps:
         added = sum(1 for flag, _ in step.changes if flag == FLAG_ADDED)
@@ -183,6 +184,8 @@ def _history_from_decoded(steps, cursor, torn: bool) -> str:
         lines.append(f"step {step.step_no}: +{added} -{deleted} ({size} payload bytes){marker}")
     if cursor == 0:
         lines.append("cursor at session start")
+    elif cursor > len(steps):
+        lines.append(f"cursor {cursor} is past the {len(steps)} intact step(s)")
     lines.append(f"{len(steps)} step(s) in session journal" + (" (torn tail ignored)" if torn else ""))
     return "\n".join(lines) + "\n"
 
@@ -216,7 +219,7 @@ def test_lazy_journal_steps_agree_with_eager_decoding(seed, flip, cursor):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert history.func(history) == 0
-            assert out.getvalue() == _history_from_decoded(eager, min(cursor, len(eager)), torn)
+            assert out.getvalue() == _history_from_decoded(eager, cursor, torn)
             for mine, theirs in zip(lazy.steps, eager):
                 assert mine.changes == theirs.changes
 
@@ -287,7 +290,7 @@ def _sidecar(tmp_path):
     path = tmp_path / "d.tcgd.session"
     write_sidecar(path, SidecarState(2, 1, {1: [0], 2: [0, 1]}))
     data = path.read_bytes()
-    assert read_sidecar(path).positions == {1: [0], 2: [0, 1]}
+    assert read_sidecar(path).positions == pack_positions({1: [0], 2: [0, 1]})
 
     def refused(bad):
         path.write_bytes(bad)

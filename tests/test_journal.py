@@ -1,4 +1,5 @@
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -22,9 +23,11 @@ from draftvault.journal import (
     inspect_journal,
     index_journal,
     make_modify,
+    pack_positions,
     recover_journal,
 )
 from draftvault.model import _HASH, Drawing, ElementPayload, _last_index, _packed_hashes
+from draftvault.sidecar import SidecarState, read_sidecar, write_sidecar
 
 from conftest import (
     SnapshotOracle,
@@ -199,7 +202,7 @@ def test_undo_divergence_aborts_without_touching_drawing(tmp_path, session):
     # a resumed session with a corrupted position memory must refuse cleanly,
     # whether the first record it inverts diverges or a later one
     for positions in ([5, 7], [5, 1]):
-        resumed = Journal.resume(journal.path, cursor=1, positions={1: positions})
+        resumed = Journal.resume(journal.path, cursor=1, positions=pack_positions({1: positions}))
         snapshot = list(drawing.elements)
         with pytest.raises(NotFound):
             resumed.undo_step(drawing)
@@ -223,31 +226,54 @@ def test_resume_clamps_a_negative_cursor(tmp_path):
 
 
 def test_resume_drops_negative_positions(tmp_path):
-    """A negative index, or a list of the wrong length for the step's one
-    record, is refused, not an insert at index -1 or a guess."""
+    """A position past the drawing (what -1 reads as in a u32), or a list
+    of the wrong length for the step's one record, is refused, not an
+    insert at the end or a guess."""
     drawing = Drawing(elements=[A, B, C])
     journal = Journal.begin_session(drawing, tmp_path / "j")
     journal.commit_step(drawing, [(FLAG_DELETED, A)])
     journal.close()
-    for positions in ([-1], [], [0, 1]):
-        resumed = Journal.resume(tmp_path / "j", cursor=1, positions={1: positions})
+    for positions in ([0xFFFFFFFF], [], [0, 1]):
+        resumed = Journal.resume(tmp_path / "j", cursor=1, positions=pack_positions({1: positions}))
         with pytest.raises(NotFound):
             resumed.undo_step(drawing)
         assert drawing.elements == [B, C] and resumed.cursor == 1
+        assert resumed.positions == pack_positions({1: positions})
         resumed.close()
 
 
-def test_a_commit_drops_the_positions_of_the_redo_tail(session):
-    """``Journal.positions`` holds an entry for each step in the file and
-    no other, so the sidecar keeps none for a step that is gone."""
+def test_resume_takes_only_bytes(tmp_path):
+    """The positions stack and the step index are bytes-like: a map or an
+    ``(ends, crc)`` pair is a TypeError, not bytes read out of its keys."""
+    _three_steps(tmp_path / "j")
+    for memory in ({"positions": {1: [5, 7]}}, {"index": ([53], b"\0" * 4)}, {"positions": [0, 1, 1]}):
+        with pytest.raises(TypeError):
+            Journal.resume(tmp_path / "j", cursor=1, **memory)
+    assert not (tmp_path / "j.lock").exists()
+    resumed = Journal.resume(tmp_path / "j", cursor=1, positions=memoryview(pack_positions({1: [0]})))
+    resumed.close()
+
+
+def test_an_undo_drops_the_positions_of_its_step(session):
+    """``Journal.positions`` holds an entry for each applied step and no
+    other: undo pops the top entry, commit and redo push one, so a commit
+    over a redo tail has nothing of the tail to drop."""
     journal, drawing = session
     for element in (A, B, C):
         journal.commit_step(drawing, [(FLAG_ADDED, element)])
+    assert journal.positions == pack_positions({1: [0], 2: [1], 3: [2]})
     journal.undo_step(drawing)
     journal.undo_step(drawing)
-    assert sorted(journal.positions) == [1, 2, 3]  # the redo tail keeps its own
+    assert journal.positions == pack_positions({1: [0]})
+    journal.redo_step(drawing)
+    assert journal.positions == pack_positions({1: [0], 2: [1]})
+    journal.undo_step(drawing)
     journal.commit_step(drawing, [(FLAG_DELETED, A)])
-    assert journal.positions == {1: [0], 2: [0]}
+    assert journal.positions == pack_positions({1: [0], 2: [0]})
+    journal.cursor = 1  # the top entry is step 2's: refused, and kept
+    with pytest.raises(NotFound):
+        journal.undo_step(drawing)
+    assert journal.positions == pack_positions({1: [0], 2: [0]}) and drawing.elements == []
 
 
 def test_undo_redo_bounds(session):
@@ -486,10 +512,10 @@ def test_element_search_matches_the_python_scan(letters, drawn, build_mirror):
 
     # Undo is the exact inverse of the forward apply: each element is the
     # original object or, where the step deleted one, the step's record.
-    # It refuses a step whose positions are unknown, touching nothing.
+    # It refuses positions that are not one per record, touching nothing.
     applied = list(drawing.elements)
     with pytest.raises(NotFound):
-        _apply_reverse(drawing, changes, None)
+        _apply_reverse(drawing, changes, ())
     assert _same_objects(drawing.elements, applied)
     _apply_reverse(drawing, changes, expected[1])
     assert_mirror_in_step(drawing)
@@ -583,6 +609,38 @@ _ops = st.lists(
 )
 
 
+class _Reference:
+    """The list reference of a session: its elements, the history of
+    steps with their positions, and the cursor."""
+
+    def __init__(self, elements):
+        self.work, self.steps, self.positions, self.cursor = list(elements), [], [], 0
+
+    def run(self, journal: Journal, drawing: Drawing, op: tuple) -> None:
+        """Run ``op`` through the journal and on the reference."""
+        if op[0] == "commit":
+            changes = [(flag, _fresh(x)) for flag, x in op[1]]
+            expected = _outcome(_reference_forward, self.work, changes)
+            if expected is NotFound:
+                with pytest.raises(NotFound):
+                    journal.commit_step(drawing, changes)
+            else:
+                journal.commit_step(drawing, changes)
+                self.work = expected[0]
+                del self.steps[self.cursor :], self.positions[self.cursor :]
+                self.steps.append(changes)
+                self.positions.append(expected[1])
+                self.cursor += 1
+        elif op[0] == "undo" and self.cursor:
+            journal.undo_step(drawing)
+            self.cursor -= 1
+            self.work = _reference_reverse(self.work, self.steps[self.cursor], self.positions[self.cursor])
+        elif op[0] == "redo" and self.cursor < len(self.steps):
+            journal.redo_step(drawing)
+            self.work, self.positions[self.cursor] = _reference_forward(self.work, self.steps[self.cursor])
+            self.cursor += 1
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_letters, _ops)
 def test_journal_matches_the_list_reference_with_duplicates(tmp_path_factory, letters, ops):
@@ -592,35 +650,42 @@ def test_journal_matches_the_list_reference_with_duplicates(tmp_path_factory, le
     path = tmp_path_factory.mktemp("j") / "j"
     drawing = Drawing(elements=[_fresh(x) for x in letters])
     journal = Journal.begin_session(drawing, path, FileIO())
-    work = list(drawing.elements)
-    steps, positions, cursor = [], [], 0  # the reference's history
+    reference = _Reference(drawing.elements)
     try:
         for op in ops:
-            if op[0] == "commit":
-                changes = [(flag, _fresh(x)) for flag, x in op[1]]
-                expected = _outcome(_reference_forward, work, changes)
-                if expected is NotFound:
-                    with pytest.raises(NotFound):
-                        journal.commit_step(drawing, changes)
-                else:
-                    journal.commit_step(drawing, changes)
-                    work = expected[0]
-                    del steps[cursor:], positions[cursor:]
-                    steps.append(changes)
-                    positions.append(expected[1])
-                    cursor += 1
-            elif op[0] == "undo" and cursor:
-                journal.undo_step(drawing)
-                cursor -= 1
-                work = _reference_reverse(work, steps[cursor], positions[cursor])
-            elif op[0] == "redo" and cursor < len(steps):
-                journal.redo_step(drawing)
-                work, positions[cursor] = _reference_forward(work, steps[cursor])
-                cursor += 1
-            assert drawing.canonical_bytes() == Drawing(elements=work).canonical_bytes()
+            reference.run(journal, drawing, op)
+            assert drawing.canonical_bytes() == Drawing(elements=reference.work).canonical_bytes()
             assert_mirror_in_step(drawing)
-        assert journal.cursor == cursor
-        assert path.read_bytes() == HEADER + b"".join(encode_step(n, ch) for n, ch in enumerate(steps, 1))
+        assert journal.cursor == reference.cursor
+        assert path.read_bytes() == HEADER + b"".join(encode_step(n, ch) for n, ch in enumerate(reference.steps, 1))
+    finally:
+        journal.close()
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_letters, _ops)
+def test_the_positions_stack_through_the_sidecar_is_the_reference_positions(tmp_path_factory, letters, ops):
+    """Commits, undos and redos, each in a process of its own as the CLI
+    runs them: after every command the session is saved to a sidecar and
+    resumed from it, on a drawing parsed again from its bytes.  Each time
+    the positions stack is the reference's positions of steps 1 to the
+    cursor, packed, and the drawing is the reference's."""
+    tmp = tmp_path_factory.mktemp("j")
+    path, sidecar = tmp / "j", tmp / "s"
+    drawing = Drawing(elements=[_fresh(x) for x in letters])
+    journal = Journal.begin_session(drawing, path, FileIO())
+    reference = _Reference(drawing.elements)
+    try:
+        for op in ops:
+            reference.run(journal, drawing, op)
+            write_sidecar(sidecar, SidecarState(journal.cursor, None, journal.positions, journal.index))
+            journal.close()
+            state = read_sidecar(sidecar)
+            journal = Journal.resume(path, cursor=state.journal_cursor, positions=state.positions, index=state.index)
+            drawing = Drawing.from_canonical_bytes(drawing.canonical_bytes())
+            assert journal.cursor == reference.cursor
+            assert journal.positions == pack_positions(dict(enumerate(reference.positions[: reference.cursor], 1)))
+            assert drawing.canonical_bytes() == Drawing(elements=reference.work).canonical_bytes()
     finally:
         journal.close()
 
@@ -762,7 +827,7 @@ def test_a_resume_from_the_step_index_equals_a_full_scan(tmp_path_factory, ops, 
             if op[0] == "commit":
                 cut = journal.cursor < journal.step_count
                 journal.commit_step(drawing, [(FLAG_ADDED, _fresh(x)) for x in op[1]])
-                if cut and remembered is not None and len(remembered[0]) >= journal.cursor:
+                if cut and remembered is not None and len(remembered) // 4 >= journal.cursor:
                     remembered = journal.index
             elif op[0] == "undo" and journal.cursor:
                 journal.undo_step(drawing)
@@ -772,9 +837,7 @@ def test_a_resume_from_the_step_index_equals_a_full_scan(tmp_path_factory, ops, 
                 remembered = journal.index
         if remembered is None:
             remembered = journal.index
-        if remembered is not None:
-            remembered = (list(remembered[0]), remembered[1])  # a copy, as the sidecar keeps it
-        cursor, positions = journal.cursor, dict(journal.positions)
+        cursor, positions = journal.cursor, bytes(journal.positions)
     finally:
         journal.close()
     with open(path, "ab") as fh:
@@ -792,24 +855,27 @@ def test_a_resume_from_the_step_index_equals_a_full_scan(tmp_path_factory, ops, 
     assert path.read_bytes() == full_path.read_bytes()
 
 
-def _three_steps(path) -> tuple:
-    """A journal of three steps at cursor 3, with its positions and index."""
+def _three_steps(path) -> tuple[bytes, list[int]]:
+    """A journal of three steps at cursor 3, with its positions and the
+    ends of its index."""
     drawing = Drawing()
     journal = Journal.begin_session(drawing, path)
     for element in (A, B, C):
         journal.commit_step(drawing, [(FLAG_ADDED, element)])
     journal.close()
-    return journal.positions, (list(journal._ends), journal.index[1])
+    assert journal.index == struct.pack("<3I", *journal._ends)
+    return bytes(journal.positions), list(journal._ends)
 
 
-@pytest.mark.parametrize("misfit", ["other-session", "cut", "not-increasing", "crc"])
+@pytest.mark.parametrize("misfit", ["other-session", "cut", "not-increasing", "not-its-commit"])
 def test_an_index_that_does_not_fit_gives_the_full_scan(tmp_path, misfit):
     """The journal replaced by another session's (shorter) one, cut below
     the index's last end, or an index whose ends do not increase or whose
-    CRC differs: the index is dropped and the whole file is scanned, with
-    the result of a resume without one."""
+    last end closes a commit frame of another step than its count: the
+    index is dropped and the whole file is scanned, with the result of a
+    resume without one."""
     path = tmp_path / "j"
-    positions, (ends, crc) = _three_steps(path)
+    positions, ends = _three_steps(path)
     cursor = 3
     if misfit == "other-session":
         drawing = Drawing()
@@ -823,11 +889,11 @@ def test_an_index_that_does_not_fit_gives_the_full_scan(tmp_path, misfit):
     elif misfit == "not-increasing":
         ends[0], ends[1] = ends[1], ends[0]
     else:
-        crc = bytes(b ^ 1 for b in crc)
+        del ends[1]  # two ends, the last step 3's commit
     copy = tmp_path / "copy"
     copy.write_bytes(path.read_bytes())
     full = Journal.resume(copy, cursor=cursor, positions=positions)
-    indexed = Journal.resume(path, cursor=cursor, positions=positions, index=(ends, crc))
+    indexed = Journal.resume(path, cursor=cursor, positions=positions, index=struct.pack(f"<{len(ends)}I", *ends))
     try:
         assert _state(indexed) == _state(full)
         assert None not in indexed._entries  # every step came from the scan
@@ -838,9 +904,8 @@ def test_an_index_that_does_not_fit_gives_the_full_scan(tmp_path, misfit):
 
 
 def test_a_stale_index_that_fits_refuses_the_step_it_misplaces(tmp_path):
-    """A commit frame's CRC depends on its step number alone, so another
-    journal whose step 2 ends where the remembered one did passes the fit
-    check.  A step whose remembered range is not exactly one whole step
+    """A commit frame depends on its step number alone, so another journal
+    whose step 2 ends where the remembered one did passes the fit check.  A step whose remembered range is not exactly one whole step
     of that number is refused with Corrupt when undo reaches it, and the
     drawing is untouched; a step whose range holds is read as it is."""
     path = tmp_path / "j"
@@ -848,7 +913,7 @@ def test_a_stale_index_that_fits_refuses_the_step_it_misplaces(tmp_path):
     journal = Journal.begin_session(drawing, path)
     journal.commit_step(drawing, [(FLAG_ADDED, A)])
     journal.commit_step(drawing, [(FLAG_ADDED, A), (FLAG_ADDED, A)])
-    index = (list(journal._ends), journal.index[1])
+    index = journal.index
     journal.close()
     drawing = Drawing()
     other = Journal.begin_session(drawing, path)

@@ -6,7 +6,7 @@ import pytest
 from draftvault.autosave import AutosaveConfig, probe_recovery
 from draftvault.errors import DocumentFrozen, ScriptError
 from draftvault.faultsim import FaultPlan, FaultyIO
-from draftvault.journal import FLAG_DELETED, inspect_journal
+from draftvault.journal import FLAG_DELETED, inspect_journal, pack_positions
 from draftvault.model import Drawing, ElementPayload
 from draftvault.script import Command, ScriptRunner, parse_script
 from draftvault.sidecar import read_sidecar
@@ -54,7 +54,7 @@ def test_runner_simple_session(tmp_path):
     assert journal.steps[1].changes[0][0] == FLAG_DELETED
     state = read_sidecar(doc.with_name("d.tcgd.session"))
     assert state.journal_cursor == 2
-    assert set(state.positions) == {1, 2}
+    assert state.positions == pack_positions({1: [0, 1], 2: [0, 1]})
 
 
 def test_runner_trailing_changes_commit_at_eof(tmp_path):
